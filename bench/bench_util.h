@@ -156,12 +156,7 @@ shared_uniform_graph_with_density(std::size_t n, double avg_degree,
 /// every value; only wall time changes. Distinct from `--threads`, which is
 /// the per-run resolve worker count.
 inline std::size_t sweep_threads(const common::Cli& cli) {
-  const auto threads = cli.get_int("sweep-threads", 1);
-  if (threads < 1) {
-    std::printf("--sweep-threads must be >= 1\n");
-    std::exit(2);
-  }
-  return static_cast<std::size_t>(threads);
+  return static_cast<std::size_t>(cli.get_int_at_least("sweep-threads", 1, 1));
 }
 
 inline void print_experiment_header(const char* id, const char* claim) {
@@ -176,31 +171,31 @@ inline int print_verdict(bool pass, const std::string& detail) {
   return pass ? 0 : 1;
 }
 
-/// Applies `--resolve=field|simd|naive`, `--threads=N` (the SINR reception
-/// path and its worker count — see docs/PERFORMANCE.md) and
+/// Parses `--resolve=field|simd|naive` (the SINR reception path — see
+/// docs/PERFORMANCE.md), defaulting to the library's own default kind.
+/// Exits 2 with a usage error on an unknown kind.
+inline sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
+  sinr::ResolveKind kind = core::MwRunConfig{}.resolve;
+  const std::string resolve = cli.get("resolve", sinr::to_string(kind));
+  if (!sinr::resolve_kind_from_string(resolve, kind)) {
+    std::fprintf(stderr, "unknown --resolve=%s (field|simd|naive)\n",
+                 resolve.c_str());
+    std::exit(2);
+  }
+  return kind;
+}
+
+/// Applies `--resolve`, `--threads=N` (the resolve worker count) and
 /// `--slot-threads=N` (the simulator's tiled slot engine — see
 /// docs/ARCHITECTURE.md) to a run config. All three knobs change wall time
 /// only, never results, so harness claims are path-independent. Exits with a
 /// usage error on bad values.
 inline void apply_resolve_flags(const common::Cli& cli,
                                 core::MwRunConfig& cfg) {
-  const std::string resolve = cli.get("resolve", "field");
-  if (!sinr::resolve_kind_from_string(resolve, cfg.resolve)) {
-    std::printf("unknown --resolve=%s (field|simd|naive)\n", resolve.c_str());
-    std::exit(2);
-  }
-  const auto threads = cli.get_int("threads", 1);
-  if (threads < 1) {
-    std::printf("--threads must be >= 1\n");
-    std::exit(2);
-  }
-  cfg.threads = static_cast<std::size_t>(threads);
-  const auto slot_threads = cli.get_int("slot-threads", 1);
-  if (slot_threads < 1) {
-    std::printf("--slot-threads must be >= 1\n");
-    std::exit(2);
-  }
-  cfg.slot_threads = static_cast<std::size_t>(slot_threads);
+  cfg.resolve = resolve_kind_flag(cli);
+  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+  cfg.slot_threads =
+      static_cast<std::size_t>(cli.get_int_at_least("slot-threads", 1, 1));
 }
 
 /// Peak resident set size of this process in bytes (VmHWM from

@@ -49,26 +49,18 @@ int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   const double avg = cli.get_double("avg-degree", 10.0);
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds", 2));
+  const auto seeds =
+      static_cast<std::size_t>(cli.get_int_at_least("seeds", 2, 1));
   const auto base_seed = cli.get_seed("seed", 2);
   const std::string csv_path = cli.get("csv", "");
   const std::string bench_path = cli.get("sweep-bench-out", "");
+  // --resolve picks each trial's reception path; --threads belongs to the
+  // sweep (trial-level parallelism), so every trial resolves single-threaded
+  // — nested pools would oversubscribe the host.
   core::MwRunConfig base_cfg;
-  {
-    // --resolve picks each trial's reception path; --threads now belongs to
-    // the sweep (trial-level parallelism), so every trial resolves
-    // single-threaded — nested pools would oversubscribe the host.
-    const std::string resolve = cli.get("resolve", "field");
-    if (!sinr::resolve_kind_from_string(resolve, base_cfg.resolve)) {
-      std::printf("unknown --resolve=%s (field|naive)\n", resolve.c_str());
-      return 2;
-    }
-  }
-  auto threads = static_cast<std::size_t>(cli.get_int("threads", 1));
-  if (threads < 1) {
-    std::printf("--threads must be >= 1\n");
-    return 2;
-  }
+  base_cfg.resolve = bench::resolve_kind_flag(cli);
+  auto threads =
+      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 

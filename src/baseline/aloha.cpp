@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "radio/interference_model.h"
 #include "sinr/medium_field.h"
 #include "sinr/reception.h"
 
@@ -31,8 +32,7 @@ AlohaResult run_aloha_local_broadcast(const graph::UnitDiskGraph& g,
                                       std::uint64_t seed) {
   SINRCOLOR_CHECK(p > 0.0 && p < 1.0);
   phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
+  radio::check_radius_matches_phys(g, phys);
 
   AlohaResult result;
   // pending[v] = neighbors that have not yet heard v's message.

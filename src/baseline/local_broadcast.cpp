@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "radio/interference_model.h"
 #include "sinr/medium_field.h"
 #include "sinr/reception.h"
 
@@ -35,8 +36,7 @@ AlohaResult run_csma_local_broadcast(const graph::UnitDiskGraph& g,
   SINRCOLOR_CHECK(p > 0.0 && p < 1.0);
   SINRCOLOR_CHECK(cs_threshold_factor > 0.0);
   phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
+  radio::check_radius_matches_phys(g, phys);
 
   AlohaResult result;
   std::vector<std::vector<graph::NodeId>> pending(g.size());

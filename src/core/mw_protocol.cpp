@@ -42,13 +42,9 @@ std::unique_ptr<radio::InterferenceModel> make_interference_model(
   if (config.graph_model) {
     return std::make_unique<radio::GraphInterferenceModel>(g);
   }
-  const sinr::SinrParams phys = resolve_phys(g, config);
-  const radio::ResolveOptions options{config.resolve, config.threads};
-  if (config.fading.enabled()) {
-    return std::make_unique<radio::FadingSinrInterferenceModel>(
-        g, phys, config.fading, options);
-  }
-  return std::make_unique<radio::SinrInterferenceModel>(g, phys, options);
+  return std::make_unique<radio::SinrInterferenceModel>(
+      g, resolve_phys(g, config), config.fading,
+      radio::ResolveOptions{config.resolve, config.threads});
 }
 
 radio::WakeupSchedule make_wakeup_schedule(std::size_t n,

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "radio/interference_model.h"
 #include "sinr/medium_field.h"
 #include "sinr/reception.h"
 
@@ -62,8 +63,7 @@ LinkSchedule greedy_link_schedule(const graph::UnitDiskGraph& g,
                                   const sinr::SinrParams& phys,
                                   const std::vector<LinkRequest>& requests) {
   phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
+  radio::check_radius_matches_phys(g, phys);
   for (const auto& request : requests) {
     SINRCOLOR_CHECK(request.sender < g.size());
     SINRCOLOR_CHECK(request.receiver < g.size());

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "radio/interference_model.h"
 #include "sinr/medium_field.h"
 #include "sinr/reception.h"
 
@@ -29,8 +30,7 @@ PaletteReductionResult reduce_palette_sinr(const graph::UnitDiskGraph& g,
   SINRCOLOR_CHECK(schedule.size() == g.size());
   SINRCOLOR_CHECK(max_degree_bound >= g.max_degree());
   phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
+  radio::check_radius_matches_phys(g, phys);
 
   PaletteReductionResult result;
   result.reduced.color.assign(g.size(), graph::kUncolored);

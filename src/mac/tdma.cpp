@@ -1,15 +1,65 @@
 #include "mac/tdma.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <map>
+#include <optional>
 
 #include "common/check.h"
-#include "sinr/medium_field.h"
-#include "sinr/reception.h"
+#include "radio/interference_model.h"
 
 namespace sinrcolor::mac {
+namespace {
+
+/// The frame audit every channel shares: over `frames` consecutive frames
+/// (continuous slot numbering, so per-slot fades vary between frames) every
+/// node broadcasts once, in its frame slot, and `medium` resolves each slot.
+/// Pair (v, u) is delivered iff neighbor u decoded v's broadcast; a neighbor
+/// scheduled in the same slot is itself transmitting and cannot receive
+/// (half-duplex), so its pair fails. A sender is fully heard iff every
+/// neighbor decoded it in every frame.
+TdmaAudit audit_frames(const graph::UnitDiskGraph& g,
+                       const radio::InterferenceModel& medium,
+                       const TdmaSchedule& schedule, std::uint32_t frames) {
+  SINRCOLOR_CHECK(schedule.size() == g.size());
+  SINRCOLOR_CHECK(frames >= 1);
+  TdmaAudit audit;
+  audit.frame_length = schedule.frame_length();
+  audit.senders_total = g.size();
+  std::vector<bool> fully_heard(g.size(), true);
+  std::vector<radio::TxRecord> transmissions;
+  std::vector<bool> listening(g.size());
+  std::vector<std::optional<radio::Message>> deliveries(g.size());
+  radio::Slot slot = 0;
+  for (std::uint32_t frame = 0; frame < frames; ++frame) {
+    for (std::uint32_t t = 0; t < schedule.frame_length(); ++t, ++slot) {
+      transmissions.clear();
+      for (graph::NodeId v = 0; v < g.size(); ++v) {
+        listening[v] = schedule.slot_of(v) != t;
+        if (listening[v]) continue;
+        radio::Message broadcast;
+        broadcast.sender = v;
+        transmissions.push_back({v, broadcast});
+      }
+      std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
+      medium.resolve(slot, transmissions, listening, deliveries);
+      for (const radio::TxRecord& tx : transmissions) {
+        for (graph::NodeId u : g.neighbors(tx.sender)) {
+          ++audit.pairs_total;
+          if (deliveries[u].has_value() && deliveries[u]->sender == tx.sender) {
+            ++audit.pairs_delivered;
+          } else {
+            fully_heard[tx.sender] = false;
+          }
+        }
+      }
+    }
+  }
+  for (bool heard : fully_heard) audit.senders_fully_heard += heard;
+  return audit;
+}
+
+}  // namespace
 
 TdmaSchedule TdmaSchedule::from_coloring(const graph::Coloring& coloring) {
   SINRCOLOR_CHECK_MSG(coloring.complete(),
@@ -48,68 +98,12 @@ std::string TdmaAudit::summary() const {
 TdmaAudit audit_tdma_sinr(const graph::UnitDiskGraph& g,
                           const sinr::SinrParams& phys,
                           const TdmaSchedule& schedule) {
-  SINRCOLOR_CHECK(schedule.size() == g.size());
-  phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
-
-  TdmaAudit audit;
-  audit.frame_length = schedule.frame_length();
-  audit.senders_total = g.size();
-  for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-    const auto senders = schedule.nodes_in_slot(t);
-    std::vector<sinr::Transmitter> txs;
-    txs.reserve(senders.size());
-    for (graph::NodeId v : senders) txs.push_back({g.position(v)});
-
-    for (std::size_t i = 0; i < senders.size(); ++i) {
-      bool fully_heard = true;
-      for (graph::NodeId u : g.neighbors(senders[i])) {
-        ++audit.pairs_total;
-        // A neighbor scheduled in the same slot is itself transmitting and
-        // cannot receive (half-duplex) — counted as a failed pair.
-        const bool u_silent = schedule.slot_of(u) != t;
-        if (u_silent && sinr::decodes(phys, g.position(u), txs, i)) {
-          ++audit.pairs_delivered;
-        } else {
-          fully_heard = false;
-        }
-      }
-      if (fully_heard) ++audit.senders_fully_heard;
-    }
-  }
-  return audit;
+  return audit_frames(g, radio::SinrInterferenceModel(g, phys), schedule, 1);
 }
 
 TdmaAudit audit_tdma_graph_model(const graph::UnitDiskGraph& g,
                                  const TdmaSchedule& schedule) {
-  SINRCOLOR_CHECK(schedule.size() == g.size());
-  TdmaAudit audit;
-  audit.frame_length = schedule.frame_length();
-  audit.senders_total = g.size();
-  // covering[u] = transmitting neighbors of u this slot: u decodes iff one.
-  std::vector<std::uint32_t> covering(g.size());
-  for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-    const auto senders = schedule.nodes_in_slot(t);
-    std::fill(covering.begin(), covering.end(), 0u);
-    for (graph::NodeId v : senders) {
-      for (graph::NodeId u : g.neighbors(v)) ++covering[u];
-    }
-    for (graph::NodeId v : senders) {
-      bool fully_heard = true;
-      for (graph::NodeId u : g.neighbors(v)) {
-        ++audit.pairs_total;
-        const bool u_silent = schedule.slot_of(u) != t;
-        if (u_silent && covering[u] == 1) {
-          ++audit.pairs_delivered;
-        } else {
-          fully_heard = false;
-        }
-      }
-      if (fully_heard) ++audit.senders_fully_heard;
-    }
-  }
-  return audit;
+  return audit_frames(g, radio::GraphInterferenceModel(g), schedule, 1);
 }
 
 TdmaAudit audit_tdma_sinr_fading(const graph::UnitDiskGraph& g,
@@ -117,53 +111,8 @@ TdmaAudit audit_tdma_sinr_fading(const graph::UnitDiskGraph& g,
                                  const sinr::FadingSpec& fading,
                                  const TdmaSchedule& schedule,
                                  std::uint32_t frames) {
-  SINRCOLOR_CHECK(schedule.size() == g.size());
-  SINRCOLOR_CHECK(frames >= 1);
-  phys.validate();
-  SINRCOLOR_CHECK_MSG(std::abs(g.radius() - phys.r_t()) <= 1e-9 * phys.r_t(),
-                      "UDG radius must equal the physical-layer R_T");
-
-  TdmaAudit audit;
-  audit.frame_length = schedule.frame_length();
-  audit.senders_total = g.size();
-  std::vector<bool> sender_always_heard(g.size(), true);
-
-  std::int64_t slot = 0;
-  for (std::uint32_t frame = 0; frame < frames; ++frame) {
-    for (std::uint32_t t = 0; t < schedule.frame_length(); ++t, ++slot) {
-      const auto senders = schedule.nodes_in_slot(t);
-      for (std::size_t i = 0; i < senders.size(); ++i) {
-        const graph::NodeId v = senders[i];
-        for (graph::NodeId u : g.neighbors(v)) {
-          ++audit.pairs_total;
-          if (schedule.slot_of(u) == t) {
-            sender_always_heard[v] = false;  // half-duplex neighbor
-            continue;
-          }
-          // Faded SINR of the v→u link against all same-slot transmitters.
-          double signal = 0.0;
-          double interference = 0.0;
-          for (std::size_t j = 0; j < senders.size(); ++j) {
-            const graph::NodeId w = senders[j];
-            const double d_sq =
-                geometry::distance_sq(g.position(u), g.position(w));
-            SINRCOLOR_CHECK(d_sq > 0.0);
-            const double power =
-                phys.power * sinr::fade_factor(fading, slot, u, w) /
-                sinr::pow_alpha_from_sq(d_sq, phys.alpha);
-            (j == i ? signal : interference) += power;
-          }
-          if (signal >= phys.beta * (phys.noise + interference)) {
-            ++audit.pairs_delivered;
-          } else {
-            sender_always_heard[v] = false;
-          }
-        }
-      }
-    }
-  }
-  for (bool heard : sender_always_heard) audit.senders_fully_heard += heard;
-  return audit;
+  return audit_frames(g, radio::SinrInterferenceModel(g, phys, fading),
+                      schedule, frames);
 }
 
 }  // namespace sinrcolor::mac

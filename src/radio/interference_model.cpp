@@ -15,19 +15,64 @@ std::unique_ptr<common::TaskPool> make_pool(const ResolveOptions& options) {
   return std::make_unique<common::TaskPool>(options.threads);
 }
 
-/// Per-transmitter gain functor covering injected jammers: real transmitters
-/// (index < real) keep unit gain, a jammer's gain scales the medium's base
-/// power to the jammer's own (power · gain = jammer power). Used by the
-/// field path; the naive path applies the identical expression per term.
-struct JammerGain {
-  std::size_t real;
+/// The per-link power gain g(u, j) at listener u in one slot: the one
+/// expression every resolve path applies per term. A real transmitter's gain
+/// is its (seed, slot, link)-keyed fade, exactly 1 without fading; an
+/// injected jammer's is its power over the medium's base power (P·g = jammer
+/// power). Jammers carry no node id to key a fade draw, so they ride unfaded
+/// (docs/ROBUSTNESS.md).
+struct LinkGain {
+  const sinr::FadingSpec* fading;
+  Slot slot;
+  graph::NodeId listener;
+  std::span<const TxRecord> transmissions;
   std::span<const Jammer> jammers;
   double base_power;
 
   double operator()(std::size_t j) const {
-    return j < real ? 1.0 : jammers[j - real].power / base_power;
+    if (j >= transmissions.size()) {
+      return jammers[j - transmissions.size()].power / base_power;
+    }
+    if (!fading->enabled()) return 1.0;
+    return sinr::fade_factor(*fading, slot, listener, transmissions[j].sender);
   }
 };
+
+/// The naive oracle: for every (real transmitter i, listening UDG neighbor u)
+/// pair — only neighbors can pass the δ ≤ R_T gate — re-sums the gained
+/// power of every transmitter at u, jammers included, and applies the decode
+/// test s ≥ β·(N + I) the field engine applies. O(T²·Δ) per slot; decodes
+/// land in sender-major order.
+template <typename GainFor>
+void naive_decodes(const graph::UnitDiskGraph& graph,
+                   const sinr::SinrParams& phys,
+                   std::span<const sinr::Transmitter> txs,
+                   std::span<const TxRecord> transmissions,
+                   const std::vector<bool>& listening, const GainFor& gain_for,
+                   std::vector<sinr::FieldEngine::Decode>& decodes) {
+  decodes.clear();
+  for (std::size_t i = 0; i < transmissions.size(); ++i) {
+    for (graph::NodeId u : graph.neighbors(transmissions[i].sender)) {
+      if (!listening[u]) continue;
+      const auto gain = gain_for(u);
+      double signal = 0.0;
+      double interference = 0.0;
+      for (std::size_t j = 0; j < txs.size(); ++j) {
+        const double d_sq =
+            geometry::distance_sq(graph.position(u), txs[j].position);
+        SINRCOLOR_CHECK_MSG(d_sq > 0.0, "transmitter coincides with listener");
+        const double power =
+            phys.power * gain(j) / sinr::pow_alpha_from_sq(d_sq, phys.alpha);
+        (j == i ? signal : interference) += power;
+      }
+      const double threshold = phys.beta * (phys.noise + interference);
+      if (signal >= threshold) {
+        decodes.push_back(
+            {u, static_cast<std::uint32_t>(i), signal / threshold});
+      }
+    }
+  }
+}
 
 }  // namespace
 
@@ -40,9 +85,11 @@ void check_radius_matches_phys(const graph::UnitDiskGraph& graph,
 
 SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
                                              sinr::SinrParams params,
+                                             sinr::FadingSpec fading,
                                              ResolveOptions options)
     : graph_(graph),
       params_(params),
+      fading_(fading),
       options_(options),
       pool_(make_pool(options)) {
   params_.validate();
@@ -56,125 +103,72 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
 }
 
 void SinrInterferenceModel::resolve(
-    Slot /*slot*/, const std::vector<TxRecord>& transmissions,
+    Slot slot, const std::vector<TxRecord>& transmissions,
     const std::vector<bool>& listening,
     std::vector<std::optional<Message>>& deliveries) const {
   SINRCOLOR_DCHECK(listening.size() == graph_.size());
   SINRCOLOR_DCHECK(deliveries.size() == graph_.size());
   if (transmissions.empty()) return;
 
-  if (options_.kind == sinr::ResolveKind::kNaive) {
-    resolve_naive(transmissions, listening, deliveries);
-    return;
-  }
-
+  // Real transmitters first, then any jammers; a disturbance also scales the
+  // noise floor.
   txs_.clear();
   for (const auto& t : transmissions) {
     txs_.push_back({graph_.position(t.sender)});
   }
-  const std::size_t real = txs_.size();
   sinr::SinrParams phys = params_;
+  std::span<const Jammer> jammers;
   if (disturbance_ != nullptr) {
     phys.noise *= disturbance_->noise_factor;
-    for (const Jammer& jam : disturbance_->jammers) {
-      txs_.push_back({jam.position});
-    }
+    jammers = disturbance_->jammers;
+    for (const Jammer& jam : jammers) txs_.push_back({jam.position});
   }
   // Simd coverage: a node transmitter's δ ≤ R_T listeners are exactly its
   // UDG neighbors (check_radius_matches_phys pins radius == R_T); injected
   // jammers carry no node id and fall back to the grid query.
   const auto coverage_for =
       [&](std::size_t j) -> std::optional<std::span<const graph::NodeId>> {
-    if (j < real) return graph_.neighbors(transmissions[j].sender);
+    if (j < transmissions.size()) {
+      return graph_.neighbors(transmissions[j].sender);
+    }
     return std::nullopt;
   };
-  if (txs_.size() == real) {
-    engine_.resolve_slot(
-        phys, txs_, graph_.index(), graph_.deployment().points, listening,
-        graph_.radius(),
-        [](graph::NodeId /*listener*/) { return sinr::UnitGain{}; },
-        /*gain_listener_invariant=*/true, coverage_for, options_.kind,
-        pool_.get(), decodes_);
+  const auto decode_with = [&](const auto& gain_for,
+                               bool gain_listener_invariant) {
+    if (options_.kind == sinr::ResolveKind::kNaive) {
+      SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
+      naive_decodes(graph_, phys, txs_, transmissions, listening, gain_for,
+                    decodes_);
+    } else {
+      engine_.resolve_slot(phys, txs_, graph_.index(),
+                           graph_.deployment().points, listening,
+                           graph_.radius(), gain_for, gain_listener_invariant,
+                           coverage_for, options_.kind, pool_.get(), decodes_);
+    }
+  };
+  if (!fading_.enabled() && jammers.empty()) {
+    // The paper's channel keeps a compile-time unit gain, so every path's
+    // per-term arithmetic is exactly P/δ^α.
+    decode_with([](graph::NodeId /*listener*/) { return sinr::UnitGain{}; },
+                /*gain_listener_invariant=*/true);
   } else {
-    const JammerGain gain{real, disturbance_->jammers, params_.power};
-    engine_.resolve_slot(
-        phys, txs_, graph_.index(), graph_.deployment().points, listening,
-        graph_.radius(), [gain](graph::NodeId /*listener*/) { return gain; },
-        /*gain_listener_invariant=*/true, coverage_for, options_.kind,
-        pool_.get(), decodes_);
+    // Fades differ per listener; jammer gains alone do not.
+    decode_with(
+        [&](graph::NodeId listener) {
+          return LinkGain{&fading_,      slot,    listener,
+                          transmissions, jammers, params_.power};
+        },
+        /*gain_listener_invariant=*/!fading_.enabled());
   }
   for (const auto& d : decodes_) {
     // A "decodable" jammer carries no message — the listener hears only
     // noise (and the jammer's field already drowned every real sender).
-    if (d.tx >= real) continue;
+    if (d.tx >= transmissions.size()) continue;
     SINRCOLOR_CHECK_MSG(!deliveries[d.listener].has_value(),
                         "beta >= 1 forbids two decodable senders");
     deliveries[d.listener] = transmissions[d.tx].message;
     if (margin_histogram_ != nullptr) {
       margin_histogram_->record(d.margin);
-    }
-  }
-}
-
-void SinrInterferenceModel::resolve_naive(
-    const std::vector<TxRecord>& transmissions,
-    const std::vector<bool>& listening,
-    std::vector<std::optional<Message>>& deliveries) const {
-  SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
-  txs_.clear();
-  for (const auto& t : transmissions) {
-    txs_.push_back({graph_.position(t.sender)});
-  }
-  const std::size_t real = txs_.size();
-  sinr::SinrParams phys = params_;
-  if (disturbance_ != nullptr) {
-    phys.noise *= disturbance_->noise_factor;
-    for (const Jammer& jam : disturbance_->jammers) {
-      txs_.push_back({jam.position});
-    }
-  }
-  const JammerGain gain{real, disturbance_ != nullptr
-                                  ? disturbance_->jammers
-                                  : std::span<const Jammer>{},
-                        params_.power};
-
-  // Only neighbors of some transmitter can pass the δ ≤ R_T gate, so it
-  // suffices to examine each transmitter's UDG neighborhood. Jammers are
-  // never decode candidates (i ranges over the real transmitters only) but
-  // contribute to every interference sum.
-  for (std::size_t i = 0; i < real; ++i) {
-    const auto sender = transmissions[i].sender;
-    for (graph::NodeId u : graph_.neighbors(sender)) {
-      if (!listening[u]) continue;
-      double ratio;
-      if (txs_.size() == real) {
-        ratio = sinr::sinr_at(phys, graph_.position(u), txs_, i);
-      } else {
-        double signal = 0.0;
-        double interference = 0.0;
-        for (std::size_t j = 0; j < txs_.size(); ++j) {
-          const double d_sq =
-              geometry::distance_sq(graph_.position(u), txs_[j].position);
-          SINRCOLOR_CHECK_MSG(d_sq > 0.0,
-                              "transmitter coincides with listener");
-          const double power = phys.power * gain(j) /
-                               sinr::pow_alpha_from_sq(d_sq, phys.alpha);
-          if (j == i) {
-            signal = power;
-          } else {
-            interference += power;
-          }
-        }
-        ratio = signal / (phys.noise + interference);
-      }
-      if (ratio >= phys.beta) {
-        SINRCOLOR_CHECK_MSG(!deliveries[u].has_value(),
-                            "beta >= 1 forbids two decodable senders");
-        deliveries[u] = transmissions[i].message;
-        if (margin_histogram_ != nullptr) {
-          margin_histogram_->record(ratio / phys.beta);
-        }
-      }
     }
   }
 }
@@ -217,137 +211,6 @@ void GraphInterferenceModel::resolve(
       if (listening[u] && covering_[u] == 1 && !deliveries[u].has_value() &&
           (jammers.empty() || !jammed(u))) {
         deliveries[u] = transmissions[candidate_tx_[u]].message;
-      }
-    }
-  }
-}
-
-FadingSinrInterferenceModel::FadingSinrInterferenceModel(
-    const graph::UnitDiskGraph& graph, sinr::SinrParams params,
-    sinr::FadingSpec fading, ResolveOptions options)
-    : graph_(graph),
-      params_(params),
-      fading_(fading),
-      options_(options),
-      pool_(make_pool(options)) {
-  params_.validate();
-  check_radius_matches_phys(graph_, params_);
-  engine_.reserve(graph_.size(), options_.threads,
-                  graph_.size() * (graph_.max_degree() + 1));
-  decodes_.reserve(graph_.size());
-  txs_.reserve(graph_.size());
-  tx_ids_.reserve(graph_.size());
-}
-
-void FadingSinrInterferenceModel::resolve(
-    Slot slot, const std::vector<TxRecord>& transmissions,
-    const std::vector<bool>& listening,
-    std::vector<std::optional<Message>>& deliveries) const {
-  SINRCOLOR_DCHECK(listening.size() == graph_.size());
-  SINRCOLOR_DCHECK(deliveries.size() == graph_.size());
-  if (transmissions.empty()) return;
-
-  if (options_.kind == sinr::ResolveKind::kNaive) {
-    resolve_naive(slot, transmissions, listening, deliveries);
-    return;
-  }
-
-  txs_.clear();
-  tx_ids_.clear();
-  for (const auto& t : transmissions) {
-    txs_.push_back({graph_.position(t.sender)});
-    tx_ids_.push_back(t.sender);
-  }
-  const std::size_t real = txs_.size();
-  sinr::SinrParams phys = params_;
-  if (disturbance_ != nullptr) {
-    phys.noise *= disturbance_->noise_factor;
-    for (const Jammer& jam : disturbance_->jammers) {
-      txs_.push_back({jam.position});
-    }
-  }
-  const JammerGain jammer_gain{real, disturbance_ != nullptr
-                                         ? disturbance_->jammers
-                                         : std::span<const Jammer>{},
-                               params_.power};
-  // Per-listener gain closure: every REAL transmitter's contribution to
-  // F(u) is scaled by its (seed, slot, link)-keyed fade, signal and
-  // interference alike — identical arithmetic to the naive per-pair loop.
-  // Jammers ride along unfaded (they carry no node id to key a fade draw;
-  // docs/ROBUSTNESS.md).
-  engine_.resolve_slot(
-      phys, txs_, graph_.index(), graph_.deployment().points, listening,
-      graph_.radius(),
-      [this, slot, real, jammer_gain](graph::NodeId listener) {
-        return [this, slot, listener, real, jammer_gain](std::size_t j) {
-          return j < real
-                     ? sinr::fade_factor(fading_, slot, listener, tx_ids_[j])
-                     : jammer_gain(j);
-        };
-      },
-      /*gain_listener_invariant=*/false,
-      [&](std::size_t j) -> std::optional<std::span<const graph::NodeId>> {
-        if (j < real) return graph_.neighbors(transmissions[j].sender);
-        return std::nullopt;
-      },
-      options_.kind, pool_.get(), decodes_);
-  for (const auto& d : decodes_) {
-    if (d.tx >= real) continue;  // a jammer "decode" is noise, not a message
-    SINRCOLOR_CHECK_MSG(!deliveries[d.listener].has_value(),
-                        "beta >= 1 forbids two decodable senders");
-    deliveries[d.listener] = transmissions[d.tx].message;
-    if (margin_histogram_ != nullptr) {
-      margin_histogram_->record(d.margin);
-    }
-  }
-}
-
-void FadingSinrInterferenceModel::resolve_naive(
-    Slot slot, const std::vector<TxRecord>& transmissions,
-    const std::vector<bool>& listening,
-    std::vector<std::optional<Message>>& deliveries) const {
-  SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
-  const std::size_t real = transmissions.size();
-  sinr::SinrParams phys = params_;
-  const std::span<const Jammer> jammers =
-      disturbance_ != nullptr ? disturbance_->jammers
-                              : std::span<const Jammer>{};
-  if (disturbance_ != nullptr) phys.noise *= disturbance_->noise_factor;
-  // The δ ≤ R_T gate is implied by iterating UDG neighborhoods.
-  for (std::size_t i = 0; i < real; ++i) {
-    const auto sender = transmissions[i].sender;
-    for (graph::NodeId u : graph_.neighbors(sender)) {
-      if (!listening[u]) continue;
-      // Faded received powers of every transmitter at listener u; jammers
-      // (unfaded, own power) join every interference sum.
-      double signal = 0.0;
-      double interference = 0.0;
-      for (std::size_t j = 0; j < real + jammers.size(); ++j) {
-        const geometry::Point pos = j < real
-                                        ? graph_.position(transmissions[j].sender)
-                                        : jammers[j - real].position;
-        const double d_sq = geometry::distance_sq(graph_.position(u), pos);
-        SINRCOLOR_CHECK_MSG(d_sq > 0.0, "transmitter coincides with listener");
-        const double gain =
-            j < real
-                ? sinr::fade_factor(fading_, slot, u, transmissions[j].sender)
-                : jammers[j - real].power / params_.power;
-        const double power =
-            phys.power * gain / sinr::pow_alpha_from_sq(d_sq, phys.alpha);
-        if (j == i) {
-          signal = power;
-        } else {
-          interference += power;
-        }
-      }
-      const double threshold = phys.beta * (phys.noise + interference);
-      if (signal >= threshold) {
-        SINRCOLOR_CHECK_MSG(!deliveries[u].has_value(),
-                            "beta >= 1 forbids two decodable senders");
-        deliveries[u] = transmissions[i].message;
-        if (margin_histogram_ != nullptr) {
-          margin_histogram_->record(signal / threshold);
-        }
       }
     }
   }

@@ -1,19 +1,23 @@
 // Pluggable per-slot reception semantics.
 //
 // SinrInterferenceModel — the paper's physical model: listener u decodes
-//   sender v iff δ(u,v) ≤ R_T and P/δ^α ≥ β(N + Σ_{w≠v} P/δ(u,w)^α).
+//   sender v iff δ(u,v) ≤ R_T and
+//   P·g_v/δ(u,v)^α ≥ β(N + Σ_{w≠v} P·g_w/δ(u,w)^α), where the per-link gain
+//   g is 1 in the paper's model, the link's fade under an enabled
+//   sinr::FadingSpec, and P_jam/P for an injected jammer.
 // GraphInterferenceModel — the simplified graph-based model the original MW
 //   algorithm assumes: u decodes iff exactly one UDG-neighbor transmits.
 //
 // Both honour half-duplex: only nodes in `listening` can receive.
 //
-// The SINR media run one of two resolve paths (ResolveOptions::kind):
+// The SINR medium runs one of three resolve paths (ResolveOptions::kind):
 //   kField — the shared interference-field engine (sinr/field_engine.h):
 //            F(u) is summed once per covered listener, every candidate
 //            resolves in O(1) against F − signal, and listeners shard over a
 //            deterministic common::TaskPool (ResolveOptions::threads).
-//   kNaive — the original per-(sender, listener) loops, kept as the A/B
-//            oracle; deliveries must match the field path exactly
+//   kSimd  — the same engine through the SoA batch kernel (docs/KERNELS.md).
+//   kNaive — the per-(sender, listener) loop, kept as the A/B oracle;
+//            deliveries must match the engine exactly
 //            (tests/field_equivalence_test.cpp).
 #pragma once
 
@@ -44,8 +48,8 @@ struct ResolveOptions {
 };
 
 /// Asserts that the UDG is the reachability graph of the physical layer:
-/// `graph.radius()` must equal `params.r_t()` (within 1e-9 relative). Every
-/// SINR medium and the MAC executors share this constructor-time contract.
+/// `graph.radius()` must equal `params.r_t()` (within 1e-9 relative). The
+/// SINR medium, the MAC executors and the baselines share this contract.
 void check_radius_matches_phys(const graph::UnitDiskGraph& graph,
                                const sinr::SinrParams& params);
 
@@ -61,11 +65,9 @@ class InterferenceModel {
                        const std::vector<bool>& listening,
                        std::vector<std::optional<Message>>& deliveries) const = 0;
 
-  virtual const char* name() const = 0;
-
   /// Attaches a histogram that receives the SINR margin (achieved SINR
-  /// divided by β) of every successful decode, in both SINR media (plain and
-  /// fading) and under both resolve paths. Models without a physical layer
+  /// divided by β) of every successful decode of the SINR medium, under
+  /// every resolve path. Models without a physical layer
   /// (GraphInterferenceModel) record nothing. Null detaches.
   void set_margin_histogram(obs::Histogram* histogram) {
     margin_histogram_ = histogram;
@@ -73,8 +75,8 @@ class InterferenceModel {
 
   /// The channel-level disturbance of the NEXT resolve (set by the simulator
   /// each slot when a fault injector is installed; null = clean channel).
-  /// SINR media scale the noise floor by noise_factor and inject every
-  /// jammer into the interference field (both resolve paths, delivery-
+  /// The SINR medium scales the noise floor by noise_factor and injects
+  /// every jammer into the interference field (every resolve path, delivery-
   /// equivalent); the graph medium blanks listeners inside a jammer's
   /// blocking radius. The pointed-to data must stay valid through resolve().
   void set_disturbance(const ChannelDisturbance* disturbance) {
@@ -82,8 +84,8 @@ class InterferenceModel {
   }
 
   /// Attaches the slot-phase profiler (null detaches — the default). The
-  /// simulator latches this at run() start; SINR media forward it to their
-  /// field engine so per-shard kFieldAccum scopes land in the same sink.
+  /// simulator latches this at run() start; the SINR medium forwards it to
+  /// its field engine so per-shard kFieldAccum scopes land in the same sink.
   virtual void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Bytes of model-owned scratch (engine buffers, per-slot arrays), measured
@@ -100,61 +102,23 @@ class InterferenceModel {
 class SinrInterferenceModel final : public InterferenceModel {
  public:
   /// `graph.radius()` must equal `params.r_t()` (the UDG is the reachability
-  /// graph of the physical layer); checked at construction.
+  /// graph of the physical layer); checked at construction. An enabled
+  /// `fading` scales the received power of every (transmitter, listener)
+  /// pair — signal and interference alike — by its fade factor
+  /// (sinr/fading.h). With β ≥ 1 at most one sender stays decodable per
+  /// listener under fading too (see fading.h), so the invariant check stays.
   SinrInterferenceModel(const graph::UnitDiskGraph& graph,
-                        sinr::SinrParams params, ResolveOptions options = {});
+                        sinr::SinrParams params, sinr::FadingSpec fading,
+                        ResolveOptions options = {});
+  SinrInterferenceModel(const graph::UnitDiskGraph& graph,
+                        sinr::SinrParams params, ResolveOptions options = {})
+      : SinrInterferenceModel(graph, params, sinr::FadingSpec{}, options) {}
 
   void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
                const std::vector<bool>& listening,
                std::vector<std::optional<Message>>& deliveries) const override;
 
-  const char* name() const override { return "sinr"; }
   const sinr::SinrParams& params() const { return params_; }
-  const ResolveOptions& options() const { return options_; }
-
-  void set_profiler(obs::Profiler* profiler) override {
-    InterferenceModel::set_profiler(profiler);
-    engine_.set_profiler(profiler);
-  }
-
-  std::size_t memory_bytes() const override {
-    return sizeof(*this) + engine_.memory_bytes() +
-           decodes_.capacity() * sizeof(sinr::FieldEngine::Decode) +
-           txs_.capacity() * sizeof(sinr::Transmitter);
-  }
-
- private:
-  void resolve_naive(const std::vector<TxRecord>& transmissions,
-                     const std::vector<bool>& listening,
-                     std::vector<std::optional<Message>>& deliveries) const;
-
-  const graph::UnitDiskGraph& graph_;
-  sinr::SinrParams params_;
-  ResolveOptions options_;
-  std::unique_ptr<common::TaskPool> pool_;
-  mutable sinr::FieldEngine engine_;
-  mutable std::vector<sinr::FieldEngine::Decode> decodes_;
-  /// Slot scratch (positions of this slot's transmitters). Grows to the max
-  /// concurrent-tx count within the first few slots, then stays put — resolve
-  /// is allocation-free in steady state.
-  mutable std::vector<sinr::Transmitter> txs_;
-};
-
-/// SINR medium with stochastic per-link fading (sinr/fading.h): the received
-/// power of every (transmitter, listener) pair — signal AND interference —
-/// is scaled by its fade factor. With β ≥ 1 at most one sender remains
-/// decodable per listener (see fading.h), so the invariant check stays.
-class FadingSinrInterferenceModel final : public InterferenceModel {
- public:
-  FadingSinrInterferenceModel(const graph::UnitDiskGraph& graph,
-                              sinr::SinrParams params, sinr::FadingSpec fading,
-                              ResolveOptions options = {});
-
-  void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
-               const std::vector<bool>& listening,
-               std::vector<std::optional<Message>>& deliveries) const override;
-
-  const char* name() const override { return "sinr+fading"; }
   const sinr::FadingSpec& fading() const { return fading_; }
   const ResolveOptions& options() const { return options_; }
 
@@ -166,24 +130,22 @@ class FadingSinrInterferenceModel final : public InterferenceModel {
   std::size_t memory_bytes() const override {
     return sizeof(*this) + engine_.memory_bytes() +
            decodes_.capacity() * sizeof(sinr::FieldEngine::Decode) +
-           tx_ids_.capacity() * sizeof(graph::NodeId) +
            txs_.capacity() * sizeof(sinr::Transmitter);
   }
 
  private:
-  void resolve_naive(Slot slot, const std::vector<TxRecord>& transmissions,
-                     const std::vector<bool>& listening,
-                     std::vector<std::optional<Message>>& deliveries) const;
-
   const graph::UnitDiskGraph& graph_;
   sinr::SinrParams params_;
   sinr::FadingSpec fading_;
   ResolveOptions options_;
   std::unique_ptr<common::TaskPool> pool_;
   mutable sinr::FieldEngine engine_;
+  /// Slot scratch: the decodes of whichever resolve path ran, and the
+  /// positions of this slot's transmitters (real ones, then jammers). Both
+  /// grow to their per-slot maximum within the first few slots, then stay
+  /// put — resolve is allocation-free in steady state.
   mutable std::vector<sinr::FieldEngine::Decode> decodes_;
-  mutable std::vector<graph::NodeId> tx_ids_;
-  mutable std::vector<sinr::Transmitter> txs_;  ///< slot scratch, see above
+  mutable std::vector<sinr::Transmitter> txs_;
 };
 
 class GraphInterferenceModel final : public InterferenceModel {
@@ -196,8 +158,6 @@ class GraphInterferenceModel final : public InterferenceModel {
   void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
                const std::vector<bool>& listening,
                std::vector<std::optional<Message>>& deliveries) const override;
-
-  const char* name() const override { return "graph"; }
 
   std::size_t memory_bytes() const override {
     return sizeof(*this) + covering_.capacity() * sizeof(std::uint8_t) +

@@ -1,5 +1,5 @@
-// The shared interference-field engine — the fast path behind every SINR
-// resolve (the radio media and sinr::resolve_reception).
+// The shared interference-field engine — the fast path behind the SINR
+// medium's resolve (radio/interference_model.h).
 //
 // Naive resolution asks, per (sender, listener) pair, for the full
 // interference sum at the listener: O(T²·Δ) per slot for T transmitters.
@@ -22,9 +22,9 @@
 // attached observation sinks. Batch resolves shard the sorted covered-
 // listener list into contiguous ranges over a common::TaskPool and merge
 // per-shard results in shard order, so 1-thread and N-thread runs are
-// byte-identical (tests/determinism_test.cpp). The naive per-pair loops are
-// kept as A/B oracles (ResolveKind::kNaive); the equivalence suite
-// (tests/field_equivalence_test.cpp) holds the two paths to identical
+// byte-identical (tests/determinism_test.cpp). The naive per-pair loop is
+// kept as the A/B oracle (ResolveKind::kNaive); the equivalence suite
+// (tests/field_equivalence_test.cpp) holds the paths to identical
 // deliveries.
 //
 // ResolveKind::kSimd swaps the per-listener scalar loop for the SoA batch
@@ -218,7 +218,8 @@ inline FieldContribFn field_contrib_for(AlphaProfile profile) {
   return kTable[static_cast<std::size_t>(profile)];
 }
 
-/// Gain functor for the non-fading media: every link has unit power gain.
+/// Gain functor for the paper's channel (no fading, no jammers): every link
+/// has unit power gain.
 /// (P · 1.0 is bitwise P, so the field path matches the naive path's
 /// per-term arithmetic exactly.)
 struct UnitGain {
@@ -334,9 +335,9 @@ class FieldEngine {
   /// eligibility (transmitting or asleep nodes are skipped). `index` must be
   /// built over the same positions with the same ids. `gain_for(u)` returns
   /// the per-transmitter gain functor for listener u (UnitGain factory for
-  /// the non-fading media); `gain_listener_invariant` declares that every
-  /// listener's functor returns the same gains (true for the non-fading
-  /// media, including jammed ones), letting the simd path build its weight
+  /// the paper's channel); `gain_listener_invariant` declares that every
+  /// listener's functor returns the same gains (true without fading, jammers
+  /// included), letting the simd path build its weight
   /// array once per slot instead of once per listener. `coverage_for(j)`
   /// optionally returns transmitter j's precomputed candidate-listener span
   /// (the UDG neighborhood of a node transmitter — δ ≤ R_T is exactly
@@ -345,7 +346,7 @@ class FieldEngine {
   /// or callers without a graph). Only the simd path consumes it — the
   /// scalar field path keeps its banked grid-pass behavior. `kind` selects
   /// the per-listener evaluation: kField runs the scalar field_at, kSimd the
-  /// SoA batch kernel (kNaive is handled by the media, not here). Results
+  /// SoA batch kernel (kNaive is handled by the medium, not here). Results
   /// land in `decodes`, cleared first.
   template <typename GainForListener, typename CoverageFor>
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,

@@ -1,7 +1,6 @@
 #include "sinr/reception.h"
 
 #include "common/check.h"
-#include "sinr/field_engine.h"
 
 namespace sinrcolor::sinr {
 
@@ -15,52 +14,6 @@ bool decodes(const SinrParams& params, const geometry::Point& at,
 }
 
 std::optional<std::size_t> resolve_reception(
-    const SinrParams& params, const geometry::Point& at,
-    std::span<const Transmitter> transmitters, ResolveKind kind) {
-  if (kind == ResolveKind::kNaive) {
-    return resolve_reception_naive(params, at, transmitters);
-  }
-  if (kind == ResolveKind::kSimd) {
-    // One-shot SoA staging (this probe-style entry point has no scratch to
-    // reuse; the batch engine path amortizes these buffers across a run).
-    const std::size_t n = transmitters.size();
-    std::vector<double> xs(n);
-    std::vector<double> ys(n);
-    std::vector<double> ws(n);
-    for (std::size_t j = 0; j < n; ++j) {
-      xs[j] = transmitters[j].position.x;
-      ys[j] = transmitters[j].position.y;
-      ws[j] = params.power;
-    }
-    const AlphaProfile profile = classify_alpha(params.alpha);
-    const double half_alpha = params.alpha / 2.0;
-    const double field = field_kernel_for(profile)(
-        xs.data(), ys.data(), ws.data(), n, at.x, at.y, half_alpha);
-    SINRCOLOR_CHECK_MSG(std::isfinite(field) || n == 0,
-                        "transmitter coincides with listener");
-    const FieldContribFn contrib = field_contrib_for(profile);
-    std::vector<FieldCandidate> candidates;
-    const double r_sq = params.r_t() * params.r_t();
-    for (std::size_t j = 0; j < n; ++j) {
-      if (geometry::distance_sq(at, transmitters[j].position) <= r_sq) {
-        candidates.push_back(
-            {static_cast<std::uint32_t>(j),
-             contrib(xs.data(), ys.data(), ws.data(), j, at.x, at.y,
-                     half_alpha)});
-      }
-    }
-    return resolve_from_field(params, field, candidates);
-  }
-  // Field fast path: one O(T) pass computes the total field plus every
-  // in-range candidate's signal; each candidate then resolves in O(1)
-  // against F − signal instead of re-summing the other T−1 transmitters.
-  std::vector<FieldCandidate> candidates;
-  const double field =
-      field_at(params, at, transmitters, params.r_t(), UnitGain{}, candidates);
-  return resolve_from_field(params, field, candidates);
-}
-
-std::optional<std::size_t> resolve_reception_naive(
     const SinrParams& params, const geometry::Point& at,
     std::span<const Transmitter> transmitters) {
   std::optional<std::size_t> winner;

@@ -1,8 +1,10 @@
-// Per-slot reception resolution under the SINR rule.
+// Per-listener reception under the SINR rule.
 //
 // Given the positions of this slot's transmitters and a listener, decide
 // which (unique, since β ≥ 1) transmitter it decodes, if any, subject to the
-// paper's extra gate δ(u,v) ≤ R_T.
+// paper's extra gate δ(u,v) ≤ R_T. This is the rule stated for one listener;
+// the slot-level SINR medium (radio/interference_model.h) evaluates it in
+// bulk and is held to this oracle (tests/field_equivalence_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -10,7 +12,6 @@
 #include <span>
 
 #include "geometry/point.h"
-#include "sinr/field_engine.h"
 #include "sinr/medium_field.h"
 #include "sinr/params.h"
 
@@ -21,27 +22,12 @@ namespace sinrcolor::sinr {
 bool decodes(const SinrParams& params, const geometry::Point& at,
              std::span<const Transmitter> transmitters, std::size_t sender);
 
-/// Index of the unique transmitter the listener decodes, or nullopt.
-/// Checks only candidates within R_T (others cannot pass the range gate).
-/// With β ≥ 1 at most one transmitter can satisfy the SINR condition at a
-/// given listener; this invariant is asserted.
-///
-/// Runs the interference-field fast path (sinr/field_engine.h): the total
-/// received field is summed ONCE with Kahan compensation and each in-range
-/// candidate resolves against F − signal in O(1), i.e. O(T) per call instead
-/// of the naive O(T · candidates). `kind` selects the evaluation path:
-/// kField (default) the scalar loop, kSimd the SoA batch kernel
-/// (docs/KERNELS.md), kNaive the per-candidate oracle below.
+/// Index of the unique transmitter the listener decodes, or nullopt — the
+/// per-candidate oracle: every candidate within R_T (others cannot pass the
+/// range gate) re-sums the interference of all other transmitters. With
+/// β ≥ 1 at most one transmitter can satisfy the SINR condition at a given
+/// listener; this invariant is asserted.
 std::optional<std::size_t> resolve_reception(
-    const SinrParams& params, const geometry::Point& at,
-    std::span<const Transmitter> transmitters,
-    ResolveKind kind = ResolveKind::kField);
-
-/// Reference oracle for resolve_reception: the original per-candidate loop
-/// that re-sums interference excluding the candidate. Kept for the A/B
-/// equivalence suite and the micro-benchmarks; both paths must produce the
-/// same winner (tests/field_equivalence_test.cpp).
-std::optional<std::size_t> resolve_reception_naive(
     const SinrParams& params, const geometry::Point& at,
     std::span<const Transmitter> transmitters);
 

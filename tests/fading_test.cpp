@@ -91,7 +91,7 @@ TEST(FadingMedium, LoneLinkEventuallyFadesOut) {
   graph::UnitDiskGraph g(geometry::line_deployment(2, 0.95), 1.0);
   sinr::FadingSpec spec;
   spec.kind = sinr::FadingKind::kRayleigh;
-  radio::FadingSinrInterferenceModel model(g, phys_for_radius(1.0), spec);
+  radio::SinrInterferenceModel model(g, phys_for_radius(1.0), spec);
 
   radio::Message m;
   m.kind = radio::MessageKind::kCompete;
@@ -117,7 +117,7 @@ TEST(FadingMedium, InvariantSurvivesManyRandomSlots) {
   sinr::FadingSpec spec;
   spec.kind = sinr::FadingKind::kLogNormal;
   spec.sigma_db = 10.0;
-  radio::FadingSinrInterferenceModel model(g, phys_for_radius(1.0), spec);
+  radio::SinrInterferenceModel model(g, phys_for_radius(1.0), spec);
 
   for (radio::Slot slot = 0; slot < 200; ++slot) {
     std::vector<radio::TxRecord> txs;

@@ -349,9 +349,11 @@ TEST(FaultEngine, FadingMediumHonoursTheJammerToo) {
   j.to = 24;
   plan.jammers.push_back(j);
   faults::FaultEngine engine(plan, 3);
+  sinr::FadingSpec fading;
+  fading.kind = sinr::FadingKind::kRayleigh;
   const auto metrics = run_disturbed(
-      std::make_unique<radio::FadingSinrInterferenceModel>(
-          g, phys_for_radius(1.0), sinr::FadingSpec{}),
+      std::make_unique<radio::SinrInterferenceModel>(g, phys_for_radius(1.0),
+                                                     fading),
       g, engine);
   // Fading may additionally kill post-window slots, but nothing decodes
   // while the jammer sits on the listener.

@@ -1,9 +1,10 @@
 // Field-vs-naive equivalence suite: the shared interference-field fast path
 // (sinr/field_engine.h) must deliver EXACTLY the same messages as the naive
 // per-(sender, listener) resolution it replaced — across random deployments,
-// random transmitter sets, all three SINR entry points (the plain medium,
-// the fading medium and sinr::resolve_reception) and any thread count. The
-// naive loops are kept in the tree purely as the A/B oracle exercised here.
+// random transmitter sets, the SINR medium with and without fading or
+// jammers, the per-listener oracle sinr::resolve_reception, and any thread
+// count. The naive forms are kept in the tree purely as the A/B oracles
+// exercised here.
 //
 // The simd kernel path (ResolveKind::kSimd, docs/KERNELS.md) is held to the
 // same bar against the scalar field path: identical deliveries and
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,6 +59,58 @@ void random_slot(const graph::UnitDiskGraph& g, double tx_prob,
     txs.push_back({v, m});
     listening[v] = false;
   }
+}
+
+/// Which cloud transmitter the SINR medium decodes at `at` through resolve
+/// path `kind`: the cloud and the listener become the nodes of a UDG at
+/// R_T = 1, every cloud node transmits and only the listener listens.
+std::optional<std::size_t> medium_winner(
+    const sinr::SinrParams& phys, const std::vector<sinr::Transmitter>& txs,
+    const geometry::Point& at, sinr::ResolveKind kind) {
+  geometry::Deployment dep;
+  dep.side = 6.0;
+  for (const sinr::Transmitter& t : txs) dep.points.push_back(t.position);
+  dep.points.push_back(at);
+  const graph::UnitDiskGraph g(std::move(dep), 1.0);
+  const radio::SinrInterferenceModel medium(g, phys, {kind, 1});
+  std::vector<radio::TxRecord> transmissions;
+  for (graph::NodeId v = 0; v < txs.size(); ++v) {
+    radio::Message m;
+    m.sender = v;
+    transmissions.push_back({v, m});
+  }
+  std::vector<bool> listening(g.size(), false);
+  listening.back() = true;
+  std::vector<std::optional<radio::Message>> deliveries(g.size());
+  medium.resolve(0, transmissions, listening, deliveries);
+  if (!deliveries.back().has_value()) return std::nullopt;
+  return deliveries.back()->sender;
+}
+
+/// Random transmitter clouds and listener positions: the medium's winner at
+/// a lone listener under `kind` must equal the per-listener oracle's.
+/// Returns the number of decodes so callers can assert non-vacuity.
+std::size_t expect_oracle_winners(sinr::ResolveKind kind, std::uint64_t seed) {
+  common::Rng rng(seed);
+  const auto phys = phys_for_radius(1.0);
+  std::size_t decoded = 0;
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 12));
+    std::vector<sinr::Transmitter> txs;
+    txs.reserve(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      txs.push_back({{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)}});
+    }
+    const geometry::Point at{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)};
+    const auto medium = medium_winner(phys, txs, at, kind);
+    const auto oracle = sinr::resolve_reception(phys, at, txs);
+    EXPECT_EQ(medium.has_value(), oracle.has_value()) << "round " << round;
+    if (medium.has_value() && oracle.has_value()) {
+      ++decoded;
+      EXPECT_EQ(*medium, *oracle) << "round " << round;
+    }
+  }
+  return decoded;
 }
 
 /// Runs `slots` random slots through both models and requires identical
@@ -109,9 +163,9 @@ TEST(FieldEquivalence, FadingSinrModelMatchesNaiveAcrossSeeds) {
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
-    const radio::FadingSinrInterferenceModel naive(
+    const radio::SinrInterferenceModel naive(
         g, phys, fading, {sinr::ResolveKind::kNaive, 1});
-    const radio::FadingSinrInterferenceModel field(
+    const radio::SinrInterferenceModel field(
         g, phys, fading, {sinr::ResolveKind::kField, 1});
     EXPECT_GT(expect_identical_deliveries(naive, field, g, 24, 200 + seed), 0u)
         << "seed " << seed;
@@ -129,28 +183,37 @@ TEST(FieldEquivalence, ThreadedFieldMatchesSerialField) {
 }
 
 TEST(FieldEquivalence, ResolveReceptionMatchesNaiveOracle) {
-  // The one-shot probe entry point: random transmitter clouds and listener
-  // positions, the field-path winner must equal the per-candidate oracle's.
-  common::Rng rng(41);
-  const auto phys = phys_for_radius(1.0);
-  std::size_t decoded = 0;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 12));
-    std::vector<sinr::Transmitter> txs;
-    txs.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      txs.push_back({{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)}});
-    }
-    const geometry::Point at{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)};
-    const auto fast = sinr::resolve_reception(phys, at, txs);
-    const auto oracle = sinr::resolve_reception_naive(phys, at, txs);
-    ASSERT_EQ(fast.has_value(), oracle.has_value()) << "round " << round;
-    if (fast.has_value()) {
-      ++decoded;
-      EXPECT_EQ(*fast, *oracle) << "round " << round;
+  // The field path at a lone listener against the per-candidate oracle.
+  EXPECT_GT(expect_oracle_winners(sinr::ResolveKind::kField, 41), 0u);
+}
+
+TEST(FieldEquivalence, ZeroSigmaFadingMatchesThePlainMedium) {
+  // Log-normal fading at σ = 0 draws a fade of exactly 1.0 on every link, so
+  // it must decode what the no-fading medium decodes, slot by slot — through
+  // the per-listener weight path instead of the compile-time unit gain. The
+  // jammed rerun drives the shared gain's jammer branch on both weight paths
+  // (listener-invariant in the plain medium, per-listener in the faded one).
+  sinr::FadingSpec unit_fade;
+  unit_fade.kind = sinr::FadingKind::kLogNormal;
+  unit_fade.sigma_db = 0.0;
+  const auto g = random_graph(150, 4.0, 14);
+  const auto phys = phys_for_radius(g.radius());
+  const radio::Jammer jammer{{2.05, 1.95}, 0.5, 0.0};
+  const radio::ChannelDisturbance jammed{1.0,
+                                         std::span<const radio::Jammer>(&jammer, 1)};
+  for (const sinr::ResolveKind kind :
+       {sinr::ResolveKind::kNaive, sinr::ResolveKind::kField,
+        sinr::ResolveKind::kSimd}) {
+    for (const radio::ChannelDisturbance* disturbance :
+         {static_cast<const radio::ChannelDisturbance*>(nullptr), &jammed}) {
+      radio::SinrInterferenceModel plain(g, phys, {kind, 1});
+      radio::SinrInterferenceModel faded(g, phys, unit_fade, {kind, 1});
+      plain.set_disturbance(disturbance);
+      faded.set_disturbance(disturbance);
+      EXPECT_GT(expect_identical_deliveries(plain, faded, g, 24, 400), 0u)
+          << sinr::to_string(kind) << (disturbance != nullptr ? " jammed" : "");
     }
   }
-  EXPECT_GT(decoded, 0u);  // the comparison is not vacuous
 }
 
 TEST(FieldEquivalence, FullProtocolReportsMatch) {
@@ -209,9 +272,9 @@ TEST(SimdEquivalence, FadingSinrModelMatchesFieldAcrossSeeds) {
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
-    const radio::FadingSinrInterferenceModel field(
+    const radio::SinrInterferenceModel field(
         g, phys, fading, {sinr::ResolveKind::kField, 1});
-    const radio::FadingSinrInterferenceModel simd(
+    const radio::SinrInterferenceModel simd(
         g, phys, fading, {sinr::ResolveKind::kSimd, 1});
     EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 200 + seed), 0u)
         << "seed " << seed;
@@ -231,29 +294,9 @@ TEST(SimdEquivalence, ThreadedSimdMatchesSerialSimd) {
 }
 
 TEST(SimdEquivalence, ResolveReceptionMatchesNaiveOracle) {
-  // The one-shot probe entry point through the SoA kernel: same winner (or
-  // same silence) as the per-candidate oracle on random clouds.
-  common::Rng rng(43);
-  const auto phys = phys_for_radius(1.0);
-  std::size_t decoded = 0;
-  for (int round = 0; round < 200; ++round) {
-    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 12));
-    std::vector<sinr::Transmitter> txs;
-    txs.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      txs.push_back({{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)}});
-    }
-    const geometry::Point at{rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0)};
-    const auto simd =
-        sinr::resolve_reception(phys, at, txs, sinr::ResolveKind::kSimd);
-    const auto oracle = sinr::resolve_reception_naive(phys, at, txs);
-    ASSERT_EQ(simd.has_value(), oracle.has_value()) << "round " << round;
-    if (simd.has_value()) {
-      ++decoded;
-      EXPECT_EQ(*simd, *oracle) << "round " << round;
-    }
-  }
-  EXPECT_GT(decoded, 0u);
+  // The SoA kernel at a lone listener: same winner (or same silence) as the
+  // per-candidate oracle on random clouds.
+  EXPECT_GT(expect_oracle_winners(sinr::ResolveKind::kSimd, 43), 0u);
 }
 
 TEST(SimdEquivalence, FullProtocolReportsMatchAtThreads1And4) {

@@ -115,18 +115,26 @@ sinr::SinrParams phys_for(const graph::UnitDiskGraph& g) {
   return p;
 }
 
-// --resolve=field|simd|naive picks the SINR reception path (field is the fast
-// default; simd the SoA batch kernel — docs/KERNELS.md; naive the A/B
-// oracle — docs/PERFORMANCE.md), --threads=N the worker count of the
-// field/simd paths, --slot-threads=N the worker count of the simulator's
-// tiled slot engine (docs/ARCHITECTURE.md). Every value is byte-identical.
-void apply_resolve_flags(const common::Cli& cli, core::MwRunConfig& cfg) {
-  const std::string resolve = cli.get("resolve", "field");
-  if (!sinr::resolve_kind_from_string(resolve, cfg.resolve)) {
+// --resolve=field|simd|naive picks the SINR reception path (default: the
+// library's, core::MwRunConfig::resolve; simd the SoA batch kernel —
+// docs/KERNELS.md; naive the A/B oracle — docs/PERFORMANCE.md). Exits 2 on
+// an unknown kind.
+sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
+  sinr::ResolveKind kind = core::MwRunConfig{}.resolve;
+  const std::string resolve = cli.get("resolve", sinr::to_string(kind));
+  if (!sinr::resolve_kind_from_string(resolve, kind)) {
     std::fprintf(stderr, "unknown --resolve=%s (field|simd|naive)\n",
                  resolve.c_str());
     std::exit(2);
   }
+  return kind;
+}
+
+// --resolve (above), --threads=N the worker count of the field/simd paths,
+// --slot-threads=N the worker count of the simulator's tiled slot engine
+// (docs/ARCHITECTURE.md). Every value is byte-identical.
+void apply_resolve_flags(const common::Cli& cli, core::MwRunConfig& cfg) {
+  cfg.resolve = resolve_kind_flag(cli);
   cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   cfg.slot_threads =
       static_cast<std::size_t>(cli.get_int_at_least("slot-threads", 1, 1));
@@ -406,27 +414,18 @@ int cmd_color(const common::Cli& cli) {
 // graph per trial (topology-variance view, the default).
 int cmd_sweep(const common::Cli& cli) {
   const std::string n_list = cli.get("n-list", "64,128,256");
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 4));
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 1));
+  const auto trials =
+      static_cast<std::size_t>(cli.get_int_at_least("trials", 4, 1));
+  const auto threads =
+      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   const double avg = cli.get_double("avg-degree", 10.0);
   const auto base_seed = cli.get_seed("seed", 1);
   const bool shared_topology = cli.get_bool("shared-topology", false);
   const std::string csv_path = cli.get("csv", "");
   const bool quiet = cli.get_bool("quiet", false);
   core::MwRunConfig base_cfg;
-  {
-    const std::string resolve = cli.get("resolve", "field");
-    if (!sinr::resolve_kind_from_string(resolve, base_cfg.resolve)) {
-      std::fprintf(stderr, "unknown --resolve=%s (field|simd|naive)\n",
-                   resolve.c_str());
-      std::exit(2);
-    }
-  }
+  base_cfg.resolve = resolve_kind_flag(cli);
   cli.reject_unknown();
-  if (trials < 1 || threads < 1) {
-    std::fprintf(stderr, "--trials and --threads must be >= 1\n");
-    return 2;
-  }
 
   // Parse "64,128,256" into sizes.
   std::vector<std::size_t> sizes;
