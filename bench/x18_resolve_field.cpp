@@ -9,16 +9,17 @@
 // timed over the same workload. FAIL if any delivery differs, the field path
 // is not faster than naive, or the simd path is not faster than field.
 //
-// The timing reps run through common::SweepEngine (`--sweep-threads=N`,
-// per-rep p50/p95 in the sidecar): each rep owns its model instances (their
-// resolve scratch is reusable but not shareable) while the topology comes
-// from the shared cache. The rep loop also audits the zero-allocation
-// contract: after the first slot sizes the scratch, resolves allocate
-// nothing — for the simd path that includes the SoA arrays and the coverage
-// candidate CSR.
+// Every pass calls the sparse resolve the simulator runs (a reception list,
+// no dense per-node delivery array). The timing reps run through
+// common::SweepEngine (`--sweep-threads=N`, per-rep p50/p95 in the sidecar):
+// each rep owns its model instances (their resolve scratch is reusable but
+// not shareable) while the topology comes from the shared cache. The rep
+// loop also audits the zero-allocation contract: after the first slot sizes
+// the scratch, resolves allocate nothing — for the simd path that includes
+// the SoA arrays and the coverage candidate CSR.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -33,13 +34,16 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 2000));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 2000, 1));
   const double avg = cli.get_double("avg-degree", 64.0);
   const double tx_prob = cli.get_double("tx-prob", 0.25);
-  const auto slots = static_cast<std::size_t>(cli.get_int("slots", 40));
-  const auto reps = static_cast<std::size_t>(cli.get_int("reps", 3));
+  const auto slots =
+      static_cast<std::size_t>(cli.get_int_at_least("slots", 40, 1));
+  const auto reps =
+      static_cast<std::size_t>(cli.get_int_at_least("reps", 3, 1));
   const auto seed = cli.get_seed("seed", 1);
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 1));
+  const auto threads =
+      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   const std::size_t sweep_threads = bench::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);
   sidecar.set_threads(threads);
@@ -58,16 +62,16 @@ int main(int argc, char** argv) {
   // same workload (transmitters never listen — half-duplex).
   common::Rng rng(common::derive_seed(seed, 0x18ULL));
   std::vector<std::vector<radio::TxRecord>> slot_txs(slots);
-  std::vector<std::vector<bool>> slot_listening(slots);
+  std::vector<std::vector<std::uint8_t>> slot_listening(slots);
   for (std::size_t t = 0; t < slots; ++t) {
-    slot_listening[t].assign(n, true);
+    slot_listening[t].assign(n, 1);
     for (graph::NodeId v = 0; v < n; ++v) {
       if (!rng.bernoulli(tx_prob)) continue;
       radio::Message m;
       m.kind = radio::MessageKind::kCompete;
       m.sender = v;
       slot_txs[t].push_back({v, m});
-      slot_listening[t][v] = false;
+      slot_listening[t][v] = 0;
     }
   }
 
@@ -85,13 +89,13 @@ int main(int argc, char** argv) {
   const auto timed_pass = [&](sinr::ResolveKind kind) -> PassResult {
     const radio::SinrInterferenceModel model(*g, phys,
                                              {kind, model_threads(kind)});
-    std::vector<std::optional<radio::Message>> deliveries(n);
+    std::vector<radio::Reception> receptions;
+    receptions.reserve(n);
     PassResult out;
     for (std::size_t t = 0; t < slots; ++t) {
-      std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
       const std::uint64_t before = common::thread_heap_allocs();
       model.resolve(static_cast<radio::Slot>(t), slot_txs[t],
-                    slot_listening[t], deliveries);
+                    slot_listening[t], receptions);
       if (t > 0) out.steady_allocs += common::thread_heap_allocs() - before;
     }
     return out;
@@ -99,16 +103,19 @@ int main(int argc, char** argv) {
 
   // Equality first: every path must deliver the same (listener, sender)
   // pairs in every slot. Naive is the oracle both fast paths compare to.
+  // got[t][u] = the sender u decoded in slot t (kInvalidNode = none).
   const auto capture_pass = [&](sinr::ResolveKind kind) {
     const radio::SinrInterferenceModel model(*g, phys,
                                              {kind, model_threads(kind)});
-    std::vector<std::vector<std::optional<radio::Message>>> got;
-    std::vector<std::optional<radio::Message>> deliveries(n);
+    std::vector<std::vector<graph::NodeId>> got(
+        slots, std::vector<graph::NodeId>(n, graph::kInvalidNode));
+    std::vector<radio::Reception> receptions;
     for (std::size_t t = 0; t < slots; ++t) {
-      std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
       model.resolve(static_cast<radio::Slot>(t), slot_txs[t],
-                    slot_listening[t], deliveries);
-      got.push_back(deliveries);
+                    slot_listening[t], receptions);
+      for (const radio::Reception& r : receptions) {
+        got[t][r.listener] = slot_txs[t][r.tx].sender;
+      }
     }
     return got;
   };
@@ -119,12 +126,7 @@ int main(int argc, char** argv) {
     std::size_t bad = 0;
     for (std::size_t t = 0; t < slots; ++t) {
       for (std::size_t u = 0; u < n; ++u) {
-        const auto& a = a_pass[t][u];
-        const auto& b = b_pass[t][u];
-        if (a.has_value() != b.has_value() ||
-            (a.has_value() && a->sender != b->sender)) {
-          ++bad;
-        }
+        bad += a_pass[t][u] != b_pass[t][u];
       }
     }
     return bad;
@@ -132,7 +134,7 @@ int main(int argc, char** argv) {
   std::size_t deliveries_total = 0;
   for (std::size_t t = 0; t < slots; ++t) {
     for (std::size_t u = 0; u < n; ++u) {
-      deliveries_total += got_naive[t][u].has_value();
+      deliveries_total += got_naive[t][u] != graph::kInvalidNode;
     }
   }
   const std::size_t field_mismatches = count_mismatches(got_naive, got_field);

@@ -46,12 +46,13 @@ struct MwRunConfig {
   /// Run under the graph-based collision medium instead of SINR (baseline X9).
   bool graph_model = false;
   /// Reception-resolution path of the SINR media (ignored under the graph
-  /// medium): kField shares one interference-field sum per covered listener
-  /// (the fast path, docs/PERFORMANCE.md); kSimd evaluates the same field
-  /// through the SoA batch kernel (docs/KERNELS.md); kNaive re-sums per
-  /// (sender, listener) pair and is kept as the A/B oracle. Deliveries are
-  /// identical across all three.
-  sinr::ResolveKind resolve = sinr::ResolveKind::kField;
+  /// medium). The default, radio::ResolveOptions{}'s kind, is kNaive: it
+  /// re-sums per (sender, listener) pair and is the fastest kind at the
+  /// protocol's few transmitters per slot (docs/PERFORMANCE.md). kField
+  /// shares one interference-field sum per covered listener; kSimd evaluates
+  /// the same field through the SoA batch kernel (docs/KERNELS.md); both win
+  /// on dense slots. Deliveries are identical across all three.
+  sinr::ResolveKind resolve = radio::ResolveOptions{}.kind;
   /// Worker threads for the field/simd paths' per-listener shards (1 =
   /// serial). Any count produces byte-identical results (deterministic
   /// sharding).

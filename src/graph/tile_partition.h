@@ -1,6 +1,6 @@
 // Contiguous spatial tiling of a UDG's nodes for the tiled slot engine.
 //
-// The simulator's per-slot phases (tx decide, deliver, end-of-slot) are
+// The simulator's per-node slot phases (tx decide, end-of-slot) are
 // embarrassingly parallel per node — each node touches only its own protocol
 // state, its own RNG stream and its own entries of the per-node metric
 // arrays. A TilePartition fixes a node ORDER and splits it into contiguous

@@ -1,9 +1,7 @@
 #include "mac/tdma.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <map>
-#include <optional>
 
 #include "common/check.h"
 #include "radio/interference_model.h"
@@ -28,30 +26,37 @@ TdmaAudit audit_frames(const graph::UnitDiskGraph& g,
   audit.senders_total = g.size();
   std::vector<bool> fully_heard(g.size(), true);
   std::vector<radio::TxRecord> transmissions;
-  std::vector<bool> listening(g.size());
-  std::vector<std::optional<radio::Message>> deliveries(g.size());
+  std::vector<std::uint8_t> listening(g.size());
+  std::vector<radio::Reception> receptions;
+  // heard_from[u]: the sender u decoded this slot (reset after each slot).
+  std::vector<graph::NodeId> heard_from(g.size(), graph::kInvalidNode);
   radio::Slot slot = 0;
   for (std::uint32_t frame = 0; frame < frames; ++frame) {
     for (std::uint32_t t = 0; t < schedule.frame_length(); ++t, ++slot) {
       transmissions.clear();
       for (graph::NodeId v = 0; v < g.size(); ++v) {
-        listening[v] = schedule.slot_of(v) != t;
-        if (listening[v]) continue;
+        listening[v] = schedule.slot_of(v) != t ? 1 : 0;
+        if (listening[v] != 0) continue;
         radio::Message broadcast;
         broadcast.sender = v;
         transmissions.push_back({v, broadcast});
       }
-      std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
-      medium.resolve(slot, transmissions, listening, deliveries);
+      medium.resolve(slot, transmissions, listening, receptions);
+      for (const radio::Reception& r : receptions) {
+        heard_from[r.listener] = transmissions[r.tx].sender;
+      }
       for (const radio::TxRecord& tx : transmissions) {
         for (graph::NodeId u : g.neighbors(tx.sender)) {
           ++audit.pairs_total;
-          if (deliveries[u].has_value() && deliveries[u]->sender == tx.sender) {
+          if (heard_from[u] == tx.sender) {
             ++audit.pairs_delivered;
           } else {
             fully_heard[tx.sender] = false;
           }
         }
+      }
+      for (const radio::Reception& r : receptions) {
+        heard_from[r.listener] = graph::kInvalidNode;
       }
     }
   }

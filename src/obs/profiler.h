@@ -53,10 +53,10 @@ enum class Phase : std::uint8_t {
   kSlot,          ///< one radio::Simulator slot iteration
   kFaultInject,   ///< FaultEngine work: disturbance query + delivery drops
   kTxDecide,      ///< failures/joins/wakes + every protocol begin_slot
-  kResolve,       ///< InterferenceModel::resolve (either path)
+  kResolve,       ///< InterferenceModel::resolve (any kind)
   kFieldAccum,    ///< one FieldEngine shard: F(u) sums + candidate resolve
   kNaiveResolve,  ///< the naive per-(sender, listener) oracle loops
-  kDeliver,       ///< delivery dispatch: on_receive + drop attribution
+  kDeliver,       ///< listener-ordered delivery: one on_receive per decode
   kProtocolStep,  ///< one MwNode::begin_slot (inside kTxDecide)
   kRecovery,      ///< one SelfHealingNode::begin_slot (wraps kProtocolStep)
   kEndSlot,       ///< end_slot transitions + end-of-slot observers

@@ -1,6 +1,5 @@
 #include "radio/interference_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -11,7 +10,9 @@ namespace sinrcolor::radio {
 namespace {
 
 std::unique_ptr<common::TaskPool> make_pool(const ResolveOptions& options) {
-  if (options.threads <= 1) return nullptr;
+  if (options.threads <= 1 || options.kind == sinr::ResolveKind::kNaive) {
+    return nullptr;
+  }
   return std::make_unique<common::TaskPool>(options.threads);
 }
 
@@ -48,7 +49,8 @@ void naive_decodes(const graph::UnitDiskGraph& graph,
                    const sinr::SinrParams& phys,
                    std::span<const sinr::Transmitter> txs,
                    std::span<const TxRecord> transmissions,
-                   const std::vector<bool>& listening, const GainFor& gain_for,
+                   std::span<const std::uint8_t> listening,
+                   const GainFor& gain_for,
                    std::vector<sinr::FieldEngine::Decode>& decodes) {
   decodes.clear();
   for (std::size_t i = 0; i < transmissions.size(); ++i) {
@@ -95,19 +97,43 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
   params_.validate();
   check_radius_matches_phys(graph_, params_);
   // n·(Δ+1) bounds the simd path's candidate-pair arena: each transmitter
-  // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency).
-  engine_.reserve(graph_.size(), options_.threads,
-                  graph_.size() * (graph_.max_degree() + 1));
+  // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency). The naive
+  // path never touches the engine.
+  if (options_.kind != sinr::ResolveKind::kNaive) {
+    engine_.reserve(graph_.size(), options_.threads,
+                    graph_.size() * (graph_.max_degree() + 1));
+  }
   decodes_.reserve(graph_.size());
   txs_.reserve(graph_.size());
 }
 
-void SinrInterferenceModel::resolve(
+void InterferenceModel::resolve(
     Slot slot, const std::vector<TxRecord>& transmissions,
     const std::vector<bool>& listening,
     std::vector<std::optional<Message>>& deliveries) const {
+  SINRCOLOR_DCHECK(deliveries.size() == listening.size());
+  if (dense_listening_.size() != listening.size()) {
+    // A listener receives at most once, so n bounds the reception list.
+    dense_listening_.resize(listening.size());
+    dense_receptions_.reserve(listening.size());
+  }
+  for (std::size_t v = 0; v < listening.size(); ++v) {
+    dense_listening_[v] = static_cast<std::uint8_t>(listening[v]);
+  }
+  resolve(slot, transmissions, dense_listening_, dense_receptions_);
+  for (const Reception& r : dense_receptions_) {
+    SINRCOLOR_CHECK_MSG(!deliveries[r.listener].has_value(),
+                        "beta >= 1 forbids two decodable senders");
+    deliveries[r.listener] = transmissions[r.tx].message;
+  }
+}
+
+void SinrInterferenceModel::resolve(Slot slot,
+                                    std::span<const TxRecord> transmissions,
+                                    std::span<const std::uint8_t> listening,
+                                    std::vector<Reception>& receptions) const {
   SINRCOLOR_DCHECK(listening.size() == graph_.size());
-  SINRCOLOR_DCHECK(deliveries.size() == graph_.size());
+  receptions.clear();
   if (transmissions.empty()) return;
 
   // Real transmitters first, then any jammers; a disturbance also scales the
@@ -164,28 +190,24 @@ void SinrInterferenceModel::resolve(
     // A "decodable" jammer carries no message — the listener hears only
     // noise (and the jammer's field already drowned every real sender).
     if (d.tx >= transmissions.size()) continue;
-    SINRCOLOR_CHECK_MSG(!deliveries[d.listener].has_value(),
-                        "beta >= 1 forbids two decodable senders");
-    deliveries[d.listener] = transmissions[d.tx].message;
+    receptions.push_back({d.listener, d.tx});
     if (margin_histogram_ != nullptr) {
       margin_histogram_->record(d.margin);
     }
   }
 }
 
-void GraphInterferenceModel::resolve(
-    Slot /*slot*/, const std::vector<TxRecord>& transmissions,
-    const std::vector<bool>& listening,
-    std::vector<std::optional<Message>>& deliveries) const {
+void GraphInterferenceModel::resolve(Slot /*slot*/,
+                                     std::span<const TxRecord> transmissions,
+                                     std::span<const std::uint8_t> listening,
+                                     std::vector<Reception>& receptions) const {
   SINRCOLOR_DCHECK(listening.size() == graph_.size());
-  SINRCOLOR_DCHECK(deliveries.size() == graph_.size());
-  if (transmissions.empty()) return;
+  receptions.clear();
 
   // A listener decodes iff exactly one neighbor transmits. candidate_tx_
   // needs no reset: it is read only where covering_[u] == 1, i.e. where it
   // was written this slot.
-  std::fill(covering_.begin(), covering_.end(), std::uint8_t{0});
-  for (std::size_t i = 0; i < transmissions.size(); ++i) {
+  for (std::uint32_t i = 0; i < transmissions.size(); ++i) {
     for (graph::NodeId u : graph_.neighbors(transmissions[i].sender)) {
       if (covering_[u] < 2) ++covering_[u];
       candidate_tx_[u] = i;
@@ -206,12 +228,17 @@ void GraphInterferenceModel::resolve(
     }
     return false;
   };
+  // Every covered listener is revisited once per covering transmitter, and
+  // the first visit zeroes its count: a singly covered listener is decided
+  // on its only visit, later visits of a multiply covered one see 0, and
+  // covering_ ends the slot all zero without an O(n) clear.
   for (const auto& t : transmissions) {
     for (graph::NodeId u : graph_.neighbors(t.sender)) {
-      if (listening[u] && covering_[u] == 1 && !deliveries[u].has_value() &&
+      if (covering_[u] == 1 && listening[u] != 0 &&
           (jammers.empty() || !jammed(u))) {
-        deliveries[u] = transmissions[candidate_tx_[u]].message;
+        receptions.push_back({u, candidate_tx_[u]});
       }
+      covering_[u] = 0;
     }
   }
 }

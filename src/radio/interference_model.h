@@ -8,21 +8,26 @@
 // GraphInterferenceModel — the simplified graph-based model the original MW
 //   algorithm assumes: u decodes iff exactly one UDG-neighbor transmits.
 //
-// Both honour half-duplex: only nodes in `listening` can receive.
+// Both honour half-duplex: only nodes in `listening` can receive. A resolve
+// reports the slot's decodes as a sparse (listener, tx-index) list.
 //
 // The SINR medium runs one of three resolve paths (ResolveOptions::kind):
+//   kNaive — the per-(sender, listener) loop, the default: the fastest kind
+//            at the protocol's few transmitters per slot
+//            (docs/PERFORMANCE.md), and the A/B oracle the engine paths must
+//            match exactly (tests/field_equivalence_test.cpp).
 //   kField — the shared interference-field engine (sinr/field_engine.h):
 //            F(u) is summed once per covered listener, every candidate
 //            resolves in O(1) against F − signal, and listeners shard over a
-//            deterministic common::TaskPool (ResolveOptions::threads).
+//            deterministic common::TaskPool (ResolveOptions::threads). It
+//            wins on dense slots.
 //   kSimd  — the same engine through the SoA batch kernel (docs/KERNELS.md).
-//   kNaive — the per-(sender, listener) loop, kept as the A/B oracle;
-//            deliveries must match the engine exactly
-//            (tests/field_equivalence_test.cpp).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/task_pool.h"
@@ -37,14 +42,20 @@
 
 namespace sinrcolor::radio {
 
-/// How a SINR medium resolves receptions. Defaults run the field fast path
-/// single-threaded; `threads` > 1 shards covered listeners over a
-/// deterministic pool (byte-identical results for any count). kSimd swaps the
-/// per-listener scalar loop for the SoA batch kernel (docs/KERNELS.md) with
-/// the same delivery semantics; kNaive keeps the per-pair reference oracle.
+/// How a SINR medium resolves receptions. Defaults run the naive path, the
+/// fastest at the protocol's density; `threads` > 1 shards the field/simd
+/// paths' covered listeners over a deterministic pool (byte-identical
+/// results for any count).
 struct ResolveOptions {
-  sinr::ResolveKind kind = sinr::ResolveKind::kField;
+  sinr::ResolveKind kind = sinr::ResolveKind::kNaive;
   std::size_t threads = 1;
+};
+
+/// One decode of a slot: `listener` decodes the message of
+/// transmissions[tx].
+struct Reception {
+  graph::NodeId listener;
+  std::uint32_t tx;
 };
 
 /// Asserts that the UDG is the reachability graph of the physical layer:
@@ -57,13 +68,22 @@ class InterferenceModel {
  public:
   virtual ~InterferenceModel() = default;
 
-  /// Fills deliveries[v] with the message node v decodes in `slot` (nullopt
-  /// if none). `listening[v]` is false for asleep or transmitting nodes.
-  /// `deliveries` must be pre-sized to the node count and cleared by caller.
-  /// `slot` keys any stochastic channel state (fading draws).
-  virtual void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
-                       const std::vector<bool>& listening,
-                       std::vector<std::optional<Message>>& deliveries) const = 0;
+  /// Fills `receptions` (cleared first) with this slot's decodes: one entry
+  /// per listener that decodes a transmitter, in no particular order, each
+  /// listener at most once. `listening[v]` is nonzero iff node v can
+  /// receive (awake, not transmitting, not deaf). Injected jammers are never
+  /// reported. `slot` keys any stochastic channel state (fading draws).
+  virtual void resolve(Slot slot, std::span<const TxRecord> transmissions,
+                       std::span<const std::uint8_t> listening,
+                       std::vector<Reception>& receptions) const = 0;
+
+  /// Dense adapter over the sparse resolve: deliveries[v] receives the
+  /// message node v decodes; the caller pre-sizes and clears `deliveries`.
+  /// Adds an O(n) listener conversion; allocates nothing after its first
+  /// call.
+  void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
+               const std::vector<bool>& listening,
+               std::vector<std::optional<Message>>& deliveries) const;
 
   /// Attaches a histogram that receives the SINR margin (achieved SINR
   /// divided by β) of every successful decode of the SINR medium, under
@@ -97,6 +117,11 @@ class InterferenceModel {
   obs::Histogram* margin_histogram_ = nullptr;
   const ChannelDisturbance* disturbance_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
+
+ private:
+  /// The dense adapter's scratch, sized on its first call.
+  mutable std::vector<std::uint8_t> dense_listening_;
+  mutable std::vector<Reception> dense_receptions_;
 };
 
 class SinrInterferenceModel final : public InterferenceModel {
@@ -106,7 +131,8 @@ class SinrInterferenceModel final : public InterferenceModel {
   /// `fading` scales the received power of every (transmitter, listener)
   /// pair — signal and interference alike — by its fade factor
   /// (sinr/fading.h). With β ≥ 1 at most one sender stays decodable per
-  /// listener under fading too (see fading.h), so the invariant check stays.
+  /// listener under fading too (see fading.h); the simulator and the dense
+  /// adapter check that no listener appears twice in the reception list.
   SinrInterferenceModel(const graph::UnitDiskGraph& graph,
                         sinr::SinrParams params, sinr::FadingSpec fading,
                         ResolveOptions options = {});
@@ -114,9 +140,10 @@ class SinrInterferenceModel final : public InterferenceModel {
                         sinr::SinrParams params, ResolveOptions options = {})
       : SinrInterferenceModel(graph, params, sinr::FadingSpec{}, options) {}
 
-  void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
-               const std::vector<bool>& listening,
-               std::vector<std::optional<Message>>& deliveries) const override;
+  using InterferenceModel::resolve;
+  void resolve(Slot slot, std::span<const TxRecord> transmissions,
+               std::span<const std::uint8_t> listening,
+               std::vector<Reception>& receptions) const override;
 
   const sinr::SinrParams& params() const { return params_; }
   const sinr::FadingSpec& fading() const { return fading_; }
@@ -155,13 +182,14 @@ class GraphInterferenceModel final : public InterferenceModel {
         covering_(graph.size(), 0),
         candidate_tx_(graph.size(), 0) {}
 
-  void resolve(Slot slot, const std::vector<TxRecord>& transmissions,
-               const std::vector<bool>& listening,
-               std::vector<std::optional<Message>>& deliveries) const override;
+  using InterferenceModel::resolve;
+  void resolve(Slot slot, std::span<const TxRecord> transmissions,
+               std::span<const std::uint8_t> listening,
+               std::vector<Reception>& receptions) const override;
 
   std::size_t memory_bytes() const override {
     return sizeof(*this) + covering_.capacity() * sizeof(std::uint8_t) +
-           candidate_tx_.capacity() * sizeof(std::size_t);
+           candidate_tx_.capacity() * sizeof(std::uint32_t);
   }
 
  private:
@@ -169,8 +197,9 @@ class GraphInterferenceModel final : public InterferenceModel {
   /// Per-slot scratch, sized once at construction (zero-alloc resolve):
   /// covering_[u] = transmitting neighbors of u (saturating at 2),
   /// candidate_tx_[u] = index of the last one (valid iff covering_[u] == 1).
+  /// covering_ is all zero between resolves (each zeroes what it touched).
   mutable std::vector<std::uint8_t> covering_;
-  mutable std::vector<std::size_t> candidate_tx_;
+  mutable std::vector<std::uint32_t> candidate_tx_;
 };
 
 }  // namespace sinrcolor::radio

@@ -1,6 +1,8 @@
 #include "radio/simulator.h"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <type_traits>
 
 #include "common/alloc_counter.h"
@@ -21,6 +23,11 @@ namespace {
 void apply_delta(std::size_t& target, std::int64_t delta) {
   target = static_cast<std::size_t>(static_cast<std::int64_t>(target) + delta);
 }
+
+/// Reception::tx of a decode a fault injector suppressed: it stays in the
+/// list (its listener keeps the "decoded" mark) but is not delivered.
+constexpr std::uint32_t kFaultDropped =
+    std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
@@ -45,10 +52,12 @@ Simulator::Simulator(const graph::UnitDiskGraph& graph,
   scratch_.awake.assign(n, 0);
   scratch_.dead.assign(n, 0);
   scratch_.schedule_suppressed.assign(n, 0);
-  scratch_.listening_u8.assign(n, 0);
-  scratch_.listening.assign(n, false);
+  scratch_.listening.assign(n, 0);
   scratch_.transmissions.reserve(n);
-  scratch_.deliveries.assign(n, std::nullopt);
+  // A listener receives at most once per slot, so n bounds the list.
+  scratch_.receptions.reserve(n);
+  scratch_.received.assign((n + 63) / 64, 0);
+  scratch_.received_tx.assign(n, 0);
   scratch_.covered.reserve(n);
   // The persistent tile job: captures only `this`, dispatches on the phase
   // latched by for_tiles. Built once so the slot loop never constructs a
@@ -57,9 +66,6 @@ Simulator::Simulator(const graph::UnitDiskGraph& graph,
     switch (tile_phase_) {
       case TilePhase::kTxDecide:
         tile_tx_decide(t);
-        break;
-      case TilePhase::kDeliver:
-        tile_deliver(t);
         break;
       case TilePhase::kEndSlot:
         tile_end_slot(t);
@@ -125,9 +131,6 @@ void Simulator::set_join_slot(graph::NodeId v, Slot slot) {
 void Simulator::set_fault_injector(FaultInjector* injector) {
   SINRCOLOR_CHECK_MSG(!ran_, "install the fault injector before run()");
   fault_injector_ = injector;
-  if (injector != nullptr) {
-    scratch_.fault_dropped.assign(graph_.size(), 0);
-  }
 }
 
 void Simulator::set_observation(obs::RunObservation* observation) {
@@ -152,7 +155,7 @@ void Simulator::tile_tx_decide(std::size_t t) {
   const Slot slot = run_slot_;
   auto& awake = scratch_.awake;
   auto& dead = scratch_.dead;
-  auto& listening = scratch_.listening_u8;
+  auto& listening = scratch_.listening;
   auto& schedule_suppressed = scratch_.schedule_suppressed;
   TileScratch& ts = tile_scratch_[t];
   TileCounters& c = ts.counters;
@@ -231,24 +234,6 @@ void Simulator::tile_tx_decide(std::size_t t) {
   }
 }
 
-void Simulator::tile_deliver(std::size_t t) {
-  obs::Tracer* const tracer = run_tracer_;
-  const Slot slot = run_slot_;
-  auto& deliveries = scratch_.deliveries;
-  TileCounters& c = tile_scratch_[t].counters;
-  for (const graph::NodeId v : tiles_.tile(t)) {
-    if (deliveries[v].has_value()) {
-      SINRCOLOR_DCHECK(scratch_.listening[v]);
-      SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDelivery, v,
-                      deliveries[v]->sender,
-                      static_cast<std::int32_t>(deliveries[v]->kind),
-                      deliveries[v]->color_class);
-      protocols_[v]->on_receive(slot, *deliveries[v]);
-      ++c.delivered;
-    }
-  }
-}
-
 void Simulator::tile_end_slot(std::size_t t) {
   RunMetrics& metrics = *run_metrics_;
   const Slot slot = run_slot_;
@@ -273,6 +258,28 @@ void Simulator::for_tiles(TilePhase phase, bool parallel) {
   }
 }
 
+void Simulator::order_receptions() {
+  auto& receptions = scratch_.receptions;
+  auto& received = scratch_.received;
+  for (const Reception& r : receptions) {
+    const std::uint64_t bit = std::uint64_t{1} << (r.listener % 64);
+    SINRCOLOR_CHECK_MSG((received[r.listener / 64] & bit) == 0,
+                        "beta >= 1 forbids two decodable senders");
+    received[r.listener / 64] |= bit;
+    scratch_.received_tx[r.listener] = r.tx;
+  }
+  // Every marked listener is rewritten exactly once, so the list can be
+  // overwritten in place.
+  std::size_t k = 0;
+  for (std::size_t w = 0; k < receptions.size(); ++w) {
+    for (std::uint64_t bits = received[w]; bits != 0; bits &= bits - 1) {
+      const auto v = static_cast<graph::NodeId>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+      receptions[k++] = {v, scratch_.received_tx[v]};
+    }
+  }
+}
+
 RunMetrics Simulator::run(Slot max_slots) {
   SINRCOLOR_CHECK_MSG(!ran_, "Simulator::run may only be called once");
   ran_ = true;
@@ -289,9 +296,9 @@ RunMetrics Simulator::run(Slot max_slots) {
   metrics.awake_slots.assign(n, 0);
 
   auto& listening = scratch_.listening;
-  auto& listening_u8 = scratch_.listening_u8;
   auto& transmissions = scratch_.transmissions;
-  auto& deliveries = scratch_.deliveries;
+  auto& receptions = scratch_.receptions;
+  auto& received = scratch_.received;
 
   obs::Tracer* const tracer =
       observation_ != nullptr ? &observation_->trace : nullptr;
@@ -399,43 +406,43 @@ RunMetrics Simulator::run(Slot max_slots) {
       observer(slot, std::span<const TxRecord>(transmissions));
     }
 
-    // 2. Reception resolution and delivery.
+    // 2. Reception resolution and delivery: O(transmitters + receptions),
+    // on the slot-loop thread under every engine.
     if (!transmissions.empty()) {
-      // Pack the tile-written listener bytes into the vector<bool> the
-      // InterferenceModel interface consumes (bit containers cannot take
-      // concurrent per-node writes; the byte array can).
-      for (std::size_t v = 0; v < n; ++v) listening[v] = listening_u8[v] != 0;
-      std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
       {
         SINRCOLOR_PROFILE(profiler, obs::Phase::kResolve);
-        model_->resolve(slot, transmissions, listening, deliveries);
+        model_->resolve(slot, transmissions, listening, receptions);
       }
+      order_receptions();
       // Per-link fault drops: an otherwise successful decode is suppressed
       // before the protocol sees it. Attributed to the fault (kFaultDrop),
-      // not to interference (excluded from the kDrop pass below). Always on
-      // the sequential engine (injector downgrade), hence slot-loop thread.
+      // not to interference (its listener keeps the "decoded" mark, so the
+      // kDrop pass below skips it). Always on the sequential engine
+      // (injector downgrade), hence slot-loop thread.
       if (fault_injector_ != nullptr) {
         SINRCOLOR_PROFILE(profiler, obs::Phase::kFaultInject);
-        auto& fault_dropped = scratch_.fault_dropped;
-        for (std::size_t v = 0; v < n; ++v) {
-          if (!deliveries[v].has_value()) continue;
-          const graph::NodeId listener = static_cast<graph::NodeId>(v);
-          if (fault_injector_->drop_delivery(slot, deliveries[v]->sender,
-                                             listener)) {
-            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kFaultDrop, listener,
-                            deliveries[v]->sender,
-                            static_cast<std::int32_t>(deliveries[v]->kind));
-            deliveries[v].reset();
-            fault_dropped[v] = 1;
+        for (Reception& r : receptions) {
+          const Message& m = transmissions[r.tx].message;
+          if (fault_injector_->drop_delivery(slot, m.sender, r.listener)) {
+            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kFaultDrop,
+                            r.listener, m.sender,
+                            static_cast<std::int32_t>(m.kind));
+            r.tx = kFaultDropped;
             ++metrics.fault_dropped_deliveries;
           }
         }
       }
       {
         SINRCOLOR_PROFILE(profiler, obs::Phase::kDeliver);
-        for_tiles(TilePhase::kDeliver, parallel);
-        for (std::size_t t = 0; t < tile_count; ++t) {
-          metrics.total_deliveries += tile_scratch_[t].counters.delivered;
+        for (const Reception& r : receptions) {
+          if (r.tx == kFaultDropped) continue;
+          SINRCOLOR_DCHECK(listening[r.listener] != 0);
+          const Message& m = transmissions[r.tx].message;
+          SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDelivery, r.listener,
+                          m.sender, static_cast<std::int32_t>(m.kind),
+                          m.color_class);
+          protocols_[r.listener]->on_receive(slot, m);
+          ++metrics.total_deliveries;
         }
       }
       // Collision attribution: a listener covered by >= 1 transmitter that
@@ -444,10 +451,10 @@ RunMetrics Simulator::run(Slot max_slots) {
         covered.clear();
         for (const TxRecord& t : transmissions) {
           for (graph::NodeId u : graph_.neighbors(t.sender)) {
-            if (!listening[u] || deliveries[u].has_value()) continue;
-            if (fault_injector_ != nullptr && scratch_.fault_dropped[u]) {
-              continue;  // lost to the injected fault, already traced
-            }
+            // Skip transmitters, sleepers, and listeners that decoded
+            // (whether delivered or dropped by a fault).
+            const bool decoded = ((received[u / 64] >> (u % 64)) & 1) != 0;
+            if (listening[u] == 0 || decoded) continue;
             if (cover_count[u] == 0) {
               covered.push_back(u);
               cover_sample[u] = t.sender;
@@ -463,10 +470,7 @@ RunMetrics Simulator::run(Slot max_slots) {
         }
         if (drop_counter != nullptr) drop_counter->add(covered.size());
       }
-      if (fault_injector_ != nullptr) {
-        std::fill(scratch_.fault_dropped.begin(), scratch_.fault_dropped.end(),
-                  std::uint8_t{0});
-      }
+      for (const Reception& r : receptions) received[r.listener / 64] = 0;
     }
 
     // 3. End-of-slot transitions and decision tracking.
@@ -560,10 +564,10 @@ std::size_t Simulator::memory_bytes() const {
          vec(join_slot_) + vec(protocols_) + vec(owned_) + vec(rngs_) +
          vec(observers_) + vec(end_observers_) + vec(scratch_.awake) +
          vec(scratch_.dead) + vec(scratch_.schedule_suppressed) +
-         vec(scratch_.listening_u8) + scratch_.listening.capacity() / 8 +
-         vec(scratch_.transmissions) + vec(scratch_.deliveries) +
-         vec(scratch_.cover_count) + vec(scratch_.cover_sample) +
-         vec(scratch_.covered) + vec(scratch_.fault_dropped);
+         vec(scratch_.listening) + vec(scratch_.transmissions) +
+         vec(scratch_.receptions) + vec(scratch_.received) +
+         vec(scratch_.received_tx) + vec(scratch_.cover_count) +
+         vec(scratch_.cover_sample) + vec(scratch_.covered);
 }
 
 }  // namespace sinrcolor::radio

@@ -6,13 +6,17 @@
 // runs end-of-slot transitions. Execution is fully deterministic given the
 // seed: node v draws from its own splitmix-derived stream.
 //
+// After the transmission decisions a slot costs O(transmitters +
+// receptions), not O(n): the medium's sparse reception list is delivered in
+// listener order on the slot-loop thread (SlotScratch below).
+//
 // Tiled slot engine (docs/ARCHITECTURE.md): the per-node phases (tx decide,
-// deliver, end-of-slot) run tile-by-tile over a graph::TilePartition. The
-// default is the sequential identity engine — one tile, ids ascending,
-// bit-for-bit the historical slot loop. set_slot_threads(N>1) switches to a
-// spatial partition processed one tile per common::TaskPool shard, with
-// per-tile transmission buffers and counters merged in tile order (and the
-// merged transmissions re-sorted by sender), so an N-thread run produces
+// end-of-slot) run tile-by-tile over a graph::TilePartition. The default is
+// the sequential identity engine — one tile, ids ascending, bit-for-bit the
+// historical slot loop. set_slot_threads(N>1) switches to a spatial
+// partition processed one tile per common::TaskPool shard, with per-tile
+// transmission buffers and counters merged in tile order (and the merged
+// transmissions re-sorted by sender), so an N-thread run produces
 // byte-identical results to the 1-thread run: every phase touches only
 // node-local state, and every cross-tile aggregate is merged in a fixed
 // order. Attaching observation (trace event order) or a fault injector
@@ -23,7 +27,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -180,26 +183,29 @@ class Simulator {
   /// vector<bool>: the wake/decide loops touch all n every slot, byte loads
   /// beat bit extraction there, and — decisive for the tiled engine —
   /// concurrent tiles can write disjoint byte elements without a data race,
-  /// which vector<bool>'s packed bits cannot offer. `listening` is written
-  /// as the `listening_u8` byte array by the tile passes and packed
-  /// sequentially into the vector<bool> the InterferenceModel interface
-  /// consumes, once per transmitting slot.
+  /// which vector<bool>'s packed bits cannot offer. The medium reads the
+  /// tile-written `listening` bytes as they are.
+  ///
+  /// Reception side, O(receptions) per slot: the medium fills `receptions`
+  /// in its own order; each entry sets its listener's bit in `received`
+  /// (one bit per node) and its tx index in `received_tx`, and one walk over
+  /// the bitmap rewrites the list in listener order. The bits double as the
+  /// per-listener "decoded this slot" mark collision attribution reads, and
+  /// are cleared through the list at the end of the slot. `received_tx` is
+  /// read only where a bit is set, so it is never cleared.
   struct SlotScratch {
     std::vector<std::uint8_t> awake;
     std::vector<std::uint8_t> dead;
     std::vector<std::uint8_t> schedule_suppressed;
-    std::vector<std::uint8_t> listening_u8;
-    std::vector<bool> listening;
+    std::vector<std::uint8_t> listening;
     std::vector<TxRecord> transmissions;
-    std::vector<std::optional<Message>> deliveries;
+    std::vector<Reception> receptions;
+    std::vector<std::uint64_t> received;
+    std::vector<std::uint32_t> received_tx;
     // Collision attribution (kDrop), maintained only under a tracer.
     std::vector<std::uint32_t> cover_count;
     std::vector<graph::NodeId> cover_sample;
     std::vector<graph::NodeId> covered;
-    // Listeners whose delivery a fault injector suppressed this slot
-    // (excluded from kDrop collision attribution — the loss is attributed
-    // to the fault, not to interference). Maintained only with an injector.
-    std::vector<std::uint8_t> fault_dropped;
   };
 
   /// Cross-tile aggregates of one tile's phase pass, merged into the run's
@@ -211,7 +217,6 @@ class Simulator {
     std::int64_t failed = 0;
     std::uint64_t joined = 0;
     std::uint64_t deaf = 0;
-    std::uint64_t delivered = 0;
     std::uint64_t decided = 0;
 
     void reset() { *this = TileCounters{}; }
@@ -224,7 +229,7 @@ class Simulator {
     TileCounters counters;
   };
 
-  enum class TilePhase : std::uint8_t { kTxDecide, kDeliver, kEndSlot };
+  enum class TilePhase : std::uint8_t { kTxDecide, kEndSlot };
 
   /// Rebuilds tiles_ / slot_pool_ / tile_scratch_ for the current
   /// slot_threads_ (sequential = identity partition, no pool).
@@ -232,11 +237,14 @@ class Simulator {
   /// Phase bodies, one tile each. Every write is node-local (per-node arrays,
   /// own protocol, own RNG stream) or lands in tile_scratch_[t].
   void tile_tx_decide(std::size_t t);
-  void tile_deliver(std::size_t t);
   void tile_end_slot(std::size_t t);
   /// Runs the given phase over every tile — through the pool when the
   /// parallel engine is active, inline otherwise.
   void for_tiles(TilePhase phase, bool parallel);
+  /// Marks every reception in scratch_.received and rewrites
+  /// scratch_.receptions in listener-ascending order (bitmap walk, no
+  /// comparison sort).
+  void order_receptions();
 
   const graph::UnitDiskGraph& graph_;
   std::unique_ptr<InterferenceModel> model_;

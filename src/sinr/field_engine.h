@@ -226,15 +226,6 @@ struct UnitGain {
   double operator()(std::size_t /*tx*/) const { return 1.0; }
 };
 
-/// Coverage functor for callers without precomputed adjacency: every
-/// transmitter's candidate listeners come from the grid query.
-struct NoCoverage {
-  std::optional<std::span<const std::uint32_t>> operator()(
-      std::size_t /*tx*/) const {
-    return std::nullopt;
-  }
-};
-
 /// A transmitter within decoding range of the listener under evaluation.
 struct FieldCandidate {
   std::uint32_t tx;  ///< index into the transmitter span
@@ -342,9 +333,9 @@ class FieldEngine {
   /// optionally returns transmitter j's precomputed candidate-listener span
   /// (the UDG neighborhood of a node transmitter — δ ≤ R_T is exactly
   /// adjacency when the graph radius equals R_T, the same structural fact
-  /// the naive path iterates); nullopt falls back to a grid query (jammers,
-  /// or callers without a graph). Only the simd path consumes it — the
-  /// scalar field path keeps its banked grid-pass behavior. `kind` selects
+  /// the naive path iterates); nullopt falls back to a grid query
+  /// (jammers). Only the simd path consumes it — the scalar field path
+  /// keeps its banked grid-pass behavior. `kind` selects
   /// the per-listener evaluation: kField runs the scalar field_at, kSimd the
   /// SoA batch kernel (kNaive is handled by the medium, not here). Results
   /// land in `decodes`, cleared first.
@@ -352,7 +343,8 @@ class FieldEngine {
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
                     const geometry::GridIndex& index,
                     std::span<const geometry::Point> positions,
-                    const std::vector<bool>& listening, double candidate_radius,
+                    std::span<const std::uint8_t> listening,
+                    double candidate_radius,
                     GainForListener&& gain_for, bool gain_listener_invariant,
                     CoverageFor&& coverage_for, ResolveKind kind,
                     common::TaskPool* pool, std::vector<Decode>& decodes) {
@@ -523,7 +515,7 @@ class FieldEngine {
   template <typename CoverageFor>
   void collect_covered(std::span<const Transmitter> txs,
                        const geometry::GridIndex& index,
-                       const std::vector<bool>& listening,
+                       std::span<const std::uint8_t> listening,
                        double candidate_radius, CoverageFor&& coverage_for,
                        bool record_pairs) {
     if (touched_.size() < listening.size()) touched_.resize(listening.size(), 0);

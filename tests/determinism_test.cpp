@@ -6,8 +6,10 @@
 // a diff (sinrlint R1/R3 guard the same property statically).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/adaptive.h"
@@ -168,6 +170,40 @@ TEST(Determinism, ThreadCountDoesNotChangeTheObservedReport) {
     return core::to_json(result, observation, true);
   };
   EXPECT_EQ(observed_run(1), observed_run(4));
+}
+
+TEST(Determinism, TraceIsIdenticalUnderEveryResolveKind) {
+  // Receptions reach on_receive, and the trace, in listener-ascending order
+  // whatever order the medium reports them in: the naive oracle emits its
+  // decodes sender by sender, the field engines listener by listener. The
+  // three kinds must therefore record the same events in the same order.
+  const auto g = scenario_graph(87);
+  core::MwRunConfig cfg;
+  cfg.seed = 3;
+  const auto traced_events = [&](sinr::ResolveKind kind) {
+    cfg.resolve = kind;
+    obs::RunObservation observation(std::size_t{1} << 22);
+    core::MwInstance instance(g, cfg);
+    instance.attach_observation(&observation);
+    instance.run();
+    EXPECT_EQ(observation.trace.dropped(), 0u) << sinr::to_string(kind);
+    return observation.trace.events();
+  };
+  const std::vector<obs::TraceEvent> naive =
+      traced_events(sinr::ResolveKind::kNaive);
+  ASSERT_FALSE(naive.empty());
+  for (const sinr::ResolveKind kind :
+       {sinr::ResolveKind::kField, sinr::ResolveKind::kSimd}) {
+    const std::vector<obs::TraceEvent> other = traced_events(kind);
+    ASSERT_EQ(naive.size(), other.size()) << sinr::to_string(kind);
+    const auto [a, b] =
+        std::mismatch(naive.begin(), naive.end(), other.begin());
+    EXPECT_TRUE(a == naive.end())
+        << sinr::to_string(kind) << " diverges at event " << (a - naive.begin())
+        << ": slot " << a->slot << " kind " << obs::to_string(a->kind)
+        << " node " << a->node << " vs slot " << b->slot << " kind "
+        << obs::to_string(b->kind) << " node " << b->node;
+  }
 }
 
 TEST(Determinism, DifferentSeedsProduceDifferentTraffic) {

@@ -10,15 +10,20 @@
 // same bar against the scalar field path: identical deliveries and
 // byte-identical run JSON across all three media — plain SINR, fading SINR
 // and the graph medium — thread counts, and faulted runs with drop windows.
+//
+// Both entry points of every medium agree too: the sparse reception list the
+// simulator consumes and the dense per-node adapter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/alloc_counter.h"
 #include "common/rng.h"
 #include "core/mw_protocol.h"
 #include "core/report.h"
@@ -142,6 +147,84 @@ std::size_t expect_identical_deliveries(const radio::InterferenceModel& a,
     }
   }
   return delivered;
+}
+
+/// Runs `slots` random slots through both entry points of `model` — the
+/// sparse reception list and the dense adapter — and requires the same
+/// (listener, sender) pairs, no jammer index in the list, and no adapter
+/// allocation after its first call (checked only in the counting build).
+/// Returns the number of receptions seen so callers can assert non-vacuity.
+std::size_t expect_sparse_matches_dense(const radio::InterferenceModel& model,
+                                        const graph::UnitDiskGraph& g,
+                                        std::size_t slots, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<radio::TxRecord> txs;
+  std::vector<bool> listening;
+  std::vector<std::uint8_t> listening_bytes;
+  std::vector<radio::Reception> receptions;
+  std::vector<std::optional<radio::Message>> deliveries(g.size());
+  std::uint64_t adapter_allocs = 0;
+  std::size_t received = 0;
+  for (std::size_t t = 0; t < slots; ++t) {
+    random_slot(g, 0.25, rng, txs, listening);
+    listening_bytes.assign(listening.begin(), listening.end());
+    const auto slot = static_cast<radio::Slot>(t);
+    model.resolve(slot, txs, listening_bytes, receptions);
+    std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
+    const std::uint64_t allocs_before = common::thread_heap_allocs();
+    model.resolve(slot, txs, listening, deliveries);
+    if (t > 0) adapter_allocs += common::thread_heap_allocs() - allocs_before;
+    const auto dense = static_cast<std::size_t>(
+        std::count_if(deliveries.begin(), deliveries.end(),
+                      [](const auto& d) { return d.has_value(); }));
+    EXPECT_EQ(receptions.size(), dense) << "slot " << t;
+    for (const radio::Reception& r : receptions) {
+      if (r.tx >= txs.size()) {
+        ADD_FAILURE() << "slot " << t << ": jammer index " << r.tx
+                      << " in the reception list";
+        continue;
+      }
+      EXPECT_TRUE(deliveries[r.listener].has_value() &&
+                  deliveries[r.listener]->sender == txs[r.tx].sender)
+          << "slot " << t << " listener " << r.listener;
+    }
+    received += receptions.size();
+  }
+  if (common::alloc_counting_enabled()) {
+    EXPECT_EQ(adapter_allocs, 0u)
+        << "dense adapter allocated after its first call";
+  }
+  return received;
+}
+
+TEST(SparseResolve, ReceptionListMatchesTheDenseAdapterOnEveryMedium) {
+  const auto g = random_graph(150, 4.0, 15);
+  const auto phys = phys_for_radius(g.radius());
+  sinr::FadingSpec log_normal;
+  log_normal.kind = sinr::FadingKind::kLogNormal;
+  log_normal.sigma_db = 6.0;
+  const radio::Jammer jammer{{2.05, 1.95}, 0.5, 0.0};
+  const radio::ChannelDisturbance jammed{1.0,
+                                         std::span<const radio::Jammer>(&jammer, 1)};
+  for (const sinr::ResolveKind kind :
+       {sinr::ResolveKind::kNaive, sinr::ResolveKind::kField,
+        sinr::ResolveKind::kSimd}) {
+    const radio::SinrInterferenceModel plain(g, phys, {kind, 1});
+    const radio::SinrInterferenceModel faded(g, phys, log_normal, {kind, 1});
+    radio::SinrInterferenceModel jammed_sinr(g, phys, {kind, 1});
+    jammed_sinr.set_disturbance(&jammed);
+    EXPECT_GT(expect_sparse_matches_dense(plain, g, 24, 500), 0u)
+        << "plain " << sinr::to_string(kind);
+    EXPECT_GT(expect_sparse_matches_dense(faded, g, 24, 501), 0u)
+        << "log-normal " << sinr::to_string(kind);
+    EXPECT_GT(expect_sparse_matches_dense(jammed_sinr, g, 24, 502), 0u)
+        << "jammed " << sinr::to_string(kind);
+  }
+  const radio::GraphInterferenceModel graph_medium(g);
+  EXPECT_GT(expect_sparse_matches_dense(graph_medium, g, 24, 503), 0u);
+  radio::GraphInterferenceModel jammed_graph(g);
+  jammed_graph.set_disturbance(&jammed);
+  EXPECT_GT(expect_sparse_matches_dense(jammed_graph, g, 24, 504), 0u);
 }
 
 TEST(FieldEquivalence, PlainSinrModelMatchesNaiveAcrossSeeds) {

@@ -4,6 +4,7 @@
 // unprofiled run on every medium (wall time never leaks into artifacts).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -152,9 +153,9 @@ TEST(Profiler, ConcurrentRecordIsLossless) {
 
 // --- the determinism guarantee ----------------------------------------------
 
-core::MwRunResult run_once(const graph::UnitDiskGraph& g,
-                           const core::MwRunConfig& cfg, bool profiled,
-                           bool expect_field_accum = false) {
+core::MwRunResult run_once(
+    const graph::UnitDiskGraph& g, const core::MwRunConfig& cfg,
+    bool profiled, std::optional<obs::Phase> expect_resolve = std::nullopt) {
   core::MwInstance instance(g, cfg);
   obs::RunObservation observation;
   if (profiled) {
@@ -167,11 +168,12 @@ core::MwRunResult run_once(const graph::UnitDiskGraph& g,
     EXPECT_GT(observation.profiler->recorded(), 0u);
     EXPECT_GT(observation.profiler->stats(obs::Phase::kSlot).count, 0u);
     EXPECT_GT(observation.profiler->stats(obs::Phase::kRun).count, 0u);
-    if (expect_field_accum) {
-      // The SINR media route through FieldEngine — the per-shard scope must
-      // still fire when a profiler is attached.
-      EXPECT_GT(observation.profiler->stats(obs::Phase::kFieldAccum).count,
-                0u);
+    if (expect_resolve.has_value()) {
+      // The SINR media's resolve kernel opens its own scope — kNaiveResolve
+      // for the naive oracle, one kFieldAccum per FieldEngine shard — and it
+      // must still fire when a profiler is attached.
+      EXPECT_GT(observation.profiler->stats(*expect_resolve).count, 0u)
+          << obs::to_string(*expect_resolve);
     }
   }
   return result;
@@ -196,10 +198,23 @@ TEST(ProfiledDeterminism, ResultsAreByteIdenticalOnAllMedia) {
     cfg.seed = 77;
     cfg.graph_model = medium.graph_model;
     if (medium.fading) cfg.fading.kind = sinr::FadingKind::kLogNormal;
-    const auto plain = run_once(g, cfg, /*profiled=*/false);
-    const auto profiled = run_once(g, cfg, /*profiled=*/true,
-                                   /*expect_field_accum=*/!medium.graph_model);
-    EXPECT_EQ(core::to_json(plain), core::to_json(profiled)) << medium.name;
+    for (const sinr::ResolveKind kind :
+         {sinr::ResolveKind::kNaive, sinr::ResolveKind::kField,
+          sinr::ResolveKind::kSimd}) {
+      cfg.resolve = kind;
+      // Each SINR kind opens its own resolve scope; the graph medium ignores
+      // the kind and opens none.
+      std::optional<obs::Phase> resolve_phase;
+      if (!medium.graph_model) {
+        resolve_phase = kind == sinr::ResolveKind::kNaive
+                            ? obs::Phase::kNaiveResolve
+                            : obs::Phase::kFieldAccum;
+      }
+      const auto plain = run_once(g, cfg, /*profiled=*/false);
+      const auto profiled = run_once(g, cfg, /*profiled=*/true, resolve_phase);
+      EXPECT_EQ(core::to_json(plain), core::to_json(profiled))
+          << medium.name << " " << sinr::to_string(kind);
+    }
   }
 }
 

@@ -182,8 +182,9 @@ void print_fault_summary(const radio::RunMetrics& metrics,
 
 int cmd_params(const common::Cli& cli) {
   core::MwConfig cfg;
-  cfg.n = static_cast<std::size_t>(cli.get_int("n", 256));
-  cfg.max_degree = static_cast<std::size_t>(cli.get_int("delta", 16));
+  cfg.n = static_cast<std::size_t>(cli.get_int_at_least("n", 256, 1));
+  cfg.max_degree =
+      static_cast<std::size_t>(cli.get_int_at_least("delta", 16, 1));
   cfg.phys.alpha = cli.get_double("alpha", 4.0);
   cfg.phys.beta = cli.get_double("beta", 1.5);
   cfg.phys.rho = cli.get_double("rho", 1.5);
