@@ -23,8 +23,9 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 200));
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 3));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 200, 1));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 3, 1));
   cli.reject_unknown();
 
   bench::print_experiment_header(
@@ -85,9 +86,10 @@ int main(int argc, char** argv) {
               "TDMA serves all neighbors of a sender in ONE slot, which is "
               "why it beats per-link scheduling on broadcast workloads.\n");
 
+  const double tdma = tdma_slots.mean();
   const bool ok = link_feasible == seeds && aloha_done == seeds &&
-                  csma_done == seeds &&
-                  tdma_slots.mean() < aloha_slots.mean();
+                  csma_done == seeds && tdma < link_slots.mean() &&
+                  tdma < aloha_slots.mean() && tdma < csma_slots.mean();
   return bench::print_verdict(
       ok,
       "all mechanisms complete; the paper's TDMA needs the fewest slots and "

@@ -22,7 +22,8 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 2));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 2, 1));
   cli.reject_unknown();
 
   bench::print_experiment_header(

@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 2));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 2, 1));
   const bool protocol_coloring = cli.get_bool("protocol-coloring", true);
   cli.reject_unknown();
 

@@ -4,7 +4,8 @@
 // until every (sender, neighbor) pair has been served. Contrasts with the
 // coloring-based TDMA MAC (deterministic V-slot frames, Theorem 3): ALOHA
 // needs Θ(Δ log n / (p·e^{-Θ(pΔ)})) slots in expectation and gives only
-// probabilistic guarantees.
+// probabilistic guarantees. Implemented with the other local-broadcast
+// runners in local_broadcast.cpp, over one serve loop.
 #pragma once
 
 #include <cstdint>

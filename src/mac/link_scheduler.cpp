@@ -1,11 +1,9 @@
 #include "mac/link_scheduler.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "common/check.h"
-#include "radio/interference_model.h"
-#include "sinr/medium_field.h"
+#include "mac/slot_step.h"
 #include "sinr/reception.h"
 
 namespace sinrcolor::mac {
@@ -105,19 +103,22 @@ std::size_t count_infeasible_links(const graph::UnitDiskGraph& g,
                                    const std::vector<LinkRequest>& requests,
                                    const LinkSchedule& schedule) {
   SINRCOLOR_CHECK(schedule.slot_of.size() == requests.size());
+  const radio::SinrInterferenceModel medium(g, phys);
+  SlotStep step(g, medium);
   std::size_t bad = 0;
+  std::vector<std::size_t> members;
+  std::vector<graph::NodeId> senders;
   for (std::uint32_t s = 0; s < schedule.slots; ++s) {
-    std::vector<sinr::Transmitter> txs;
-    std::vector<std::size_t> members;
+    members.clear();
+    senders.clear();
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      if (schedule.slot_of[i] == s) {
-        members.push_back(i);
-        txs.push_back({g.position(requests[i].sender)});
-      }
+      if (schedule.slot_of[i] != s) continue;
+      members.push_back(i);
+      senders.push_back(requests[i].sender);
     }
-    for (std::size_t k = 0; k < members.size(); ++k) {
-      const auto& link = requests[members[k]];
-      if (!sinr::decodes(phys, g.position(link.receiver), txs, k)) ++bad;
+    step.resolve(s, senders);
+    for (std::size_t i : members) {
+      bad += !step.heard(requests[i].receiver, requests[i].sender);
     }
   }
   return bad;

@@ -40,8 +40,10 @@ LinkSchedule greedy_link_schedule(const graph::UnitDiskGraph& g,
                                   const sinr::SinrParams& phys,
                                   const std::vector<LinkRequest>& requests);
 
-/// Verifies feasibility: for every slot, every scheduled link decodes under
-/// the full SINR condition. Returns the number of infeasible links (0 = ok).
+/// Verifies feasibility: every slot resolves through the SINR medium with
+/// all its links' senders transmitting, and a link is feasible iff its
+/// receiver decodes its sender (a receiver that also transmits in the slot
+/// cannot). Returns the number of infeasible links (0 = ok).
 std::size_t count_infeasible_links(const graph::UnitDiskGraph& g,
                                    const sinr::SinrParams& phys,
                                    const std::vector<LinkRequest>& requests,

@@ -45,49 +45,20 @@ ExecutionResult run_reference(
     std::vector<std::unique_ptr<UniformAlgorithm>>& nodes,
     std::uint32_t max_rounds) {
   SINRCOLOR_CHECK(nodes.size() == g.size());
-  ExecutionResult result;
-  std::vector<std::optional<Payload>> outbox(g.size());
-  std::vector<Inbox> inbox(g.size());
-
-  for (std::uint32_t round = 0; round < max_rounds; ++round) {
-    bool done = true;
-    for (const auto& node : nodes) {
-      if (!node->terminated()) {
-        done = false;
-        break;
-      }
-    }
-    if (done) {
-      result.all_terminated = true;
-      break;
-    }
-    result.rounds = round + 1;
-
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      outbox[v] = nodes[v]->round_message(round);
-      if (outbox[v].has_value()) ++result.messages_sent;
-      inbox[v].messages.clear();
-    }
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      if (!outbox[v].has_value()) continue;
-      for (graph::NodeId u : g.neighbors(v)) {
-        inbox[u].messages.emplace_back(v, *outbox[v]);
-        ++result.deliveries;
-      }
-    }
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      // Neighbor lists are scanned in ascending sender order, so inboxes are
-      // already sorted by sender id.
-      nodes[v]->end_round(round, inbox[v]);
-    }
-  }
-
-  if (!result.all_terminated) {
-    result.all_terminated =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-  }
-  return result;
+  return run_rounds(
+      nodes, max_rounds,
+      [&](std::uint32_t round, ExecutionResult& result,
+          std::vector<Inbox>& inbox) {
+        for (graph::NodeId v = 0; v < g.size(); ++v) {
+          const auto message = nodes[v]->round_message(round);
+          if (!message.has_value()) continue;
+          ++result.messages_sent;
+          for (graph::NodeId u : g.neighbors(v)) {
+            inbox[u].messages.emplace_back(v, *message);
+            ++result.deliveries;
+          }
+        }
+      });
 }
 
 std::vector<std::unique_ptr<GeneralAlgorithm>> instantiate_general(
@@ -107,42 +78,20 @@ ExecutionResult run_reference_general(
     std::vector<std::unique_ptr<GeneralAlgorithm>>& nodes,
     std::uint32_t max_rounds) {
   SINRCOLOR_CHECK(nodes.size() == g.size());
-  ExecutionResult result;
-  std::vector<Inbox> inbox(g.size());
-
-  for (std::uint32_t round = 0; round < max_rounds; ++round) {
-    const bool done =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-    if (done) {
-      result.all_terminated = true;
-      break;
-    }
-    result.rounds = round + 1;
-
-    for (auto& box : inbox) box.messages.clear();
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      for (auto& [target, payload] : nodes[v]->round_messages(round)) {
-        SINRCOLOR_CHECK_MSG(g.adjacent(v, target),
-                            "general-model message to a non-neighbor");
-        ++result.messages_sent;
-        ++result.deliveries;
-        inbox[target].messages.emplace_back(v, std::move(payload));
-      }
-    }
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      std::sort(inbox[v].messages.begin(), inbox[v].messages.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      nodes[v]->end_round(round, inbox[v]);
-    }
-  }
-
-  if (!result.all_terminated) {
-    result.all_terminated =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-  }
-  return result;
+  return run_rounds(
+      nodes, max_rounds,
+      [&](std::uint32_t round, ExecutionResult& result,
+          std::vector<Inbox>& inbox) {
+        for (graph::NodeId v = 0; v < g.size(); ++v) {
+          for (auto& [target, payload] : nodes[v]->round_messages(round)) {
+            SINRCOLOR_CHECK_MSG(g.adjacent(v, target),
+                                "general-model message to a non-neighbor");
+            ++result.messages_sent;
+            ++result.deliveries;
+            inbox[target].messages.emplace_back(v, std::move(payload));
+          }
+        }
+      });
 }
 
 }  // namespace sinrcolor::mac

@@ -8,6 +8,7 @@
 // whose outputs the SINR simulation must reproduce bit-for-bit.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -89,6 +90,37 @@ struct ExecutionResult {
 
   std::string summary() const;
 };
+
+/// The round structure every executor shares, ideal or over a TDMA MAC:
+/// until every node has terminated or `max_rounds`, round_body(round,
+/// result, inbox) sends the round's messages into the cleared inboxes; each
+/// node then ends the round with its inbox sorted by sender.
+template <typename Node, typename RoundBody>
+ExecutionResult run_rounds(std::vector<std::unique_ptr<Node>>& nodes,
+                           std::uint32_t max_rounds, RoundBody&& round_body) {
+  const auto all_terminated = [&nodes] {
+    return std::all_of(nodes.begin(), nodes.end(),
+                       [](const auto& node) { return node->terminated(); });
+  };
+  ExecutionResult result;
+  std::vector<Inbox> inbox(nodes.size());
+  for (std::uint32_t round = 0; round < max_rounds; ++round) {
+    if (all_terminated()) {
+      result.all_terminated = true;
+      break;
+    }
+    result.rounds = round + 1;
+    for (Inbox& box : inbox) box.messages.clear();
+    round_body(round, result, inbox);
+    for (std::size_t v = 0; v < nodes.size(); ++v) {
+      std::sort(inbox[v].messages.begin(), inbox[v].messages.end(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+      nodes[v]->end_round(round, inbox[v]);
+    }
+  }
+  if (!result.all_terminated) result.all_terminated = all_terminated();
+  return result;
+}
 
 /// Builds one algorithm instance per node.
 std::vector<std::unique_ptr<UniformAlgorithm>> instantiate(

@@ -1,13 +1,9 @@
 #include "mac/palette_reduction.h"
 
-#include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "common/check.h"
-#include "radio/interference_model.h"
-#include "sinr/medium_field.h"
-#include "sinr/reception.h"
+#include "mac/slot_step.h"
 
 namespace sinrcolor::mac {
 namespace {
@@ -27,40 +23,29 @@ PaletteReductionResult reduce_palette_sinr(const graph::UnitDiskGraph& g,
                                            const sinr::SinrParams& phys,
                                            const TdmaSchedule& schedule,
                                            std::size_t max_degree_bound) {
-  SINRCOLOR_CHECK(schedule.size() == g.size());
   SINRCOLOR_CHECK(max_degree_bound >= g.max_degree());
-  phys.validate();
-  radio::check_radius_matches_phys(g, phys);
+  const radio::SinrInterferenceModel medium(g, phys);
+  FrameLoop loop(g, medium, schedule);
 
   PaletteReductionResult result;
-  result.reduced.color.assign(g.size(), graph::kUncolored);
+  auto& color = result.reduced.color;
+  color.assign(g.size(), graph::kUncolored);
   // taken[v][c]: some neighbor of v announced new color c.
   std::vector<std::vector<bool>> taken(
       g.size(), std::vector<bool>(max_degree_bound + 1, false));
+  // A sender picks its color as its slot opens; a neighbor that decodes the
+  // announcement marks that color taken.
+  loop.run_frame(
+      [&](graph::NodeId v) {
+        color[v] = smallest_free_color(taken[v]);
+        return true;
+      },
+      [&](graph::NodeId v, graph::NodeId u, bool delivered) {
+        if (delivered) taken[u][static_cast<std::size_t>(color[v])] = true;
+      });
 
-  for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-    result.slots_used += 1;
-    const auto senders = schedule.nodes_in_slot(t);
-    std::vector<sinr::Transmitter> txs;
-    txs.reserve(senders.size());
-    for (graph::NodeId v : senders) {
-      result.reduced.color[v] = smallest_free_color(taken[v]);
-      txs.push_back({g.position(v)});
-    }
-    for (std::size_t i = 0; i < senders.size(); ++i) {
-      const graph::NodeId v = senders[i];
-      const auto announced = static_cast<std::size_t>(result.reduced.color[v]);
-      for (graph::NodeId u : g.neighbors(v)) {
-        const bool u_silent = schedule.slot_of(u) != t;
-        if (u_silent && sinr::decodes(phys, g.position(u), txs, i)) {
-          taken[u][announced] = true;
-        } else {
-          ++result.missed_deliveries;
-        }
-      }
-    }
-  }
-
+  result.slots_used = loop.slots();
+  result.missed_deliveries = loop.missed();
   result.palette = result.reduced.palette_size();
   result.valid = graph::is_valid_coloring(g, result.reduced);
   return result;
@@ -76,7 +61,7 @@ graph::Coloring reduce_palette_reference(const graph::UnitDiskGraph& g,
   std::vector<std::vector<bool>> taken(
       g.size(), std::vector<bool>(max_degree_bound + 1, false));
   for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-    for (graph::NodeId v : schedule.nodes_in_slot(t)) {
+    for (graph::NodeId v : schedule.members(t)) {
       reduced.color[v] = smallest_free_color(taken[v]);
       for (graph::NodeId u : g.neighbors(v)) {
         taken[u][static_cast<std::size_t>(reduced.color[v])] = true;

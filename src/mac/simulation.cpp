@@ -3,33 +3,9 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "radio/interference_model.h"
-#include "sinr/medium_field.h"
-#include "sinr/reception.h"
+#include "mac/slot_step.h"
 
 namespace sinrcolor::mac {
-
-namespace {
-
-obs::Histogram* mac_concurrent_tx_hist(obs::RunObservation* observation) {
-  if (observation == nullptr) return nullptr;
-  return &observation->metrics.histogram(
-      "mac.concurrent_tx_per_slot",
-      {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
-}
-
-void record_mac_totals(obs::RunObservation* observation,
-                       const ExecutionResult& result) {
-  if (observation == nullptr) return;
-  auto& m = observation->metrics;
-  m.counter("mac.rounds").add(result.rounds);
-  m.counter("mac.slots").add(static_cast<std::uint64_t>(result.slots_used));
-  m.counter("mac.messages_sent").add(result.messages_sent);
-  m.counter("mac.deliveries").add(result.deliveries);
-  m.counter("mac.missed_deliveries").add(result.missed_deliveries);
-}
-
-}  // namespace
 
 ExecutionResult run_over_sinr_tdma(
     const graph::UnitDiskGraph& g, const sinr::SinrParams& phys,
@@ -37,89 +13,28 @@ ExecutionResult run_over_sinr_tdma(
     std::vector<std::unique_ptr<UniformAlgorithm>>& nodes,
     std::uint32_t max_rounds, obs::RunObservation* observation) {
   SINRCOLOR_CHECK(nodes.size() == g.size());
-  SINRCOLOR_CHECK(schedule.size() == g.size());
-  phys.validate();
-  radio::check_radius_matches_phys(g, phys);
-
-  // Precompute slot membership once; it is static across rounds.
-  std::vector<std::vector<graph::NodeId>> by_slot(schedule.frame_length());
-  for (graph::NodeId v = 0; v < g.size(); ++v) {
-    by_slot[schedule.slot_of(v)].push_back(v);
-  }
-
-  ExecutionResult result;
+  const radio::SinrInterferenceModel medium(g, phys);
+  FrameLoop frames(g, medium, schedule, observation);
   std::vector<std::optional<Payload>> outbox(g.size());
-  std::vector<Inbox> inbox(g.size());
-
-  for (std::uint32_t round = 0; round < max_rounds; ++round) {
-    bool done = std::all_of(nodes.begin(), nodes.end(), [](const auto& node) {
-      return node->terminated();
-    });
-    if (done) {
-      result.all_terminated = true;
-      break;
-    }
-    result.rounds = round + 1;
-
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      outbox[v] = nodes[v]->round_message(round);
-      if (outbox[v].has_value()) ++result.messages_sent;
-      inbox[v].messages.clear();
-    }
-
-    // One TDMA frame: frame slot t carries the messages of color class t.
-    obs::Tracer* const tracer =
-        observation != nullptr ? &observation->trace : nullptr;
-    obs::Histogram* const tx_hist = mac_concurrent_tx_hist(observation);
-    for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-      const auto slot = static_cast<obs::Slot>(result.slots_used);
-      result.slots_used += 1;
-      std::vector<sinr::Transmitter> txs;
-      std::vector<graph::NodeId> senders;
-      for (graph::NodeId v : by_slot[t]) {
-        if (outbox[v].has_value()) {
-          senders.push_back(v);
-          txs.push_back({g.position(v)});
-          SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kTx, v);
+  auto run = run_rounds(
+      nodes, max_rounds,
+      [&](std::uint32_t round, ExecutionResult& result,
+          std::vector<Inbox>& inbox) {
+        for (graph::NodeId v = 0; v < g.size(); ++v) {
+          outbox[v] = nodes[v]->round_message(round);
+          if (outbox[v].has_value()) ++result.messages_sent;
         }
-      }
-      if (tx_hist != nullptr) {
-        tx_hist->record(static_cast<double>(senders.size()));
-      }
-      if (senders.empty()) continue;
-      for (std::size_t i = 0; i < senders.size(); ++i) {
-        const graph::NodeId v = senders[i];
-        for (graph::NodeId u : g.neighbors(v)) {
-          const bool u_silent =
-              schedule.slot_of(u) != t || !outbox[u].has_value();
-          if (u_silent && sinr::decodes(phys, g.position(u), txs, i)) {
-            inbox[u].messages.emplace_back(v, *outbox[v]);
-            ++result.deliveries;
-            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDelivery, u, v);
-          } else {
-            ++result.missed_deliveries;
-            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDrop, u, v, 1);
-          }
-        }
-      }
-    }
-
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      // Frame slots deliver in arbitrary sender order; sort per round so the
-      // inbox matches the reference executor bit-for-bit.
-      std::sort(inbox[v].messages.begin(), inbox[v].messages.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      nodes[v]->end_round(round, inbox[v]);
-    }
-  }
-
-  if (!result.all_terminated) {
-    result.all_terminated =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-  }
-  record_mac_totals(observation, result);
-  return result;
+        // One TDMA frame: frame slot t carries the messages of class t.
+        frames.run_frame(
+            [&](graph::NodeId v) { return outbox[v].has_value(); },
+            [&](graph::NodeId v, graph::NodeId u, bool delivered) {
+              if (!delivered) return;
+              inbox[u].messages.emplace_back(v, *outbox[v]);
+              ++result.deliveries;
+            });
+      });
+  frames.finish(run);
+  return run;
 }
 
 ExecutionResult run_general_over_sinr_tdma(
@@ -129,124 +44,56 @@ ExecutionResult run_general_over_sinr_tdma(
     std::uint32_t max_rounds, GeneralStrategy strategy,
     obs::RunObservation* observation) {
   SINRCOLOR_CHECK(nodes.size() == g.size());
-  SINRCOLOR_CHECK(schedule.size() == g.size());
-  phys.validate();
-  radio::check_radius_matches_phys(g, phys);
-
-  std::vector<std::vector<graph::NodeId>> by_slot(schedule.frame_length());
-  for (graph::NodeId v = 0; v < g.size(); ++v) {
-    by_slot[schedule.slot_of(v)].push_back(v);
-  }
-
-  ExecutionResult result;
+  const radio::SinrInterferenceModel medium(g, phys);
+  FrameLoop frames(g, medium, schedule, observation);
   std::vector<std::vector<std::pair<graph::NodeId, Payload>>> outbox(g.size());
-  std::vector<Inbox> inbox(g.size());
-
-  // Runs one TDMA frame in which `sending(v)` says whether v transmits and
-  // `deliver(sender, neighbor)` handles a successful physical delivery.
-  obs::Tracer* const tracer =
-      observation != nullptr ? &observation->trace : nullptr;
-  obs::Histogram* const tx_hist = mac_concurrent_tx_hist(observation);
-  auto run_frame = [&](auto&& sending, auto&& deliver) {
-    for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
-      const auto slot = static_cast<obs::Slot>(result.slots_used);
-      result.slots_used += 1;
-      std::vector<sinr::Transmitter> txs;
-      std::vector<graph::NodeId> senders;
-      for (graph::NodeId v : by_slot[t]) {
-        if (sending(v)) {
-          senders.push_back(v);
-          txs.push_back({g.position(v)});
-          SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kTx, v);
+  auto run = run_rounds(
+      nodes, max_rounds,
+      [&](std::uint32_t round, ExecutionResult& result,
+          std::vector<Inbox>& inbox) {
+        std::size_t max_out = 0;
+        for (graph::NodeId v = 0; v < g.size(); ++v) {
+          outbox[v] = nodes[v]->round_messages(round);
+          for (const auto& entry : outbox[v]) {
+            SINRCOLOR_CHECK_MSG(g.adjacent(v, entry.first),
+                                "general-model message to a non-neighbor");
+          }
+          result.messages_sent += outbox[v].size();
+          max_out = std::max(max_out, outbox[v].size());
         }
-      }
-      if (tx_hist != nullptr) {
-        tx_hist->record(static_cast<double>(senders.size()));
-      }
-      if (senders.empty()) continue;
-      for (std::size_t i = 0; i < senders.size(); ++i) {
-        const graph::NodeId v = senders[i];
-        for (graph::NodeId u : g.neighbors(v)) {
-          const bool u_silent = schedule.slot_of(u) != t || !sending(u);
-          if (u_silent && sinr::decodes(phys, g.position(u), txs, i)) {
-            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDelivery, u, v);
-            deliver(v, u);
-          } else {
-            ++result.missed_deliveries;
-            SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDrop, u, v, 1);
+        // A receiver keeps only the entries addressed to it; a physical
+        // delivery with none still counts as delivered, not missed.
+        const auto keep = [&](graph::NodeId v, graph::NodeId u,
+                              const std::pair<graph::NodeId, Payload>& entry) {
+          if (entry.first != u) return;
+          inbox[u].messages.emplace_back(v, entry.second);
+          ++result.deliveries;
+        };
+        if (strategy == GeneralStrategy::kBundled) {
+          result.max_bundle_entries =
+              std::max(result.max_bundle_entries, max_out);
+          // One frame; each broadcast carries the sender's whole bundle.
+          frames.run_frame(
+              [&](graph::NodeId v) { return !outbox[v].empty(); },
+              [&](graph::NodeId v, graph::NodeId u, bool delivered) {
+                if (!delivered) return;
+                for (const auto& entry : outbox[v]) keep(v, u, entry);
+              });
+        } else {
+          // One frame per outgoing-message index: sub-frame k carries every
+          // node's k-th message, so a round in which no node sends runs no
+          // frame and costs no slot.
+          for (std::size_t k = 0; k < max_out; ++k) {
+            frames.run_frame(
+                [&](graph::NodeId v) { return outbox[v].size() > k; },
+                [&](graph::NodeId v, graph::NodeId u, bool delivered) {
+                  if (delivered) keep(v, u, outbox[v][k]);
+                });
           }
         }
-      }
-    }
-  };
-
-  for (std::uint32_t round = 0; round < max_rounds; ++round) {
-    const bool done =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-    if (done) {
-      result.all_terminated = true;
-      break;
-    }
-    result.rounds = round + 1;
-
-    std::size_t max_out = 0;
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      outbox[v] = nodes[v]->round_messages(round);
-      for (const auto& [target, payload] : outbox[v]) {
-        (void)payload;
-        SINRCOLOR_CHECK_MSG(g.adjacent(v, target),
-                            "general-model message to a non-neighbor");
-      }
-      result.messages_sent += outbox[v].size();
-      max_out = std::max(max_out, outbox[v].size());
-      inbox[v].messages.clear();
-    }
-
-    if (strategy == GeneralStrategy::kBundled) {
-      result.max_bundle_entries = std::max(result.max_bundle_entries, max_out);
-      // One frame; the broadcast carries the whole bundle, the receiver
-      // extracts entries addressed to it (possibly none — an empty extract
-      // still counts as a physical delivery, not a miss).
-      run_frame([&](graph::NodeId v) { return !outbox[v].empty(); },
-                [&](graph::NodeId v, graph::NodeId u) {
-                  for (const auto& [target, payload] : outbox[v]) {
-                    if (target == u) {
-                      inbox[u].messages.emplace_back(v, payload);
-                      ++result.deliveries;
-                    }
-                  }
-                });
-    } else {
-      // One frame per outgoing-message index: sub-frame k carries every
-      // node's k-th message. Receivers keep only entries addressed to them.
-      for (std::size_t k = 0; k < max_out; ++k) {
-        run_frame(
-            [&](graph::NodeId v) { return outbox[v].size() > k; },
-            [&](graph::NodeId v, graph::NodeId u) {
-              const auto& [target, payload] = outbox[v][k];
-              if (target == u) {
-                inbox[u].messages.emplace_back(v, payload);
-                ++result.deliveries;
-              }
-            });
-      }
-    }
-
-    for (graph::NodeId v = 0; v < g.size(); ++v) {
-      std::sort(inbox[v].messages.begin(), inbox[v].messages.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
-      nodes[v]->end_round(round, inbox[v]);
-    }
-  }
-
-  if (!result.all_terminated) {
-    result.all_terminated =
-        std::all_of(nodes.begin(), nodes.end(),
-                    [](const auto& node) { return node->terminated(); });
-  }
-  record_mac_totals(observation, result);
-  return result;
+      });
+  frames.finish(run);
+  return run;
 }
 
 }  // namespace sinrcolor::mac

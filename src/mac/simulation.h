@@ -15,8 +15,8 @@
 
 namespace sinrcolor::mac {
 
-/// Executes `nodes` under SINR with the given TDMA schedule. Deliveries are
-/// resolved with the full physical model each slot, so an insufficient
+/// Executes `nodes` under SINR with the given TDMA schedule. Every frame
+/// slot resolves through the SINR medium (mac/slot_step.h), so an insufficient
 /// coloring (e.g. distance-2) degrades outputs measurably instead of
 /// aborting: failed (sender, neighbor) deliveries are counted in
 /// `missed_deliveries` and the affected inbox entries are simply absent.

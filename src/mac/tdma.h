@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,16 +27,23 @@ class TdmaSchedule {
   /// palette is compacted so the frame has exactly palette_size() slots.
   static TdmaSchedule from_coloring(const graph::Coloring& coloring);
 
-  std::uint32_t frame_length() const { return frame_length_; }
+  std::uint32_t frame_length() const {
+    return static_cast<std::uint32_t>(offsets_.size() - 1);
+  }
   std::uint32_t slot_of(graph::NodeId v) const { return slot_[v]; }
   std::size_t size() const { return slot_.size(); }
 
-  /// Nodes transmitting in frame slot t (sorted by id).
-  std::vector<graph::NodeId> nodes_in_slot(std::uint32_t t) const;
+  /// Nodes transmitting in frame slot t, sorted by id.
+  std::span<const graph::NodeId> members(std::uint32_t t) const {
+    return std::span<const graph::NodeId>(members_)
+        .subspan(offsets_[t], offsets_[t + 1] - offsets_[t]);
+  }
 
  private:
   std::vector<std::uint32_t> slot_;
-  std::uint32_t frame_length_ = 0;
+  /// Class t is members_[offsets_[t], offsets_[t + 1]), computed once.
+  std::vector<graph::NodeId> members_;
+  std::vector<std::size_t> offsets_{0};
 };
 
 /// Result of auditing one full frame in which every node broadcasts once.

@@ -1,10 +1,8 @@
-// Per-listener reception under the SINR rule.
-//
-// Given the positions of this slot's transmitters and a listener, decide
-// which (unique, since β ≥ 1) transmitter it decodes, if any, subject to the
-// paper's extra gate δ(u,v) ≤ R_T. This is the rule stated for one listener;
-// the slot-level SINR medium (radio/interference_model.h) evaluates it in
-// bulk and is held to this oracle (tests/field_equivalence_test.cpp).
+// Per-link and per-listener reception under the SINR rule, with the paper's
+// extra gate δ(u,v) ≤ R_T and the medium's test s ≥ β·(N + I). Every slot
+// loop resolves through the slot-level SINR medium
+// (radio/interference_model.h) instead, which is held to these oracles
+// (tests/field_equivalence_test.cpp, tests/mac_test.cpp).
 #pragma once
 
 #include <cstddef>
@@ -18,7 +16,8 @@
 namespace sinrcolor::sinr {
 
 /// True iff listener at `at` decodes transmitters[sender] under SINR and the
-/// range gate δ ≤ R_T.
+/// range gate δ ≤ R_T: the per-link what-if test of a transmitter set
+/// (mac::greedy_link_schedule's feasibility check).
 bool decodes(const SinrParams& params, const geometry::Point& at,
              std::span<const Transmitter> transmitters, std::size_t sender);
 

@@ -217,6 +217,55 @@ TEST(GeneralSimulation, SlotAccountingByStrategy) {
   EXPECT_EQ(sequential.max_bundle_entries, 0u);
 }
 
+// Silent in round 0; in round 1 one message to its lowest neighbor; done
+// after round 1.
+class LateSender final : public GeneralAlgorithm {
+ public:
+  LateSender(graph::NodeId id, const graph::UnitDiskGraph& g)
+      : id_(id), neighbors_(g.neighbors(id).begin(), g.neighbors(id).end()) {}
+
+  std::vector<std::pair<graph::NodeId, Payload>> round_messages(
+      std::uint32_t round) override {
+    if (round != 1 || neighbors_.empty()) return {};
+    return {{neighbors_.front(), {static_cast<std::int64_t>(id_)}}};
+  }
+  void end_round(std::uint32_t round, const Inbox& /*inbox*/) override {
+    rounds_done_ = round + 1;
+  }
+  bool terminated() const override { return rounds_done_ >= 2; }
+
+ private:
+  graph::NodeId id_;
+  std::vector<graph::NodeId> neighbors_;
+  std::uint32_t rounds_done_ = 0;
+};
+
+TEST(GeneralSimulation, SilentRoundCostsNoSequentialSlot) {
+  const auto g = uniform_graph(80, 3.0, 86);
+  const auto phys = phys_for_radius(1.0);
+  const auto schedule = theorem3_schedule(g, phys);
+  const auto frame = static_cast<radio::Slot>(schedule.frame_length());
+  auto make = [](graph::NodeId v,
+                 const auto& graph) -> std::unique_ptr<GeneralAlgorithm> {
+    return std::make_unique<LateSender>(v, graph);
+  };
+  auto sequential_nodes = instantiate_general(g, make);
+  auto bundled_nodes = instantiate_general(g, make);
+  const auto sequential = run_general_over_sinr_tdma(
+      g, phys, schedule, sequential_nodes, 10, GeneralStrategy::kSequential);
+  const auto bundled = run_general_over_sinr_tdma(
+      g, phys, schedule, bundled_nodes, 10, GeneralStrategy::kBundled);
+
+  ASSERT_EQ(sequential.rounds, 2u);
+  ASSERT_EQ(bundled.rounds, 2u);
+  // Sequential: the silent round 0 runs no sub-frame, round 1 runs one.
+  EXPECT_EQ(sequential.slots_used, frame);
+  // Bundled: a full frame for every round, silent or not.
+  EXPECT_EQ(bundled.slots_used, 2 * frame);
+  EXPECT_EQ(sequential.missed_deliveries, 0u);
+  EXPECT_EQ(sequential.deliveries, sequential.messages_sent);
+}
+
 TEST(GeneralSimulation, BundleFactorReflectsFanout) {
   // Round 0 of TreeAggregation: every non-root sends one CHILD message, so
   // bundles have exactly one entry; RandomizedMatching's announce round sends

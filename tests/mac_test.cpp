@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
 #include "baseline/greedy_coloring.h"
+#include "baseline/local_broadcast.h"
 #include "common/rng.h"
 #include "geometry/deployment.h"
 #include "graph/graph_algos.h"
@@ -13,7 +15,9 @@
 #include "mac/message_passing.h"
 #include "mac/palette_reduction.h"
 #include "mac/simulation.h"
+#include "mac/slot_step.h"
 #include "mac/tdma.h"
+#include "sinr/reception.h"
 
 namespace sinrcolor::mac {
 namespace {
@@ -38,7 +42,136 @@ TEST(TdmaSchedule, CompactsSparsePalette) {
   EXPECT_EQ(schedule.slot_of(1), 1u);
   EXPECT_EQ(schedule.slot_of(2), 1u);
   EXPECT_EQ(schedule.slot_of(3), 2u);
-  EXPECT_EQ(schedule.nodes_in_slot(1), (std::vector<graph::NodeId>{1, 2}));
+  const auto members = schedule.members(1);
+  EXPECT_EQ(std::vector<graph::NodeId>(members.begin(), members.end()),
+            (std::vector<graph::NodeId>{1, 2}));
+  EXPECT_EQ(schedule.members(0).size(), 1u);
+  EXPECT_EQ(schedule.members(2).front(), 3u);
+}
+
+/// Pairs a slot step delivered and missed.
+struct PairTally {
+  std::size_t delivered = 0;
+  std::size_t missed = 0;
+};
+
+/// Resolves one slot through `step` and holds every (sender, neighbor)
+/// outcome to the per-pair oracle: a neighbor that is not itself sending
+/// decodes sender i iff sinr::decodes says so.
+PairTally expect_step_matches_oracle(const graph::UnitDiskGraph& g,
+                                     const sinr::SinrParams& phys,
+                                     SlotStep& step, radio::Slot slot,
+                                     std::span<const graph::NodeId> senders) {
+  step.resolve(slot, senders);
+  std::vector<sinr::Transmitter> txs;
+  std::vector<bool> sending(g.size(), false);
+  for (graph::NodeId v : senders) {
+    txs.push_back({g.position(v)});
+    sending[v] = true;
+  }
+  PairTally tally;
+  for (std::size_t i = 0; i < senders.size(); ++i) {
+    const graph::NodeId v = senders[i];
+    for (graph::NodeId u : g.neighbors(v)) {
+      const bool expected =
+          !sending[u] && sinr::decodes(phys, g.position(u), txs, i);
+      EXPECT_EQ(step.heard(u, v), expected)
+          << "slot " << slot << " sender " << v << " neighbor " << u;
+      ++(expected ? tally.delivered : tally.missed);
+    }
+  }
+  return tally;
+}
+
+/// Runs every class of `schedule` through one step against the oracle.
+PairTally step_schedule_against_oracle(const graph::UnitDiskGraph& g,
+                                       const sinr::SinrParams& phys,
+                                       const TdmaSchedule& schedule) {
+  const radio::SinrInterferenceModel medium(g, phys);
+  SlotStep step(g, medium);
+  PairTally total;
+  for (std::uint32_t t = 0; t < schedule.frame_length(); ++t) {
+    const auto tally =
+        expect_step_matches_oracle(g, phys, step, t, schedule.members(t));
+    total.delivered += tally.delivered;
+    total.missed += tally.missed;
+  }
+  return total;
+}
+
+TEST(SlotStep, MatchesPerPairOracleOnTheorem3Schedule) {
+  const auto g = uniform_graph(150, 5.0, 42);
+  const auto phys = phys_for_radius(1.0);
+  const auto schedule = TdmaSchedule::from_coloring(
+      baseline::greedy_distance_d_coloring(g, phys.mac_distance_d() + 1.0));
+  const auto tally = step_schedule_against_oracle(g, phys, schedule);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_EQ(tally.missed, 0u);
+}
+
+TEST(SlotStep, MatchesPerPairOracleOnLossyDistance2Schedule) {
+  const auto g = uniform_graph(220, 4.0, 44);
+  const auto phys = phys_for_radius(1.0);
+  const auto schedule = TdmaSchedule::from_coloring(
+      baseline::greedy_distance_d_coloring(g, 2.0));
+  const auto tally = step_schedule_against_oracle(g, phys, schedule);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_GT(tally.missed, 0u);
+}
+
+TEST(SlotStep, MatchesPerPairOracleOnShuffledSenders) {
+  // CSMA hands the medium its senders in arbitration order, not id order;
+  // the interference sums run in that order on both sides.
+  const auto g = uniform_graph(200, 5.0, 46);
+  const auto phys = phys_for_radius(1.0);
+  const radio::SinrInterferenceModel medium(g, phys);
+  SlotStep step(g, medium);
+  common::Rng rng(7);
+  std::vector<graph::NodeId> senders;
+  for (graph::NodeId v = 0; v < g.size(); ++v) {
+    if (rng.bernoulli(0.15)) senders.push_back(v);
+  }
+  common::shuffle(senders, rng);
+  ASSERT_FALSE(std::is_sorted(senders.begin(), senders.end()));
+  const auto tally = expect_step_matches_oracle(g, phys, step, 0, senders);
+  EXPECT_GT(tally.delivered, 0u);
+  EXPECT_GT(tally.missed, 0u);
+}
+
+TEST(MacDeathTest, EveryRunnerRequiresTheUdgRadiusToBeRt) {
+  // The SINR medium each runner builds pins radius == R_T; a radius-1.0
+  // graph under the physical layer of R_T = 1.5 must die in every runner.
+  const graph::UnitDiskGraph g(geometry::line_deployment(4, 0.5), 1.0);
+  const auto phys = phys_for_radius(1.5);
+  const auto schedule =
+      TdmaSchedule::from_coloring(baseline::greedy_coloring(g));
+  const char* const contract = "UDG radius must equal the physical-layer R_T";
+  EXPECT_DEATH((void)audit_tdma_sinr(g, phys, schedule), contract);
+  EXPECT_DEATH(
+      {
+        auto nodes = instantiate(g, [](graph::NodeId v, const auto&) {
+          return std::make_unique<FloodingBfs>(v, 0);
+        });
+        (void)run_over_sinr_tdma(g, phys, schedule, nodes, 5);
+      },
+      contract);
+  EXPECT_DEATH(
+      {
+        auto nodes = instantiate_general(g, [](graph::NodeId v, const auto& graph) {
+          return std::make_unique<RandomizedMatching>(v, graph, 1);
+        });
+        (void)run_general_over_sinr_tdma(g, phys, schedule, nodes, 5,
+                                         GeneralStrategy::kBundled);
+      },
+      contract);
+  EXPECT_DEATH((void)reduce_palette_sinr(g, phys, schedule, g.max_degree()),
+               contract);
+  EXPECT_DEATH(
+      (void)baseline::run_aloha_local_broadcast(g, phys, 0.1, 100, 1),
+      contract);
+  EXPECT_DEATH(
+      (void)baseline::run_csma_local_broadcast(g, phys, 0.1, 4.0, 100, 1),
+      contract);
 }
 
 TEST(TdmaAudit, Theorem3ColoringIsInterferenceFree) {
