@@ -185,17 +185,13 @@ inline sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
   return kind;
 }
 
-/// Applies `--resolve`, `--threads=N` (the resolve worker count) and
-/// `--slot-threads=N` (the simulator's tiled slot engine — see
-/// docs/ARCHITECTURE.md) to a run config. All three knobs change wall time
-/// only, never results, so harness claims are path-independent. Exits with a
-/// usage error on bad values.
+/// Applies `--resolve` and `--threads=N` (the resolve worker count) to a run
+/// config. Both knobs change wall time only, never results, so harness
+/// claims are path-independent. Exits with a usage error on bad values.
 inline void apply_resolve_flags(const common::Cli& cli,
                                 core::MwRunConfig& cfg) {
   cfg.resolve = resolve_kind_flag(cli);
   cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
-  cfg.slot_threads =
-      static_cast<std::size_t>(cli.get_int_at_least("slot-threads", 1, 1));
 }
 
 /// Peak resident set size of this process in bytes (VmHWM from

@@ -26,8 +26,9 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 300));
-  const auto seeds = static_cast<std::size_t>(cli.get_int("seeds", 4));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 300, 1));
+  const auto seeds =
+      static_cast<std::size_t>(cli.get_int_at_least("seeds", 4, 1));
   const auto base_seed = cli.get_seed("seed", 10);
   const std::size_t threads = bench::sweep_threads(cli);
   cli.reject_unknown();

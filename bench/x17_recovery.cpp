@@ -133,8 +133,9 @@ void add_rows(common::Table& table, const char* scenario, const Tally& baseline,
 
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 200));
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 3));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 200, 1));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 3, 1));
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 

@@ -1,24 +1,19 @@
-// X20 — tiled-slot-engine scale bench (engineering claim, not a paper claim):
-// the simulator's spatially-tiled slot engine must (a) produce BYTE-IDENTICAL
-// run JSON at --slot-threads=1 and --slot-threads=T on every medium
-// (sinr | sinr+fading | graph), (b) keep the slot loop allocation-free in
-// steady state at every size, and (c) complete a million-node run with
-// measured bytes/node — the memory trajectory the SoA/arena layout buys
-// (docs/PERFORMANCE.md, "Tiled slot engine").
+// X20 — scale bench (engineering claim, not a paper claim): the simulator's
+// one sequential slot loop must (a) run every medium (sinr | sinr+fading |
+// graph) to a valid coloring, (b) stay allocation-free in steady state at
+// every size, and (c) complete a million-node run with measured bytes/node —
+// the memory trajectory the SoA/arena layout buys (docs/PERFORMANCE.md,
+// "One slot loop").
 //
-// Two row families:
-//  * convergence rows (--n-list): every medium, run to full convergence at
-//    slot-threads 1 and T; the two reports are compared byte-for-byte and
-//    both passes are timed (slots/sec, speedup = t1/tT).
+// Two row families, each row run and timed once:
+//  * convergence rows (--n-list): every medium, run to full convergence.
 //  * scale rows (--big-n, plain SINR only): slot-count capped (--big-slots) —
 //    at 10^6 nodes the MW listen phase alone spans ⌈σΔ ln n⌉ slots, so these
-//    rows measure ENGINE throughput and bytes/node honestly (all_decided is
-//    expected false and not gated).
+//    rows measure slot-loop throughput and bytes/node honestly (all_decided
+//    is expected false and not gated).
 //
-// Speedup is reported, not gated: on a 1-core host the deterministic tile
-// engine cannot beat the sequential loop (the ordered merge adds work), and
-// the honest number is the point. FAIL only on report divergence, a
-// steady-state allocation (counting builds), or an incomplete run.
+// FAIL on an incomplete convergence row, an invalid coloring, or a
+// steady-state allocation (counting builds).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -29,7 +24,6 @@
 #include "common/cli.h"
 #include "common/table.h"
 #include "core/mw_protocol.h"
-#include "core/report.h"
 
 namespace {
 
@@ -48,7 +42,6 @@ constexpr Medium kMedia[] = {
 };
 
 struct RunOutcome {
-  std::string report;        ///< full run JSON (per-node arrays included)
   std::uint64_t wall_us = 0;
   radio::RunMetrics metrics;
   bool coloring_valid = false;
@@ -59,15 +52,13 @@ struct RunOutcome {
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   const std::string n_list = cli.get("n-list", "1000,4000");
-  const double avg = cli.get_double("avg-degree", 12.0);
+  const double avg = cli.get_double_at_least("avg-degree", 12.0, 1e-9);
   const auto seed = cli.get_seed("seed", 1);
-  const auto slot_threads =
-      static_cast<std::size_t>(cli.get_int_at_least("slot-threads", 4, 2));
-  const auto big_n = static_cast<std::size_t>(cli.get_int("big-n", 0));
+  const auto big_n =
+      static_cast<std::size_t>(cli.get_int_at_least("big-n", 0, 0));
   const auto big_slots =
       static_cast<radio::Slot>(cli.get_int_at_least("big-slots", 64, 1));
   bench::MetricsSidecar sidecar(cli);
-  sidecar.set_threads(slot_threads);
   cli.reject_unknown();
 
   std::vector<std::size_t> sizes;
@@ -77,9 +68,12 @@ int main(int argc, char** argv) {
     const std::string tok =
         n_list.substr(pos, comma == std::string::npos ? std::string::npos
                                                       : comma - pos);
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || v == 0) {
+    // Digits only: strtoul alone would wrap "-5" to a huge node count.
+    const bool digits = !tok.empty() && tok.find_first_not_of("0123456789") ==
+                                            std::string::npos;
+    const unsigned long v =
+        digits ? std::strtoul(tok.c_str(), nullptr, 10) : 0;
+    if (v == 0) {
       std::fprintf(stderr, "bad --n-list entry '%s'\n", tok.c_str());
       return 2;
     }
@@ -89,33 +83,29 @@ int main(int argc, char** argv) {
   }
 
   bench::print_experiment_header(
-      "X20: tiled slot engine at scale",
-      "engineering — slot-threads 1 and T produce byte-identical run JSON on "
-      "every medium, the slot loop stays allocation-free, and a million-node "
-      "run completes with measured bytes/node");
+      "X20: the slot loop at scale",
+      "engineering — every medium runs to a valid coloring, the slot loop "
+      "stays allocation-free, and a million-node run completes with measured "
+      "bytes/node");
 
-  // One full protocol run. The sidecar observation is NEVER attached to
-  // these runs: an attached tracer pins the simulator to the sequential
-  // engine, which would make the threaded pass a no-op — aggregate counters
-  // are recorded into the sidecar registry directly instead.
+  // One full protocol run. The sidecar observation is never attached to
+  // these runs (its tracer would time the trace, not the slot loop);
+  // aggregate counters are recorded into the sidecar registry directly.
   const auto run_once = [&](const Medium& medium, std::size_t n,
-                            std::size_t threads,
                             radio::Slot max_slots) -> RunOutcome {
     const auto g = bench::shared_uniform_graph_with_density(n, avg, seed);
     core::MwRunConfig cfg;
     cfg.seed = seed;
     cfg.graph_model = medium.graph_model;
     if (medium.fading) cfg.fading.kind = sinr::FadingKind::kLogNormal;
-    cfg.slot_threads = threads;
     cfg.max_slots = max_slots;
-    // The incremental Theorem-1 observer scans all n nodes every slot on the
-    // slot-loop thread; validity is still checked once post-run.
+    // The incremental Theorem-1 observer scans all n nodes every slot;
+    // validity is still checked once post-run.
     cfg.check_independence = false;
     RunOutcome out;
     bench::WallTimer timer;
     const core::MwRunResult r = core::run_mw_coloring(*g, cfg);
     out.wall_us = timer.elapsed_us();
-    out.report = core::to_json(r);
     out.metrics = r.metrics;
     out.coloring_valid = r.coloring_valid;
     return out;
@@ -127,56 +117,37 @@ int main(int argc, char** argv) {
                          : 0.0;
   };
 
-  common::Table table({"medium", "n", "slots", "t1_us",
-                       std::string("t") + std::to_string(slot_threads) + "_us",
-                       "speedup", "slots/sec", "bytes/node", "identical",
-                       "decided"});
-  std::size_t mismatches = 0;
+  common::Table table({"medium", "n", "slots", "wall_us", "slots/sec",
+                       "bytes/node", "decided"});
   std::uint64_t slot_allocs = 0;
   std::size_t steady_violations = 0;
   std::size_t incomplete = 0;
   std::size_t invalid_colorings = 0;
   double headline_slots_per_sec = 0.0;
-  double headline_speedup = 0.0;
   double headline_bytes_per_node = 0.0;
   std::size_t n_max = 0;
 
   const auto add_row = [&](const Medium& medium, std::size_t n,
                            radio::Slot max_slots, bool gate_decided) {
-    const RunOutcome t1 = run_once(medium, n, 1, max_slots);
-    const RunOutcome tn = run_once(medium, n, slot_threads, max_slots);
-    const bool identical = t1.report == tn.report;
-    if (!identical) ++mismatches;
-    // Worker-side tile passes reuse pre-reserved buffers; the counter audits
-    // the slot-loop thread, which owns every merge and resolve dispatch.
-    slot_allocs += t1.metrics.slot_heap_allocs + tn.metrics.slot_heap_allocs;
-    if (!t1.metrics.steady_state_alloc_free() ||
-        !tn.metrics.steady_state_alloc_free()) {
-      ++steady_violations;
-    }
+    const RunOutcome run = run_once(medium, n, max_slots);
+    slot_allocs += run.metrics.slot_heap_allocs;
+    if (!run.metrics.steady_state_alloc_free()) ++steady_violations;
     if (gate_decided) {
-      if (!t1.metrics.all_decided || !tn.metrics.all_decided) ++incomplete;
-      if (!t1.coloring_valid || !tn.coloring_valid) ++invalid_colorings;
+      if (!run.metrics.all_decided) ++incomplete;
+      if (!run.coloring_valid) ++invalid_colorings;
     }
-    const double speedup =
-        tn.wall_us > 0 ? static_cast<double>(t1.wall_us) /
-                             static_cast<double>(tn.wall_us)
-                       : 0.0;
-    const double rate = slots_per_sec(tn);
-    const double bpn = tn.metrics.bytes_per_node();
+    const double rate = slots_per_sec(run);
+    const double bpn = run.metrics.bytes_per_node();
     table.add_row(
         {medium.name, common::Table::integer(static_cast<long long>(n)),
          common::Table::integer(
-             static_cast<long long>(tn.metrics.slots_executed)),
-         common::Table::integer(static_cast<long long>(t1.wall_us)),
-         common::Table::integer(static_cast<long long>(tn.wall_us)),
-         common::Table::num(speedup, 2), common::Table::num(rate, 0),
-         common::Table::num(bpn, 0), identical ? "yes" : "NO",
-         tn.metrics.all_decided ? "yes" : "no"});
+             static_cast<long long>(run.metrics.slots_executed)),
+         common::Table::integer(static_cast<long long>(run.wall_us)),
+         common::Table::num(rate, 0), common::Table::num(bpn, 0),
+         run.metrics.all_decided ? "yes" : "no"});
     if (n >= n_max && !medium.graph_model && !medium.fading) {
       n_max = n;
       headline_slots_per_sec = rate;
-      headline_speedup = speedup;
       headline_bytes_per_node = bpn;
     }
   };
@@ -192,12 +163,11 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   const std::uint64_t rss = bench::peak_rss_bytes();
-  std::printf("slot_threads=%zu avg_degree=%.1f seed=%llu peak_rss=%.1f MB\n",
-              slot_threads, avg, static_cast<unsigned long long>(seed),
+  std::printf("avg_degree=%.1f seed=%llu peak_rss=%.1f MB\n", avg,
+              static_cast<unsigned long long>(seed),
               static_cast<double>(rss) / (1024.0 * 1024.0));
-  std::printf("report mismatches: %zu; incomplete converged rows: %zu; "
-              "invalid colorings: %zu\n",
-              mismatches, incomplete, invalid_colorings);
+  std::printf("incomplete converged rows: %zu; invalid colorings: %zu\n",
+              incomplete, invalid_colorings);
   if (common::alloc_counting_enabled()) {
     std::printf("slot-loop allocs: %llu total, %zu rows violating the "
                 "steady-state contract (%s)\n",
@@ -206,23 +176,18 @@ int main(int argc, char** argv) {
                 steady_violations == 0 ? "alloc-free steady state"
                                        : "ALLOCATING");
   }
-  std::printf("headline (plain sinr, n=%zu, t%zu): %.0f slots/sec, "
-              "speedup %.2fx over t1, %.0f bytes/node\n",
-              n_max, slot_threads, headline_slots_per_sec, headline_speedup,
-              headline_bytes_per_node);
+  std::printf("headline (plain sinr, n=%zu): %.0f slots/sec, "
+              "%.0f bytes/node\n",
+              n_max, headline_slots_per_sec, headline_bytes_per_node);
 
   if (sidecar.observation() != nullptr) {
     auto& m = sidecar.observation()->metrics;
     m.counter("x20.slots_per_sec")
         .add(static_cast<std::uint64_t>(headline_slots_per_sec));
-    m.counter("x20.speedup_permille")
-        .add(static_cast<std::uint64_t>(headline_speedup * 1000.0));
     m.counter("x20.bytes_per_node")
         .add(static_cast<std::uint64_t>(headline_bytes_per_node));
     m.counter("x20.peak_rss_bytes").add(rss);
     m.counter("x20.n_max").add(n_max);
-    m.counter("x20.slot_threads").add(slot_threads);
-    m.counter("x20.mismatches").add(mismatches);
     m.counter("x20.slot_allocs").add(slot_allocs);
     m.counter("x20.steady_violations").add(steady_violations);
   }
@@ -230,18 +195,13 @@ int main(int argc, char** argv) {
 
   const bool alloc_free =
       !common::alloc_counting_enabled() || steady_violations == 0;
-  const bool pass = mismatches == 0 && incomplete == 0 &&
-                    invalid_colorings == 0 && alloc_free;
+  const bool pass = incomplete == 0 && invalid_colorings == 0 && alloc_free;
   return bench::print_verdict(
-      pass,
-      mismatches > 0
-          ? "slot-threads 1 and T produced DIFFERENT run JSON"
-          : (incomplete > 0
-                 ? "a convergence row failed to decide every node"
-                 : (invalid_colorings > 0
-                        ? "a converged run produced an invalid coloring"
-                        : (alloc_free
-                               ? "byte-identical reports across thread counts "
-                                 "on every medium, slot loop alloc-free"
-                               : "slot loop allocated in steady state"))));
+      pass, incomplete > 0
+                ? "a convergence row failed to decide every node"
+                : (invalid_colorings > 0
+                       ? "a converged run produced an invalid coloring"
+                       : (alloc_free ? "every medium converged to a valid "
+                                       "coloring, slot loop alloc-free"
+                                     : "slot loop allocated in steady state")));
 }

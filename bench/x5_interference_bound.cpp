@@ -37,8 +37,9 @@ double ring_bound(const sinrcolor::sinr::SinrParams& phys, double r) {
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 250));
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 2));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 250, 1));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 2, 1));
   cli.reject_unknown();
 
   bench::print_experiment_header(

@@ -18,8 +18,9 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 300));
-  const auto seeds = static_cast<std::uint64_t>(cli.get_int("seeds", 5));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 300, 1));
+  const auto seeds =
+      static_cast<std::uint64_t>(cli.get_int_at_least("seeds", 5, 1));
   cli.reject_unknown();
 
   bench::print_experiment_header(

@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 150));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 150, 1));
   const double side = cli.get_double("side", 4.5);
   const auto clusters = static_cast<std::size_t>(cli.get_int("clusters", 4));
   const auto seed = cli.get_seed("seed", 7);

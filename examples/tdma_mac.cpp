@@ -22,7 +22,7 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto n = static_cast<std::size_t>(cli.get_int("n", 250));
+  const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 250, 1));
   const double side = cli.get_double("side", 4.5);
   const auto seed = cli.get_seed("seed", 3);
   const double aloha_p = cli.get_double("aloha-p", 0.05);

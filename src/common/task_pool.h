@@ -1,5 +1,6 @@
-// Deterministic fork-join worker pool for per-slot parallel resolves and the
-// tiled slot engine.
+// Deterministic fork-join worker pool for the per-slot parallel resolves
+// (radio::SinrInterferenceModel's field/simd shards) and the sweep engine's
+// trials (common::SweepEngine).
 //
 // A job is a fixed number of independent shards. Work is never stolen or
 // re-partitioned: callers split their data into contiguous shards themselves
@@ -12,14 +13,12 @@
 //
 // run_shards takes the job by const reference and stores only a pointer for
 // the workers, so a steady-state caller should keep ONE persistent
-// std::function alive and pass it every time (the simulator's tile_job_
-// pattern): rebuilding a capturing lambda into a std::function per call can
-// heap-allocate past the small-buffer optimization and break zero-allocation
-// loops. The pool is not reentrant — a shard function must never call
-// run_shards on the same pool; nested parallelism uses separate pools (the
-// simulator's slot pool and the interference model's resolve pool are
-// disjoint and never nest: resolve is dispatched from the slot-loop thread,
-// outside any tile shard).
+// std::function alive and pass it every time: rebuilding a capturing lambda
+// into a std::function per call can heap-allocate past the small-buffer
+// optimization and break zero-allocation loops. The pool is not reentrant —
+// a shard function must never call run_shards on the same pool; nested
+// parallelism uses separate pools (a sweep's trial pool and each trial's
+// resolve pool are distinct objects).
 //
 // Lock discipline (checked by clang -Wthread-safety via the annotations
 // below, and hammered under TSan by tests/concurrency_stress_test.cpp):

@@ -93,7 +93,6 @@ MwInstance::MwInstance(const graph::UnitDiskGraph& g, const MwRunConfig& config)
       graph_, make_interference_model(graph_, config_),
       make_wakeup_schedule(g.size(), config_), config_.seed);
 
-  simulator_->set_slot_threads(config_.slot_threads);
   schedule_random_failures(*simulator_, config_);
 
   // Contiguous arena: reserve up front so emplace_back never reallocates

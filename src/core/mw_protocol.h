@@ -57,10 +57,8 @@ struct MwRunConfig {
   /// serial). Any count produces byte-identical results (deterministic
   /// sharding).
   std::size_t threads = 1;
-  /// Worker threads for the simulator's tiled slot engine (1 = the
-  /// sequential engine). Byte-identical results at any count; see
-  /// radio::Simulator::set_slot_threads for the determinism argument and
-  /// the observation/fault-injector downgrade.
+  /// Read by nothing: the simulator has one sequential slot loop. Kept only
+  /// because the end-to-end benchmark (mwbench/mwbench.cpp) assigns it.
   std::size_t slot_threads = 1;
   /// Stochastic channel fading (ignored under the graph medium). The paper
   /// assumes deterministic path loss; X12 measures robustness against this.
@@ -134,7 +132,7 @@ class MwInstance {
   MwRunConfig config_;
   MwParams params_;
   /// Contiguous node arena: one MwNode per graph node, laid out back-to-back
-  /// so a tile pass of the slot engine walks protocol state linearly instead
+  /// so the slot loop's per-node phases walk protocol state linearly instead
   /// of chasing n separate heap blocks. The simulator holds non-owning
   /// pointers into it; declared before simulator_ so it outlives the
   /// simulator's references on destruction.

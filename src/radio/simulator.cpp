@@ -17,13 +17,6 @@ static_assert(std::is_same_v<obs::NodeId, graph::NodeId>);
 
 namespace {
 
-/// Signed merge into an unsigned aggregate (tile counters carry revival
-/// decrements). The intermediate int64 never overflows: every delta is
-/// bounded by the node count.
-void apply_delta(std::size_t& target, std::int64_t delta) {
-  target = static_cast<std::size_t>(static_cast<std::int64_t>(target) + delta);
-}
-
 /// Reception::tx of a decode a fault injector suppressed: it stays in the
 /// list (its listener keeps the "decoded" mark) but is not delivered.
 constexpr std::uint32_t kFaultDropped =
@@ -59,20 +52,6 @@ Simulator::Simulator(const graph::UnitDiskGraph& graph,
   scratch_.received.assign((n + 63) / 64, 0);
   scratch_.received_tx.assign(n, 0);
   scratch_.covered.reserve(n);
-  // The persistent tile job: captures only `this`, dispatches on the phase
-  // latched by for_tiles. Built once so the slot loop never constructs a
-  // std::function (zero-allocation contract).
-  tile_job_ = [this](std::size_t t) {
-    switch (tile_phase_) {
-      case TilePhase::kTxDecide:
-        tile_tx_decide(t);
-        break;
-      case TilePhase::kEndSlot:
-        tile_end_slot(t);
-        break;
-    }
-  };
-  configure_tiles(/*parallel=*/false);
 }
 
 void Simulator::set_protocol(graph::NodeId v, std::unique_ptr<Protocol> protocol) {
@@ -87,31 +66,6 @@ void Simulator::set_protocol(graph::NodeId v, Protocol* protocol) {
   SINRCOLOR_CHECK(protocol != nullptr);
   owned_[v].reset();
   protocols_[v] = protocol;
-}
-
-void Simulator::set_slot_threads(std::size_t threads) {
-  SINRCOLOR_CHECK_MSG(!ran_, "set the slot thread count before run()");
-  slot_threads_ = std::max<std::size_t>(1, threads);
-  configure_tiles(slot_threads_ > 1);
-}
-
-void Simulator::configure_tiles(bool parallel) {
-  const std::size_t n = graph_.size();
-  if (parallel) {
-    tiles_ = graph::TilePartition::spatial(
-        graph_, graph::TilePartition::default_tile_count(n));
-    slot_pool_ = std::make_unique<common::TaskPool>(slot_threads_);
-  } else {
-    tiles_ = graph::TilePartition::identity(n);
-    slot_pool_.reset();
-  }
-  tile_scratch_.resize(tiles_.tile_count());
-  for (std::size_t t = 0; t < tiles_.tile_count(); ++t) {
-    // A tile's tx buffer holds at most its own nodes — full-tile capacity
-    // means no reallocation no matter which subset transmits.
-    tile_scratch_[t].tx.reserve(tiles_.tile(t).size());
-    tile_scratch_[t].counters.reset();
-  }
 }
 
 void Simulator::set_failure_slot(graph::NodeId v, Slot slot) {
@@ -144,35 +98,28 @@ void Simulator::set_observation(obs::RunObservation* observation) {
                 {1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0}));
 }
 
-// Phase 1 of one tile: failures, joins, wake-ups and transmission decisions.
-// Every touched datum is node-local (per-node flag bytes, per-node metric
-// entries, the node's own protocol and RNG stream) or tile-local (the tx
-// buffer and the counters), so concurrent tiles never race; the per-tile
-// outputs are merged in tile order by run().
-void Simulator::tile_tx_decide(std::size_t t) {
-  RunMetrics& metrics = *run_metrics_;
-  obs::Tracer* const tracer = run_tracer_;
-  const Slot slot = run_slot_;
+// Node ids ascend, so the transmissions leave sender-ascending: the order
+// the medium's Kahan field sums are defined over.
+void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
+                          std::size_t& undecided, std::size_t& joins_pending) {
   auto& awake = scratch_.awake;
   auto& dead = scratch_.dead;
   auto& listening = scratch_.listening;
   auto& schedule_suppressed = scratch_.schedule_suppressed;
-  TileScratch& ts = tile_scratch_[t];
-  TileCounters& c = ts.counters;
-  c.reset();
-  ts.tx.clear();
-  for (const graph::NodeId v : tiles_.tile(t)) {
+  auto& transmissions = scratch_.transmissions;
+  transmissions.clear();
+  for (graph::NodeId v = 0; v < graph_.size(); ++v) {
     if (!dead[v] && failure_slot_[v] == slot) {
       dead[v] = 1;
       metrics.death_slot[v] = slot;
-      ++c.failed;
+      ++metrics.failed_nodes;
       // A dead node can no longer decide; stop waiting for it.
-      if (metrics.decision_slot[v] < 0) --c.undecided;
+      if (metrics.decision_slot[v] < 0) --undecided;
       SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kFailure, v);
     }
     if (join_slot_[v] == slot) {
-      --c.joins_pending;
-      ++c.joined;
+      --joins_pending;
+      ++metrics.joined_nodes;
       SINRCOLOR_TRACE(tracer, slot,
                       dead[v] ? obs::EventKind::kRevival : obs::EventKind::kJoin,
                       v);
@@ -184,9 +131,9 @@ void Simulator::tile_tx_decide(std::size_t t) {
         // via its decision otherwise), so the rejoin re-increments.
         dead[v] = 0;
         metrics.death_slot[v] = -1;
-        --c.failed;
+        --metrics.failed_nodes;
         metrics.decision_slot[v] = -1;
-        ++c.undecided;
+        ++undecided;
       } else {
         // A late arrival was never awake and still counts as undecided
         // from initialization; nothing to rebalance.
@@ -213,7 +160,7 @@ void Simulator::tile_tx_decide(std::size_t t) {
     auto tx = protocols_[v]->begin_slot(slot, rngs_[v]);
     if (tx.has_value()) {
       tx->sender = v;
-      ts.tx.push_back({v, *tx});
+      transmissions.push_back({v, *tx});
       listening[v] = 0;
       ++metrics.tx_count[v];
       SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kTx, v, tx->target,
@@ -222,39 +169,13 @@ void Simulator::tile_tx_decide(std::size_t t) {
       listening[v] = 1;
       // Transient deafness: the receiver is off, but the node still ran
       // its slot (protocol state and the interference field are
-      // unaffected — deafness is a pure receiver fault). An installed
-      // injector pins the run to the sequential engine, so this query
-      // always happens on the slot-loop thread (FaultEngine's contract).
+      // unaffected — deafness is a pure receiver fault).
       if (fault_injector_ != nullptr &&
           fault_injector_->receiver_disabled(slot, v)) {
         listening[v] = 0;
-        ++c.deaf;
+        ++metrics.fault_deaf_slots;
       }
     }
-  }
-}
-
-void Simulator::tile_end_slot(std::size_t t) {
-  RunMetrics& metrics = *run_metrics_;
-  const Slot slot = run_slot_;
-  TileCounters& c = tile_scratch_[t].counters;
-  for (const graph::NodeId v : tiles_.tile(t)) {
-    if (!scratch_.awake[v] || scratch_.dead[v]) continue;
-    protocols_[v]->end_slot(slot);
-    if (metrics.decision_slot[v] < 0 && protocols_[v]->decided()) {
-      metrics.decision_slot[v] = slot;
-      ++c.decided;
-    }
-  }
-}
-
-void Simulator::for_tiles(TilePhase phase, bool parallel) {
-  tile_phase_ = phase;
-  const std::size_t count = tiles_.tile_count();
-  if (parallel && count > 1) {
-    slot_pool_->run_shards(count, tile_job_);
-  } else {
-    for (std::size_t t = 0; t < count; ++t) tile_job_(t);
   }
 }
 
@@ -315,20 +236,6 @@ RunMetrics Simulator::run(Slot max_slots) {
         {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0});
     drop_counter = &observation_->metrics.counter("radio.drops");
   }
-  // Engine selection: the parallel spatial engine needs an untraced run
-  // (trace event order is part of the sequential contract) and no fault
-  // injector (FaultEngine is thread-compatible, not thread-safe). Either
-  // attachment downgrades to the sequential identity engine; results are
-  // byte-identical in both engines, only event ORDER within a phase is
-  // pinned by the sequential one.
-  if (slot_pool_ != nullptr && (tracer != nullptr || fault_injector_ != nullptr)) {
-    configure_tiles(/*parallel=*/false);
-  }
-  const bool parallel = slot_pool_ != nullptr;
-  const std::size_t tile_count = tiles_.tile_count();
-  run_metrics_ = &metrics;
-  run_tracer_ = tracer;
-
   // Scratch for collision attribution (kDrop): per listener, how many
   // transmitters cover it this slot and one sample interferer. Only
   // maintained when a tracer is attached (unobserved runs never touch it).
@@ -358,7 +265,6 @@ RunMetrics Simulator::run(Slot max_slots) {
     SINRCOLOR_PROFILE(profiler, obs::Phase::kSlot);
     metrics.slots_executed = slot + 1;
     const std::uint64_t allocs_at_slot_start = common::thread_heap_allocs();
-    run_slot_ = slot;
 
     // 0. Channel-level faults: one disturbance query per slot, forwarded to
     // the medium (null = clean channel, the zero-cost common case).
@@ -367,33 +273,10 @@ RunMetrics Simulator::run(Slot max_slots) {
       model_->set_disturbance(fault_injector_->channel_disturbance(slot));
     }
 
-    // 1. Failures, joins, wake-ups and transmission decisions, tile by tile,
-    // then the ordered merge: tile tx buffers are concatenated in tile order
-    // and — under the spatial engine — re-sorted by sender, restoring the
-    // exact id-ascending transmitter sequence the sequential engine emits
-    // (the Kahan field sum is order-sensitive, so resolve must see the same
-    // sequence at every thread count).
+    // 1. Failures, joins, wake-ups and transmission decisions.
     {
       SINRCOLOR_PROFILE(profiler, obs::Phase::kTxDecide);
-      for_tiles(TilePhase::kTxDecide, parallel);
-      transmissions.clear();
-      for (std::size_t t = 0; t < tile_count; ++t) {
-        const auto& tile_tx = tile_scratch_[t].tx;
-        transmissions.insert(transmissions.end(), tile_tx.begin(),
-                             tile_tx.end());
-        const TileCounters& c = tile_scratch_[t].counters;
-        apply_delta(undecided, c.undecided);
-        apply_delta(joins_pending, c.joins_pending);
-        apply_delta(metrics.failed_nodes, c.failed);
-        metrics.joined_nodes += static_cast<std::size_t>(c.joined);
-        metrics.fault_deaf_slots += c.deaf;
-      }
-      if (parallel) {
-        std::sort(transmissions.begin(), transmissions.end(),
-                  [](const TxRecord& a, const TxRecord& b) {
-                    return a.sender < b.sender;
-                  });
-      }
+      tx_decide(slot, metrics, tracer, undecided, joins_pending);
     }
     metrics.total_transmissions += transmissions.size();
     metrics.max_concurrent_tx =
@@ -406,8 +289,7 @@ RunMetrics Simulator::run(Slot max_slots) {
       observer(slot, std::span<const TxRecord>(transmissions));
     }
 
-    // 2. Reception resolution and delivery: O(transmitters + receptions),
-    // on the slot-loop thread under every engine.
+    // 2. Reception resolution and delivery: O(transmitters + receptions).
     if (!transmissions.empty()) {
       {
         SINRCOLOR_PROFILE(profiler, obs::Phase::kResolve);
@@ -417,8 +299,7 @@ RunMetrics Simulator::run(Slot max_slots) {
       // Per-link fault drops: an otherwise successful decode is suppressed
       // before the protocol sees it. Attributed to the fault (kFaultDrop),
       // not to interference (its listener keeps the "decoded" mark, so the
-      // kDrop pass below skips it). Always on the sequential engine
-      // (injector downgrade), hence slot-loop thread.
+      // kDrop pass below skips it).
       if (fault_injector_ != nullptr) {
         SINRCOLOR_PROFILE(profiler, obs::Phase::kFaultInject);
         for (Reception& r : receptions) {
@@ -476,11 +357,13 @@ RunMetrics Simulator::run(Slot max_slots) {
     // 3. End-of-slot transitions and decision tracking.
     {
       SINRCOLOR_PROFILE(profiler, obs::Phase::kEndSlot);
-      for_tiles(TilePhase::kEndSlot, parallel);
-      for (std::size_t t = 0; t < tile_count; ++t) {
-        apply_delta(undecided,
-                    -static_cast<std::int64_t>(
-                        tile_scratch_[t].counters.decided));
+      for (graph::NodeId v = 0; v < n; ++v) {
+        if (!scratch_.awake[v] || scratch_.dead[v]) continue;
+        protocols_[v]->end_slot(slot);
+        if (metrics.decision_slot[v] < 0 && protocols_[v]->decided()) {
+          metrics.decision_slot[v] = slot;
+          --undecided;
+        }
       }
       // This slot's state (colors, decisions) is now final: run the
       // end-of-slot observers (runtime invariant monitor).
@@ -497,10 +380,6 @@ RunMetrics Simulator::run(Slot max_slots) {
 
     // Allocation attribution: a slot that allocated cannot be steady-state.
     // Two thread_local reads per slot; zero when the counting build is off.
-    // (The counter is per-thread: it audits the slot-loop thread, the one
-    // that owns every merge, pack and resolve dispatch. Worker-side tile
-    // passes reuse pre-reserved buffers and are exercised by the identical
-    // sequential engine, which this counter does see.)
     const std::uint64_t slot_allocs =
         common::thread_heap_allocs() - allocs_at_slot_start;
     if (slot_allocs > 0) {
@@ -517,8 +396,7 @@ RunMetrics Simulator::run(Slot max_slots) {
   metrics.all_decided = metrics.stalled_nodes == 0;
   // Bytes/node accounting: long-lived run state plus the metrics' own
   // per-node arrays. Measured capacities, not an RSS guess; reported via
-  // RunMetrics::state_bytes (never serialized into run JSON — tile scratch
-  // varies with the engine while results do not).
+  // RunMetrics::state_bytes (never serialized into run JSON).
   metrics.state_bytes =
       memory_bytes() +
       metrics.decision_slot.capacity() * sizeof(Slot) +
@@ -543,8 +421,6 @@ RunMetrics Simulator::run(Slot max_slots) {
       m.counter("radio.fault_deaf_slots").add(metrics.fault_deaf_slots);
     }
   }
-  run_metrics_ = nullptr;
-  run_tracer_ = nullptr;
   return metrics;
 }
 
@@ -557,10 +433,8 @@ std::size_t Simulator::memory_bytes() const {
   for (const Protocol* p : protocols_) {
     if (p != nullptr) protocol_bytes += p->memory_bytes();
   }
-  std::size_t tile_bytes = vec(tile_scratch_) + tiles_.memory_bytes();
-  for (const TileScratch& ts : tile_scratch_) tile_bytes += vec(ts.tx);
   return sizeof(*this) + graph_.memory_bytes() + model_->memory_bytes() +
-         protocol_bytes + tile_bytes + vec(wakeups_) + vec(failure_slot_) +
+         protocol_bytes + vec(wakeups_) + vec(failure_slot_) +
          vec(join_slot_) + vec(protocols_) + vec(owned_) + vec(rngs_) +
          vec(observers_) + vec(end_observers_) + vec(scratch_.awake) +
          vec(scratch_.dead) + vec(scratch_.schedule_suppressed) +

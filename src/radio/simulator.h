@@ -8,20 +8,10 @@
 //
 // After the transmission decisions a slot costs O(transmitters +
 // receptions), not O(n): the medium's sparse reception list is delivered in
-// listener order on the slot-loop thread (SlotScratch below).
-//
-// Tiled slot engine (docs/ARCHITECTURE.md): the per-node phases (tx decide,
-// end-of-slot) run tile-by-tile over a graph::TilePartition. The default is
-// the sequential identity engine — one tile, ids ascending, bit-for-bit the
-// historical slot loop. set_slot_threads(N>1) switches to a spatial
-// partition processed one tile per common::TaskPool shard, with per-tile
-// transmission buffers and counters merged in tile order (and the merged
-// transmissions re-sorted by sender), so an N-thread run produces
-// byte-identical results to the 1-thread run: every phase touches only
-// node-local state, and every cross-tile aggregate is merged in a fixed
-// order. Attaching observation (trace event order) or a fault injector
-// (FaultEngine is thread-compatible, not thread-safe) downgrades the run to
-// the sequential engine — results are identical either way.
+// listener order (SlotScratch below). The per-node phases (tx decide,
+// end-of-slot) walk v = 0..n-1 in one sequential loop, so the transmissions
+// reach the medium sender-ascending — the order its Kahan sums are defined
+// over.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +21,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/task_pool.h"
-#include "graph/tile_partition.h"
 #include "graph/unit_disk_graph.h"
 #include "obs/observation.h"
 #include "radio/fault_injection.h"
@@ -66,20 +54,10 @@ class Simulator {
 
   /// Non-owning variant: installs node v's protocol without transferring
   /// ownership. The caller keeps the storage alive through run() — used by
-  /// contiguous node arenas (core::MwInstance) so a tile pass walks nodes
-  /// laid out back-to-back in memory instead of chasing n separate heap
-  /// blocks.
+  /// contiguous node arenas (core::MwInstance) so the per-node phases walk
+  /// nodes laid out back-to-back in memory instead of chasing n separate
+  /// heap blocks.
   void set_protocol(graph::NodeId v, Protocol* protocol);
-
-  /// Worker threads for the tiled slot engine (clamped to >= 1; default 1 =
-  /// the sequential identity engine). N > 1 builds a spatial TilePartition
-  /// (tile count a pure function of n) and an owning TaskPool; per-slot
-  /// phases then run one tile per shard. Results are byte-identical for any
-  /// value — see the file comment for the determinism argument and the
-  /// observation/fault-injector downgrade. Call before run().
-  void set_slot_threads(std::size_t threads);
-
-  std::size_t slot_threads() const { return slot_threads_; }
 
   /// Injects a crash-stop failure: from `slot` on, node v neither transmits
   /// nor receives nor advances. A dead undecided node does not block run()'s
@@ -122,8 +100,7 @@ class Simulator {
   /// once and forwards it to the interference model, silences deafened
   /// receivers, and suppresses per-link drops after reception resolution
   /// (traced as kFaultDrop, counted in RunMetrics::fault_dropped_deliveries).
-  /// Null detaches. Call before run(). An installed injector pins the run to
-  /// the sequential engine (FaultEngine's thread contract).
+  /// Null detaches. Call before run().
   void set_fault_injector(FaultInjector* injector);
 
   /// True iff node v is currently dead (crashed and not revived). Valid
@@ -141,9 +118,7 @@ class Simulator {
   /// the radio.* counters and per-slot histograms; the interference model
   /// records its SINR margin per decode. Null detaches. Observation never
   /// touches the per-node RNG streams, so a traced run is byte-identical to
-  /// an untraced one (tests/determinism_test.cpp). Call before run(). An
-  /// attached observation pins the run to the sequential engine (stable
-  /// trace event order).
+  /// an untraced one (tests/determinism_test.cpp). Call before run().
   void set_observation(obs::RunObservation* observation);
 
   obs::RunObservation* observation() const { return observation_; }
@@ -163,9 +138,9 @@ class Simulator {
 
   /// Resident footprint of the run's long-lived state, in bytes: simulator
   /// scratch + RNG streams, protocol state (Protocol::memory_bytes), the
-  /// interference model's engine scratch, the graph (CSR + grid index) and
-  /// the tile engine's per-tile buffers. Measured from container capacities
-  /// — an accounting of what the run actually reserved, not an RSS estimate.
+  /// interference model's engine scratch and the graph (CSR + grid index).
+  /// Measured from container capacities — an accounting of what the run
+  /// actually reserved, not an RSS estimate.
   /// Stamped into RunMetrics::state_bytes at the end of run(); observer
   /// closures and trace sinks are excluded (reporting, not run state).
   std::size_t memory_bytes() const;
@@ -180,11 +155,9 @@ class Simulator {
   /// every slot — the slot loop itself performs no heap allocation in steady
   /// state (RunMetrics::steady_state_alloc_free; the SINRCOLOR_COUNT_ALLOCS
   /// build asserts it). Hot per-node flags are byte arrays rather than
-  /// vector<bool>: the wake/decide loops touch all n every slot, byte loads
-  /// beat bit extraction there, and — decisive for the tiled engine —
-  /// concurrent tiles can write disjoint byte elements without a data race,
-  /// which vector<bool>'s packed bits cannot offer. The medium reads the
-  /// tile-written `listening` bytes as they are.
+  /// vector<bool>: the wake/decide loops touch all n every slot and byte
+  /// loads beat bit extraction there. The medium reads the `listening`
+  /// bytes as they are.
   ///
   /// Reception side, O(receptions) per slot: the medium fills `receptions`
   /// in its own order; each entry sets its listener's bit in `received`
@@ -208,39 +181,10 @@ class Simulator {
     std::vector<graph::NodeId> covered;
   };
 
-  /// Cross-tile aggregates of one tile's phase pass, merged into the run's
-  /// scalars in tile order after the phase. Signed deltas where revivals can
-  /// decrement (failed) or re-increment (undecided).
-  struct TileCounters {
-    std::int64_t undecided = 0;
-    std::int64_t joins_pending = 0;
-    std::int64_t failed = 0;
-    std::uint64_t joined = 0;
-    std::uint64_t deaf = 0;
-    std::uint64_t decided = 0;
-
-    void reset() { *this = TileCounters{}; }
-  };
-
-  /// One tile's working set. 64-byte aligned so concurrent tiles never share
-  /// a cache line through their counters or vector headers.
-  struct alignas(64) TileScratch {
-    std::vector<TxRecord> tx;
-    TileCounters counters;
-  };
-
-  enum class TilePhase : std::uint8_t { kTxDecide, kEndSlot };
-
-  /// Rebuilds tiles_ / slot_pool_ / tile_scratch_ for the current
-  /// slot_threads_ (sequential = identity partition, no pool).
-  void configure_tiles(bool parallel);
-  /// Phase bodies, one tile each. Every write is node-local (per-node arrays,
-  /// own protocol, own RNG stream) or lands in tile_scratch_[t].
-  void tile_tx_decide(std::size_t t);
-  void tile_end_slot(std::size_t t);
-  /// Runs the given phase over every tile — through the pool when the
-  /// parallel engine is active, inline otherwise.
-  void for_tiles(TilePhase phase, bool parallel);
+  /// Failures, joins, wake-ups and transmission decisions for v = 0..n-1,
+  /// pushed straight into scratch_.transmissions (sender-ascending).
+  void tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
+                 std::size_t& undecided, std::size_t& joins_pending);
   /// Marks every reception in scratch_.received and rewrites
   /// scratch_.receptions in listener-ascending order (bitmap walk, no
   /// comparison sort).
@@ -261,23 +205,6 @@ class Simulator {
   FaultInjector* fault_injector_ = nullptr;
   Slot settle_slots_ = 0;
   bool ran_ = false;
-
-  // Tiled slot engine. tile_job_ is a persistent closure capturing only
-  // `this` and dispatching on tile_phase_: run_shards takes it by const
-  // reference, so the steady-state slot loop never constructs a
-  // std::function (a fat per-slot lambda would heap-allocate past the SBO
-  // and break the zero-allocation contract).
-  std::size_t slot_threads_ = 1;
-  graph::TilePartition tiles_;
-  std::unique_ptr<common::TaskPool> slot_pool_;
-  std::vector<TileScratch> tile_scratch_;
-  std::function<void(std::size_t)> tile_job_;
-  TilePhase tile_phase_ = TilePhase::kTxDecide;
-  // Per-run context the tile bodies read (set by run(); tracer is non-null
-  // only on the sequential engine).
-  Slot run_slot_ = 0;
-  RunMetrics* run_metrics_ = nullptr;
-  obs::Tracer* run_tracer_ = nullptr;
 };
 
 }  // namespace sinrcolor::radio

@@ -51,11 +51,10 @@ struct RunMetrics {
   Slot last_alloc_slot = -1;
   /// Resident footprint of the run's long-lived state in bytes (simulator
   /// scratch, RNG streams, protocol state, interference-model engine scratch,
-  /// graph, tile engine, plus these per-node metric arrays), measured from
-  /// container capacities by Simulator::memory_bytes(). NOT serialized into
-  /// run JSON: tile-engine scratch varies with the configured thread count
-  /// while results do not, and run JSON must stay byte-identical across
-  /// thread counts.
+  /// graph, plus these per-node metric arrays), measured from container
+  /// capacities by Simulator::memory_bytes(). NOT serialized into run JSON:
+  /// engine scratch varies with the resolve kind and thread count while
+  /// results do not, and run JSON must stay byte-identical across them.
   std::size_t state_bytes = 0;
 
   /// state_bytes normalized per node; 0.0 for an empty run.

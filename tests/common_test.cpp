@@ -48,8 +48,8 @@ TEST(TaskPool, ShardRangeEdgeCases) {
   EXPECT_EQ(TaskPool::shard_range(17, 1, 0),
             (std::pair<std::size_t, std::size_t>{0, 17}));
   // total < shards: the first `total` shards hold one element each and the
-  // rest are empty — the tile engine relies on empty tiles being no-ops
-  // rather than out-of-range.
+  // rest are empty — a caller with more shards than items relies on empty
+  // shards being no-ops rather than out-of-range.
   std::size_t nonempty = 0;
   for (std::size_t s = 0; s < 8; ++s) {
     const auto [begin, end] = TaskPool::shard_range(3, 8, s);
@@ -65,7 +65,7 @@ TEST(TaskPool, ShardRangeEdgeCases) {
 }
 
 TEST(TaskPool, ShardOrderMergeIsScheduleInvariant) {
-  // The tiled slot engine's determinism contract: workers fill disjoint
+  // The sharded resolve's determinism contract: workers fill disjoint
   // per-shard buffers in any schedule, the owner concatenates them in shard
   // order — the merged sequence must be identical at every thread count,
   // including exact floating-point accumulation order downstream.

@@ -85,19 +85,28 @@ TEST(Determinism, AdaptiveRunIsSeedStable) {
 
 TEST(Determinism, TracingDoesNotPerturbThePlainRun) {
   // The observability layer must be a pure read: attaching a trace + metrics
-  // sink to a run may not change a single byte of its report. (Emission sites
-  // never touch the RNG stream; this is the dynamic check of that claim.)
+  // sink to a run may not change a single byte of its report, on any medium.
+  // (Emission sites never touch the RNG stream; this is the dynamic check of
+  // that claim.)
   const auto g = scenario_graph(82);
-  core::MwRunConfig cfg;
-  cfg.seed = 77;
-  const std::string untraced = core::to_json(core::run_mw_coloring(g, cfg));
+  core::MwRunConfig fading;
+  fading.fading.kind = sinr::FadingKind::kLogNormal;
+  core::MwRunConfig graph_medium;
+  graph_medium.graph_model = true;
+  for (core::MwRunConfig cfg : {core::MwRunConfig{}, fading, graph_medium}) {
+    SCOPED_TRACE(cfg.graph_model       ? "graph"
+                 : cfg.fading.enabled() ? "sinr+fading"
+                                        : "sinr");
+    cfg.seed = 77;
+    const std::string untraced = core::to_json(core::run_mw_coloring(g, cfg));
 
-  obs::RunObservation observation(std::size_t{1} << 22);
-  core::MwInstance instance(g, cfg);
-  instance.attach_observation(&observation);
-  const std::string traced = core::to_json(instance.run());
-  EXPECT_EQ(untraced, traced);
-  EXPECT_GT(observation.trace.recorded(), 0u);  // the sink did observe
+    obs::RunObservation observation(std::size_t{1} << 22);
+    core::MwInstance instance(g, cfg);
+    instance.attach_observation(&observation);
+    const std::string traced = core::to_json(instance.run());
+    EXPECT_EQ(untraced, traced);
+    EXPECT_GT(observation.trace.recorded(), 0u);  // the sink did observe
+  }
 }
 
 TEST(Determinism, TracingDoesNotPerturbTheRecoveryRun) {

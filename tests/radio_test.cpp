@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/rng.h"
+#include "core/mw_protocol.h"
 #include "geometry/deployment.h"
 #include "radio/interference_model.h"
 #include "radio/simulator.h"
@@ -209,6 +210,19 @@ TEST(Simulator, ObserverSeesTransmissions) {
   });
   (void)sim.run(5);
   EXPECT_EQ(seen, 2u);
+}
+
+TEST(Simulator, RunReportsStateBytes) {
+  common::Rng rng(99);
+  const graph::UnitDiskGraph g(geometry::uniform_deployment(60, 3.5, rng),
+                               1.0);
+  core::MwRunConfig cfg;
+  cfg.seed = 515;
+  const auto r = core::run_mw_coloring(g, cfg);
+  // The accounting walks simulator + model + protocols + metric arrays, so
+  // the footprint is at least a per-node state record for every node.
+  EXPECT_GE(r.metrics.state_bytes, g.size() * sizeof(graph::NodeId));
+  EXPECT_GT(r.metrics.bytes_per_node(), 0.0);
 }
 
 TEST(RunMetrics, LatencyComputation) {

@@ -4,7 +4,7 @@
 //                          [--rho=..] [--profile=practical|theory]
 //   sinrcolor_cli color    [--n=..] [--side=..] [--seed=..] [--deployment=..]
 //                          [--wakeup=sync|uniform] [--resolve=field|simd|naive]
-//                          [--threads=..] [--slot-threads=..] [--trials=..]
+//                          [--threads=..] [--trials=..]
 //                          [--faults=plan.json] [--json=out.json] [--quiet]
 //   sinrcolor_cli sweep    [--n-list=64,128,..] [--trials=..] [--threads=..]
 //                          [--avg-degree=..] [--seed=..] [--resolve=..]
@@ -130,14 +130,11 @@ sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
   return kind;
 }
 
-// --resolve (above), --threads=N the worker count of the field/simd paths,
-// --slot-threads=N the worker count of the simulator's tiled slot engine
-// (docs/ARCHITECTURE.md). Every value is byte-identical.
+// --resolve (above) and --threads=N, the worker count of the field/simd
+// paths. Every value is byte-identical.
 void apply_resolve_flags(const common::Cli& cli, core::MwRunConfig& cfg) {
   cfg.resolve = resolve_kind_flag(cli);
   cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
-  cfg.slot_threads =
-      static_cast<std::size_t>(cli.get_int_at_least("slot-threads", 1, 1));
 }
 
 /// Loads --faults=<plan.json> when present; exits 2 with the parse /
@@ -235,7 +232,6 @@ int cmd_color_trials(const common::Cli& cli, const graph::UnitDiskGraph& g,
 
   const std::size_t threads = base_cfg.threads;
   base_cfg.threads = 1;  // trial-level parallelism; no nested resolve pools
-  base_cfg.slot_threads = 1;  // likewise for per-trial slot pools
   const std::uint64_t base_seed = base_cfg.seed;
 
   struct Trial {
