@@ -3,7 +3,9 @@
 // graph) to a valid coloring, (b) stay allocation-free in steady state at
 // every size, and (c) complete a million-node run with measured bytes/node —
 // the memory trajectory the SoA/arena layout buys (docs/PERFORMANCE.md,
-// "One slot loop").
+// "One slot loop"). The headline row also reports protocol steps per mille
+// of awake node-slots: the share of slots in which the simulator called
+// begin_slot rather than skipping a quiet node (radio/protocol.h).
 //
 // Two row families, each row run and timed once:
 //  * convergence rows (--n-list): every medium, run to full convergence.
@@ -99,7 +101,7 @@ int main(int argc, char** argv) {
     cfg.graph_model = medium.graph_model;
     if (medium.fading) cfg.fading.kind = sinr::FadingKind::kLogNormal;
     cfg.max_slots = max_slots;
-    // The incremental Theorem-1 observer scans all n nodes every slot;
+    // No online Theorem-1 observer, so the row times the slot loop alone;
     // validity is still checked once post-run.
     cfg.check_independence = false;
     RunOutcome out;
@@ -125,6 +127,7 @@ int main(int argc, char** argv) {
   std::size_t invalid_colorings = 0;
   double headline_slots_per_sec = 0.0;
   double headline_bytes_per_node = 0.0;
+  std::uint64_t headline_steps_permille = 0;
   std::size_t n_max = 0;
 
   const auto add_row = [&](const Medium& medium, std::size_t n,
@@ -149,6 +152,14 @@ int main(int argc, char** argv) {
       n_max = n;
       headline_slots_per_sec = rate;
       headline_bytes_per_node = bpn;
+      std::uint64_t awake_node_slots = 0;
+      for (const std::uint64_t a : run.metrics.awake_slots) {
+        awake_node_slots += a;
+      }
+      headline_steps_permille =
+          awake_node_slots > 0
+              ? 1000 * run.metrics.protocol_steps / awake_node_slots
+              : 0;
     }
   };
 
@@ -177,8 +188,10 @@ int main(int argc, char** argv) {
                                        : "ALLOCATING");
   }
   std::printf("headline (plain sinr, n=%zu): %.0f slots/sec, "
-              "%.0f bytes/node\n",
-              n_max, headline_slots_per_sec, headline_bytes_per_node);
+              "%.0f bytes/node, %llu protocol steps per 1000 awake "
+              "node-slots\n",
+              n_max, headline_slots_per_sec, headline_bytes_per_node,
+              static_cast<unsigned long long>(headline_steps_permille));
 
   if (sidecar.observation() != nullptr) {
     auto& m = sidecar.observation()->metrics;
@@ -186,6 +199,7 @@ int main(int argc, char** argv) {
         .add(static_cast<std::uint64_t>(headline_slots_per_sec));
     m.counter("x20.bytes_per_node")
         .add(static_cast<std::uint64_t>(headline_bytes_per_node));
+    m.counter("x20.protocol_steps_permille").add(headline_steps_permille);
     m.counter("x20.peak_rss_bytes").add(rss);
     m.counter("x20.n_max").add(n_max);
     m.counter("x20.slot_allocs").add(slot_allocs);

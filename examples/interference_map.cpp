@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
-  const auto interferers = static_cast<int>(cli.get_int("interferers", 3));
+  const auto interferers =
+      static_cast<int>(cli.get_int_at_least("interferers", 3, 0));
   sinr::SinrParams phys;
   phys.alpha = cli.get_double("alpha", 4.0);
   phys.beta = cli.get_double("beta", 1.5);

@@ -31,13 +31,13 @@ int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 150, 1));
-  const double side = cli.get_double("side", 4.5);
+  const double side = cli.get_double_at_least("side", 4.5, 1e-9);
   const auto seed = cli.get_seed("seed", 2);
-  const auto wakeup_window = cli.get_int("wakeup-window", 0);
+  const auto wakeup_window = cli.get_int_at_least("wakeup-window", 0, 0);
   const std::string trace_out = cli.get("trace-out", "");
   const std::string chrome_out = cli.get("chrome-out", "");
   const auto digest_rows =
-      static_cast<std::size_t>(cli.get_int("digest-rows", 8));
+      static_cast<std::size_t>(cli.get_int_at_least("digest-rows", 8, 0));
   cli.reject_unknown();
 
   common::Rng rng(seed);

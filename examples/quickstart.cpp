@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 200, 1));
-  const double side = cli.get_double("side", 5.0);
+  const double side = cli.get_double_at_least("side", 5.0, 1e-9);
   const auto seed = cli.get_seed("seed", 1);
   cli.reject_unknown();
 

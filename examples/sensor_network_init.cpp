@@ -25,10 +25,11 @@ int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 150, 1));
-  const double side = cli.get_double("side", 4.5);
-  const auto clusters = static_cast<std::size_t>(cli.get_int("clusters", 4));
+  const double side = cli.get_double_at_least("side", 4.5, 1e-9);
+  const auto clusters =
+      static_cast<std::size_t>(cli.get_int_at_least("clusters", 4, 1));
   const auto seed = cli.get_seed("seed", 7);
-  const auto wakeup_window = cli.get_int("wakeup-window", 2000);
+  const auto wakeup_window = cli.get_int_at_least("wakeup-window", 2000, 0);
   cli.reject_unknown();
 
   // --- Deployment: clustered field (hotspots around collection points). ---

@@ -69,8 +69,6 @@ void AdaptiveMwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
   inner_->on_receive(slot, msg);
 }
 
-void AdaptiveMwNode::end_slot(radio::Slot slot) { inner_->end_slot(slot); }
-
 std::string AdaptiveRunResult::summary() const {
   char buf[256];
   std::snprintf(buf, sizeof buf,

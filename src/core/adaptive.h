@@ -34,7 +34,6 @@ class AdaptiveMwNode final : public radio::Protocol {
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
   void on_receive(radio::Slot slot, const radio::Message& message) override;
-  void end_slot(radio::Slot slot) override;
   bool decided() const override { return inner_->decided(); }
 
   graph::Color final_color() const { return inner_->final_color(); }

@@ -27,9 +27,7 @@ void MwNode::reserve_peers(std::size_t degree) {
 }
 
 void MwNode::set_observation(obs::RunObservation* observation) {
-  tracer_ = observation != nullptr ? &observation->trace : nullptr;
-  obs_metrics_ = observation != nullptr ? &observation->metrics : nullptr;
-  profiler_ = observation != nullptr ? observation->profiler.get() : nullptr;
+  observation_ = observation;
 }
 
 void MwNode::on_wake(radio::Slot slot) {
@@ -43,24 +41,26 @@ void MwNode::transition_to(MwStateKind next) {
   SINRCOLOR_CHECK_MSG(mw_transition_allowed(state_, next),
                       "illegal MwStateKind transition (kMwTransitionTable)");
   const MwStateKind from = state_;
-  if (obs_metrics_ != nullptr && from != MwStateKind::kAsleep) {
+  if (observation_ != nullptr && from != MwStateKind::kAsleep) {
     static const std::vector<double> kSlotEdges{
         1.0, 4.0, 16.0, 64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0};
-    obs_metrics_
-        ->histogram(std::string("mw.time_in_state.") + to_string(from),
-                    kSlotEdges)
+    observation_->metrics
+        .histogram(std::string("mw.time_in_state.") + to_string(from),
+                   kSlotEdges)
         .record(static_cast<double>(last_slot_ - state_entry_slot_));
   }
   state_ = next;
   state_entry_slot_ = last_slot_;
-  SINRCOLOR_TRACE(tracer_, last_slot_, obs::EventKind::kMwTransition, id_,
+  obs::Tracer* const tracer =
+      observation_ != nullptr ? &observation_->trace : nullptr;
+  SINRCOLOR_TRACE(tracer, last_slot_, obs::EventKind::kMwTransition, id_,
                   obs::kNoNode, static_cast<std::int32_t>(from),
                   static_cast<std::int64_t>(next));
   if (next == MwStateKind::kLeader) {
-    SINRCOLOR_TRACE(tracer_, last_slot_, obs::EventKind::kLeaderElected, id_);
+    SINRCOLOR_TRACE(tracer, last_slot_, obs::EventKind::kLeaderElected, id_);
   }
   if (next == MwStateKind::kLeader || next == MwStateKind::kColored) {
-    SINRCOLOR_TRACE(tracer_, last_slot_, obs::EventKind::kColorFinalized, id_,
+    SINRCOLOR_TRACE(tracer, last_slot_, obs::EventKind::kColorFinalized, id_,
                     obs::kNoNode, 0, static_cast<std::int64_t>(final_color()));
   }
 }
@@ -100,9 +100,49 @@ std::int64_t MwNode::chi(radio::Slot now) const {
   return std::min<std::int64_t>(candidate, 0);
 }
 
+void MwNode::catch_up(radio::Slot slot) {
+  const radio::Slot skipped = slot - last_slot_;
+  if (skipped <= 0) return;
+  last_slot_ = slot;
+  if (state_ == MwStateKind::kListening) {
+    SINRCOLOR_DCHECK(skipped <= listen_remaining_);
+    listen_remaining_ -= skipped;  // Fig. 1 line 3, once per skipped slot
+  } else if (state_ == MwStateKind::kCompeting) {
+    counter_ += skipped;  // Fig. 1 line 9, once per skipped slot
+  }
+}
+
+radio::QuietPlan MwNode::quiet_plan(radio::Slot slot) const {
+  switch (state_) {
+    case MwStateKind::kListening:
+      // Silent until the countdown runs out; that slot leaves the phase.
+      return {slot + listen_remaining_ + 1};
+    case MwStateKind::kCompeting:
+      // The q_s coin each slot until the one the counter reaches the
+      // threshold in, which decides.
+      return {slot + std::max<std::int64_t>(
+                         params_.counter_threshold - counter_, 1),
+              params_.q_small};
+    case MwStateKind::kRequesting:
+      // A forced resend is due on a deadline, so a retransmit policy keeps
+      // the node on every slot.
+      if (retransmit_enabled()) break;
+      return {radio::kNeverSlot, params_.q_small};
+    case MwStateKind::kColored:
+      return {radio::kNeverSlot, params_.q_small};
+    case MwStateKind::kAsleep:
+    case MwStateKind::kLeader:
+      break;
+  }
+  return Protocol::quiet_plan(slot);
+}
+
 std::optional<radio::Message> MwNode::begin_slot(radio::Slot slot,
                                                  common::Rng& rng) {
-  SINRCOLOR_PROFILE(profiler_, obs::Phase::kProtocolStep);
+  SINRCOLOR_PROFILE(observation_ != nullptr ? observation_->profiler.get()
+                                            : nullptr,
+                    obs::Phase::kProtocolStep);
+  catch_up(slot - 1);
   last_slot_ = slot;
   switch (state_) {
     case MwStateKind::kAsleep:
@@ -149,19 +189,19 @@ std::optional<radio::Message> MwNode::begin_slot(radio::Slot slot,
       // deadline passes, so a request lost to injected drops/jamming is
       // retried in bounded time instead of relying on the q_s coin alone.
       // Inert (and RNG-stream neutral) while the policy is disabled.
-      if (retransmit_.enabled()) {
+      if (retransmit_enabled()) {
         if (retransmit_anchor_ < 0) {  // first R slot of this episode
           retransmit_anchor_ = slot;
-          retransmit_wait_ = retransmit_.initial_wait;
+          retransmit_wait_ = retransmit_->initial_wait;
           retries_used_ = 0;
         }
-        if (retries_used_ < retransmit_.max_retries &&
+        if (retries_used_ < retransmit_->max_retries &&
             slot - retransmit_anchor_ >= retransmit_wait_) {
           retransmit_anchor_ = slot;
           retransmit_wait_ = std::max<radio::Slot>(
               retransmit_wait_ + 1,
               static_cast<radio::Slot>(static_cast<double>(retransmit_wait_) *
-                                       retransmit_.backoff));
+                                       retransmit_->backoff));
           ++retries_used_;
           ++forced_retransmissions_;
           radio::Message m;
@@ -242,6 +282,7 @@ std::optional<radio::Message> MwNode::leader_slot(common::Rng& rng) {
 }
 
 void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
+  catch_up(slot);
   last_slot_ = slot;
   switch (state_) {
     case MwStateKind::kAsleep:
@@ -316,8 +357,6 @@ void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
       return;  // final; ignores all traffic
   }
 }
-
-void MwNode::end_slot(radio::Slot /*slot*/) {}
 
 void MwNode::restart_election() {
   SINRCOLOR_CHECK_MSG(state_ == MwStateKind::kListening ||

@@ -11,6 +11,13 @@
 // their counter to ⌈σΔ ln n⌉ in class 0) beacon forever and hand out cluster
 // colors tc = 1, 2, … to requesting cluster members; a member granted tc then
 // competes for its final color in classes tc·(φ(2R_T)+1) + k, k = 0..φ(2R_T).
+//
+// Quiet plans (radio/protocol.h): between deliveries, a listening node only
+// counts down, and a competing, requesting or colored node only draws its
+// q_s coin — the competing node's counter climbing one per slot until the
+// slot it reaches the threshold. Those four states return plans, so the
+// simulator skips their silent slots; the node catches up its countdown and
+// counter from the slot number when it is next called.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +97,7 @@ class MwNode final : public radio::Protocol {
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
   void on_receive(radio::Slot slot, const radio::Message& message) override;
-  void end_slot(radio::Slot slot) override;
+  radio::QuietPlan quiet_plan(radio::Slot slot) const override;
   bool decided() const override {
     return state_ == MwStateKind::kLeader || state_ == MwStateKind::kColored;
   }
@@ -107,6 +114,8 @@ class MwNode final : public radio::Protocol {
   /// Final color once decided (leaders: 0); graph::kUncolored before.
   graph::Color final_color() const;
   graph::NodeId leader() const { return leader_; }
+  /// c_v as of the node's last call (a quiet competing node's counter
+  /// catches up when it is next called).
   std::int64_t counter() const { return counter_; }
   /// This node's sending probability in its current state (Lemma-3 probes).
   double tx_probability() const;
@@ -128,9 +137,10 @@ class MwNode final : public radio::Protocol {
   /// Enables bounded request retransmission with exponential backoff (state
   /// R hardening against injected message loss; see RetransmitPolicy). A
   /// disabled policy (the default) leaves the per-slot behaviour — and the
-  /// RNG stream — byte-identical to the paper's protocol. Call before run.
+  /// RNG stream — byte-identical to the paper's protocol. `policy` must
+  /// outlive the node (it is shared, not copied). Call before run.
   void set_retransmit_policy(const RetransmitPolicy& policy) {
-    retransmit_ = policy;
+    retransmit_ = &policy;
   }
   /// Forced M_R resends performed so far (0 with a disabled policy).
   std::size_t forced_retransmissions() const { return forced_retransmissions_; }
@@ -161,6 +171,12 @@ class MwNode final : public radio::Protocol {
   void transition_to(MwStateKind next);
   /// Enter A_j: Fig. 1 line 1 initialisation + listening phase.
   void enter_class(std::int32_t j);
+  /// Applies the quiet slots since the last call, through `slot`: the
+  /// listening countdown and the competing counter each move one per slot.
+  void catch_up(radio::Slot slot);
+  bool retransmit_enabled() const {
+    return retransmit_ != nullptr && retransmit_->enabled();
+  }
   /// Fig. 1 line 6: largest value ≤ 0 outside every [d_v(w) ± window].
   std::int64_t chi(radio::Slot now) const;
   Competitor* find_competitor(graph::NodeId w);
@@ -172,9 +188,9 @@ class MwNode final : public radio::Protocol {
   // Observability sinks (null when unobserved) and the slot bookkeeping that
   // lets transition_to stamp events without a slot parameter: every protocol
   // entry point records its slot in last_slot_ before any transition fires.
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* obs_metrics_ = nullptr;
-  obs::Profiler* profiler_ = nullptr;
+  // last_slot_ is also the last slot the node's state is current through
+  // (catch_up).
+  obs::RunObservation* observation_ = nullptr;
   radio::Slot last_slot_ = 0;
   radio::Slot state_entry_slot_ = 0;
 
@@ -187,7 +203,7 @@ class MwNode final : public radio::Protocol {
   std::uint64_t resets_ = 0;
 
   // Request retransmission (robustness hardening; inert when disabled).
-  RetransmitPolicy retransmit_;
+  const RetransmitPolicy* retransmit_ = nullptr;  ///< null = disabled
   radio::Slot retransmit_anchor_ = -1;  ///< R entry / last forced send
   radio::Slot retransmit_wait_ = 0;     ///< current backoff interval
   std::size_t retries_used_ = 0;        ///< forced sends this R episode

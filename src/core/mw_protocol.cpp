@@ -110,11 +110,13 @@ MwInstance::MwInstance(const graph::UnitDiskGraph& g, const MwRunConfig& config)
   if (config_.check_independence) {
     // Incremental Theorem-1 verification: a violation can only appear the
     // slot a node finalizes its color, so checking newly decided nodes
-    // against their decided neighbors each slot is complete.
+    // against their decided neighbors each slot is complete. An MwNode
+    // decides only in begin_slot, so this slot's deciders are among the
+    // simulator's active nodes, visited in ascending id order.
     simulator_->add_observer(
         [this, known = std::vector<bool>(graph_.size(), false)](
             radio::Slot slot, std::span<const radio::TxRecord>) mutable {
-          for (graph::NodeId v = 0; v < graph_.size(); ++v) {
+          for (const graph::NodeId v : simulator_->active_nodes()) {
             if (known[v] || !nodes_[v]->decided()) continue;
             known[v] = true;
             const graph::Color mine = nodes_[v]->final_color();

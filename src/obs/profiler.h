@@ -59,7 +59,7 @@ enum class Phase : std::uint8_t {
   kDeliver,       ///< listener-ordered delivery: one on_receive per decode
   kProtocolStep,  ///< one MwNode::begin_slot (inside kTxDecide)
   kRecovery,      ///< one SelfHealingNode::begin_slot (wraps kProtocolStep)
-  kEndSlot,       ///< end_slot transitions + end-of-slot observers
+  kEndSlot,       ///< decision tracking + end-of-slot observers
 };
 
 inline constexpr std::size_t kPhaseCount = 12;

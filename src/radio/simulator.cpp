@@ -46,6 +46,9 @@ Simulator::Simulator(const graph::UnitDiskGraph& graph,
   scratch_.dead.assign(n, 0);
   scratch_.schedule_suppressed.assign(n, 0);
   scratch_.listening.assign(n, 0);
+  // Plans ending at 0: every node takes the tx loop's full path in slot 0.
+  scratch_.plans.assign(n, QuietPlan{0});
+  scratch_.active.reserve(n);
   scratch_.transmissions.reserve(n);
   // A listener receives at most once per slot, so n bounds the list.
   scratch_.receptions.reserve(n);
@@ -98,21 +101,77 @@ void Simulator::set_observation(obs::RunObservation* observation) {
                 {1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0}));
 }
 
+bool Simulator::quiet_draw_hits(graph::NodeId v) {
+  const double p = scratch_.plans[v].tx_probability;
+  if (p <= 0.0) return false;
+  common::Rng draw = rngs_[v];
+  if (draw.bernoulli(p)) return true;
+  rngs_[v] = draw;
+  return false;
+}
+
+void Simulator::listen(graph::NodeId v, Slot slot, RunMetrics& metrics) {
+  // Transient deafness: the receiver is off, but the node still ran its
+  // slot (protocol state and the interference field are unaffected —
+  // deafness is a pure receiver fault).
+  const bool deaf = fault_injector_ != nullptr &&
+                    fault_injector_->receiver_disabled(slot, v);
+  scratch_.listening[v] = deaf ? 0 : 1;
+  if (deaf) ++metrics.fault_deaf_slots;
+}
+
+Slot Simulator::next_event(graph::NodeId v, Slot slot) const {
+  Slot next = kNeverSlot;
+  const auto consider = [&next, slot](Slot s) {
+    if (s > slot && s < next) next = s;
+  };
+  consider(failure_slot_[v]);
+  consider(join_slot_[v]);
+  if (!scratch_.awake[v] && !scratch_.schedule_suppressed[v]) {
+    consider(wakeups_[v]);
+  }
+  return next;
+}
+
+void Simulator::replan(graph::NodeId v, Slot slot) {
+  QuietPlan plan = protocols_[v]->quiet_plan(slot);
+  SINRCOLOR_DCHECK(plan.until > slot);
+  plan.until = std::min(plan.until, next_event(v, slot));
+  scratch_.plans[v] = plan;
+}
+
 // Node ids ascend, so the transmissions leave sender-ascending: the order
 // the medium's Kahan field sums are defined over.
+//
+// awake_slots[v] is counted per awake interval: the wake subtracts its slot
+// and the death (or the end of the run) adds the interval's end, so the
+// count is exact once the run is over (unsigned wrap-around in between).
 void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
                           std::size_t& undecided, std::size_t& joins_pending) {
   auto& awake = scratch_.awake;
   auto& dead = scratch_.dead;
   auto& listening = scratch_.listening;
   auto& schedule_suppressed = scratch_.schedule_suppressed;
+  auto& plans = scratch_.plans;
   auto& transmissions = scratch_.transmissions;
   transmissions.clear();
-  for (graph::NodeId v = 0; v < graph_.size(); ++v) {
+  scratch_.active.clear();
+  const std::size_t n = graph_.size();
+  const bool faults = fault_injector_ != nullptr;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (slot < plans[v].until && !quiet_draw_hits(v)) {
+      // Asleep, dead, or awake and silent inside its quiet plan. Deafness
+      // is still queried for every awake listener.
+      if (faults && awake[v] && !dead[v]) {
+        listen(v, slot, metrics);
+      }
+      continue;
+    }
     if (!dead[v] && failure_slot_[v] == slot) {
       dead[v] = 1;
       metrics.death_slot[v] = slot;
       ++metrics.failed_nodes;
+      if (awake[v]) metrics.awake_slots[v] += static_cast<std::uint64_t>(slot);
       // A dead node can no longer decide; stop waiting for it.
       if (metrics.decision_slot[v] < 0) --undecided;
       SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kFailure, v);
@@ -140,23 +199,23 @@ void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
         SINRCOLOR_CHECK_MSG(!awake[v], "join slot hit an awake node");
       }
       awake[v] = 1;
+      metrics.awake_slots[v] -= static_cast<std::uint64_t>(slot);
       protocols_[v]->on_wake(slot);
     }
-    if (dead[v]) {
+    if (!dead[v] && !awake[v] && wakeups_[v] == slot &&
+        !schedule_suppressed[v]) {
+      awake[v] = 1;
+      metrics.awake_slots[v] -= static_cast<std::uint64_t>(slot);
+      SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kWake, v);
+      protocols_[v]->on_wake(slot);
+    }
+    if (dead[v] || !awake[v]) {
       listening[v] = 0;
+      plans[v] = {next_event(v, slot)};
       continue;
     }
-    if (!awake[v]) {
-      if (wakeups_[v] == slot && !schedule_suppressed[v]) {
-        awake[v] = 1;
-        SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kWake, v);
-        protocols_[v]->on_wake(slot);
-      } else {
-        listening[v] = 0;
-        continue;
-      }
-    }
-    ++metrics.awake_slots[v];
+    scratch_.active.push_back(v);
+    ++metrics.protocol_steps;
     auto tx = protocols_[v]->begin_slot(slot, rngs_[v]);
     if (tx.has_value()) {
       tx->sender = v;
@@ -166,16 +225,9 @@ void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
       SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kTx, v, tx->target,
                       static_cast<std::int32_t>(tx->kind), tx->color_class);
     } else {
-      listening[v] = 1;
-      // Transient deafness: the receiver is off, but the node still ran
-      // its slot (protocol state and the interference field are
-      // unaffected — deafness is a pure receiver fault).
-      if (fault_injector_ != nullptr &&
-          fault_injector_->receiver_disabled(slot, v)) {
-        listening[v] = 0;
-        ++metrics.fault_deaf_slots;
-      }
+      listen(v, slot, metrics);
     }
+    replan(v, slot);
   }
 }
 
@@ -323,6 +375,7 @@ RunMetrics Simulator::run(Slot max_slots) {
                           m.sender, static_cast<std::int32_t>(m.kind),
                           m.color_class);
           protocols_[r.listener]->on_receive(slot, m);
+          replan(r.listener, slot);
           ++metrics.total_deliveries;
         }
       }
@@ -354,15 +407,25 @@ RunMetrics Simulator::run(Slot max_slots) {
       for (const Reception& r : receptions) received[r.listener / 64] = 0;
     }
 
-    // 3. End-of-slot transitions and decision tracking.
+    // A transmitter listens again in its next slot unless that slot says
+    // otherwise; a quiet node keeps this byte.
+    for (const TxRecord& t : transmissions) listening[t.sender] = 1;
+
+    // 3. End of slot: decision tracking, then the end-of-slot observers.
+    // Only a node that ran begin_slot or received a message can have
+    // changed, so only those are asked.
     {
       SINRCOLOR_PROFILE(profiler, obs::Phase::kEndSlot);
-      for (graph::NodeId v = 0; v < n; ++v) {
-        if (!scratch_.awake[v] || scratch_.dead[v]) continue;
-        protocols_[v]->end_slot(slot);
+      const auto track = [&](graph::NodeId v) {
         if (metrics.decision_slot[v] < 0 && protocols_[v]->decided()) {
           metrics.decision_slot[v] = slot;
           --undecided;
+        }
+      };
+      for (const graph::NodeId v : scratch_.active) track(v);
+      if (!transmissions.empty()) {
+        for (const Reception& r : receptions) {
+          if (r.tx != kFaultDropped) track(r.listener);
         }
       }
       // This slot's state (colors, decisions) is now final: run the
@@ -389,9 +452,13 @@ RunMetrics Simulator::run(Slot max_slots) {
   }
 
   for (std::size_t v = 0; v < n; ++v) {
-    if (!scratch_.dead[v] && metrics.decision_slot[v] < 0) {
-      ++metrics.stalled_nodes;
+    if (scratch_.dead[v]) continue;
+    // Close the awake intervals still open (see tx_decide).
+    if (scratch_.awake[v]) {
+      metrics.awake_slots[v] +=
+          static_cast<std::uint64_t>(metrics.slots_executed);
     }
+    if (metrics.decision_slot[v] < 0) ++metrics.stalled_nodes;
   }
   metrics.all_decided = metrics.stalled_nodes == 0;
   // Bytes/node accounting: long-lived run state plus the metrics' own
@@ -438,7 +505,8 @@ std::size_t Simulator::memory_bytes() const {
          vec(join_slot_) + vec(protocols_) + vec(owned_) + vec(rngs_) +
          vec(observers_) + vec(end_observers_) + vec(scratch_.awake) +
          vec(scratch_.dead) + vec(scratch_.schedule_suppressed) +
-         vec(scratch_.listening) + vec(scratch_.transmissions) +
+         vec(scratch_.listening) + vec(scratch_.plans) +
+         vec(scratch_.active) + vec(scratch_.transmissions) +
          vec(scratch_.receptions) + vec(scratch_.received) +
          vec(scratch_.received_tx) + vec(scratch_.cover_count) +
          vec(scratch_.cover_sample) + vec(scratch_.covered);

@@ -3,15 +3,18 @@
 // Time is divided into synchronized discrete slots (paper, Section II).
 // Each slot the simulator: wakes due nodes, collects transmission decisions,
 // resolves receptions through the interference model, delivers messages, and
-// runs end-of-slot transitions. Execution is fully deterministic given the
-// seed: node v draws from its own splitmix-derived stream.
+// records decisions. Execution is fully deterministic given the seed: node v
+// draws from its own splitmix-derived stream.
 //
-// After the transmission decisions a slot costs O(transmitters +
-// receptions), not O(n): the medium's sparse reception list is delivered in
-// listener order (SlotScratch below). The per-node phases (tx decide,
-// end-of-slot) walk v = 0..n-1 in one sequential loop, so the transmissions
+// The tx phase walks v = 0..n-1 in one sequential loop, so the transmissions
 // reach the medium sender-ascending — the order its Kahan sums are defined
-// over.
+// over. A node inside its protocol's quiet plan (radio/protocol.h), asleep or
+// dead costs that loop no virtual call: a quiet node's one Bernoulli draw is
+// made on a copy of its stream, and only a success runs its begin_slot.
+// After the tx phase a slot costs O(transmitters + receptions + active
+// nodes), not O(n): the medium's sparse reception list is delivered in
+// listener order (SlotScratch below), and decisions are tracked for the
+// slot's active nodes and receivers only.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +43,9 @@ class Simulator {
   using SlotObserver =
       std::function<void(Slot, std::span<const TxRecord>)>;
 
-  /// Observer invoked at the very end of each slot, after every protocol's
-  /// end_slot and decision tracking — the point where this slot's state
-  /// (colors, decisions) is final. Used by the runtime invariant monitor.
+  /// Observer invoked at the very end of each slot, after decision
+  /// tracking — the point where this slot's state (colors, decisions) is
+  /// final. Used by the runtime invariant monitor.
   using EndSlotObserver = std::function<void(Slot)>;
 
   Simulator(const graph::UnitDiskGraph& graph,
@@ -123,6 +126,13 @@ class Simulator {
 
   obs::RunObservation* observation() const { return observation_; }
 
+  /// The nodes whose begin_slot ran in the current slot, ascending; valid in
+  /// slot and end-of-slot observers. Every other awake node was quiet, so a
+  /// protocol that decides only in begin_slot decided among these.
+  std::span<const graph::NodeId> active_nodes() const {
+    return scratch_.active;
+  }
+
   /// After every protocol has decided (and no joins are pending), keep the
   /// slot loop running this many extra slots before run() returns — air
   /// time for post-decision watches (late-conflict repair under injected
@@ -155,9 +165,17 @@ class Simulator {
   /// every slot — the slot loop itself performs no heap allocation in steady
   /// state (RunMetrics::steady_state_alloc_free; the SINRCOLOR_COUNT_ALLOCS
   /// build asserts it). Hot per-node flags are byte arrays rather than
-  /// vector<bool>: the wake/decide loops touch all n every slot and byte
-  /// loads beat bit extraction there. The medium reads the `listening`
-  /// bytes as they are.
+  /// vector<bool>: byte loads beat bit extraction in the tx loop. The medium
+  /// reads the `listening` bytes as they are; they persist across slots (a
+  /// quiet awake node keeps its 1, a transmitter's byte is restored after its
+  /// slot) and are rewritten only for active nodes and, under a fault
+  /// injector, for every awake non-transmitting node's deafness.
+  ///
+  /// `plans[v]` is node v's stored quiet plan: `until` is the first slot
+  /// the node needs the tx loop's full path again — its protocol's `until`,
+  /// capped at its next wake, failure or join slot (for a sleeping or dead
+  /// node, just that event, with no draw). `active` lists the slot's
+  /// begin_slot calls.
   ///
   /// Reception side, O(receptions) per slot: the medium fills `receptions`
   /// in its own order; each entry sets its listener's bit in `received`
@@ -171,6 +189,8 @@ class Simulator {
     std::vector<std::uint8_t> dead;
     std::vector<std::uint8_t> schedule_suppressed;
     std::vector<std::uint8_t> listening;
+    std::vector<QuietPlan> plans;
+    std::vector<graph::NodeId> active;
     std::vector<TxRecord> transmissions;
     std::vector<Reception> receptions;
     std::vector<std::uint64_t> received;
@@ -185,6 +205,19 @@ class Simulator {
   /// pushed straight into scratch_.transmissions (sender-ascending).
   void tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
                  std::size_t& undecided, std::size_t& joins_pending);
+  /// One quiet slot of node v: draws its plan's Bernoulli value on a copy of
+  /// its stream. A failed draw is kept (it is all begin_slot would have
+  /// done); a success leaves the stream for begin_slot to redraw. Returns
+  /// whether v must run begin_slot this slot.
+  bool quiet_draw_hits(graph::NodeId v);
+  /// Sets v's listening byte for a slot it does not transmit in: 1, or 0 if
+  /// the fault injector deafens it.
+  void listen(graph::NodeId v, Slot slot, RunMetrics& metrics);
+  /// The first of v's failure, join and (while it sleeps) wake slots after
+  /// `slot`; kNeverSlot if none is left.
+  Slot next_event(graph::NodeId v, Slot slot) const;
+  /// Stores v's quiet plan after a protocol call in `slot`.
+  void replan(graph::NodeId v, Slot slot);
   /// Marks every reception in scratch_.received and rewrites
   /// scratch_.receptions in listener-ascending order (bitmap walk, no
   /// comparison sort).

@@ -56,6 +56,10 @@ struct RunMetrics {
   /// engine scratch varies with the resolve kind and thread count while
   /// results do not, and run JSON must stay byte-identical across them.
   std::size_t state_bytes = 0;
+  /// Protocol::begin_slot calls the simulator made; the rest of the awake
+  /// node-slots were quiet (radio/protocol.h). Like state_bytes, never
+  /// serialized into run JSON: it measures the simulator, not the run.
+  std::uint64_t protocol_steps = 0;
 
   /// state_bytes normalized per node; 0.0 for an empty run.
   double bytes_per_node() const {

@@ -224,10 +224,6 @@ void SelfHealingNode::on_receive(radio::Slot slot, const radio::Message& msg) {
   inner_->on_receive(slot, msg);
 }
 
-void SelfHealingNode::end_slot(radio::Slot slot) {
-  if (inner_ != nullptr) inner_->end_slot(slot);
-}
-
 bool SelfHealingNode::decided() const {
   if (confirmed_once_) return true;
   return inner_ != nullptr && inner_->decided();

@@ -45,7 +45,6 @@ class SelfHealingNode final : public radio::Protocol {
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
   void on_receive(radio::Slot slot, const radio::Message& message) override;
-  void end_slot(radio::Slot slot) override;
   bool decided() const override;
 
   // --- introspection (recovery driver, tests) ---

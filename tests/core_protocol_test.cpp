@@ -198,12 +198,10 @@ TEST(MwNode, LoneNodeWalksThroughPhases) {
   for (radio::Slot i = 0; i < params.listen_slots; ++i) {
     EXPECT_EQ(node.state(), MwStateKind::kListening);
     (void)node.begin_slot(slot++, rng);
-    node.end_slot(slot - 1);
   }
   // Competition with no competitors: counter climbs 1, 2, ... to threshold.
   while (!node.decided()) {
     (void)node.begin_slot(slot++, rng);
-    node.end_slot(slot - 1);
     ASSERT_LE(slot, params.listen_slots + params.counter_threshold + 2);
   }
   EXPECT_EQ(node.state(), MwStateKind::kLeader);

@@ -33,7 +33,6 @@ class ChattyProtocol final : public radio::Protocol {
     return m;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:
@@ -49,7 +48,6 @@ class ListenerProtocol final : public radio::Protocol {
     return std::nullopt;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:

@@ -49,7 +49,6 @@ class ChattyProtocol final : public radio::Protocol {
     return m;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:
@@ -65,7 +64,6 @@ class ListenerProtocol final : public radio::Protocol {
     return std::nullopt;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:
@@ -86,7 +84,6 @@ class BeaconProtocol final : public radio::Protocol {
     return m;
   }
   void on_receive(radio::Slot, const radio::Message&) override {}
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return false; }
 
  private:
@@ -533,7 +530,6 @@ class InstantProtocol final : public radio::Protocol {
     return std::nullopt;
   }
   void on_receive(radio::Slot, const radio::Message&) override {}
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return decided_; }
 
  private:

@@ -65,11 +65,10 @@ radio::Message request(graph::NodeId sender, graph::NodeId leader) {
   return m;
 }
 
-// Drives one begin/end slot; returns the transmission.
+// Drives one slot; returns the transmission.
 std::optional<radio::Message> step(MwNode& node, radio::Slot& slot,
                                    common::Rng& rng) {
   auto tx = node.begin_slot(slot, rng);
-  node.end_slot(slot);
   ++slot;
   return tx;
 }

@@ -148,7 +148,6 @@ class ScriptedProtocol final : public Protocol {
     return std::nullopt;
   }
   void on_receive(Slot, const Message& m) override { received_.push_back(m); }
-  void end_slot(Slot) override {}
   bool decided() const override { return !received_.empty(); }
 
   bool awake_ = false;

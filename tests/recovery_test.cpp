@@ -38,7 +38,6 @@ class ChattyProtocol final : public radio::Protocol {
     return m;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:
@@ -54,7 +53,6 @@ class ListenerProtocol final : public radio::Protocol {
     return std::nullopt;
   }
   void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
-  void end_slot(radio::Slot) override {}
   bool decided() const override { return heard_; }
 
  private:
@@ -413,12 +411,11 @@ radio::Message color_assign(graph::NodeId leader, graph::NodeId target,
   return m;
 }
 
-// Drives begin/end until the node decides; returns the slot cursor.
+// Drives begin_slot until the node decides; returns the slot cursor.
 void drive_until_decided(robust::SelfHealingNode& node, radio::Slot& slot,
                          common::Rng& rng) {
   while (!node.decided() && slot < 200) {
     node.begin_slot(slot, rng);
-    node.end_slot(slot);
     ++slot;
   }
   ASSERT_TRUE(node.decided());
@@ -436,11 +433,9 @@ TEST(Recovery, EstablishedNodeRepairsLateCollisionFromLowerIdNeighbor) {
   node.on_wake(slot);
   node.begin_slot(slot, rng);
   node.on_receive(slot, color_beacon(1, 0));  // a leader covers us → R
-  node.end_slot(slot);
   ++slot;
   node.begin_slot(slot, rng);
   node.on_receive(slot, color_assign(1, 5, 1));  // grant → class 6
-  node.end_slot(slot);
   ++slot;
   drive_until_decided(node, slot, rng);
   ASSERT_NE(node.inner(), nullptr);
@@ -468,7 +463,6 @@ TEST(Recovery, EstablishedNodeRepairsLateCollisionFromLowerIdNeighbor) {
   EXPECT_EQ(tx->kind, radio::MessageKind::kJoinBeacon);
   EXPECT_EQ(tx->color_class, 1);
   node.on_receive(slot, color_beacon(0, 1));
-  node.end_slot(slot);
   ++slot;
   EXPECT_EQ(node.final_color(), 2);  // heard {0, 1, 6} → 2
   EXPECT_TRUE(node.decided());

@@ -834,12 +834,12 @@ int trace_digest(const common::Cli& cli) {
 }
 
 int trace_timeline(const common::Cli& cli) {
+  const auto columns =
+      static_cast<std::size_t>(cli.get_int_at_least("columns", 72, 1));
+  radio::Slot interval = cli.get_int("interval", 0);
   obs::TraceMeta meta;
   std::vector<obs::TraceEvent> events;
   load_trace(cli, meta, events);
-  const auto columns =
-      static_cast<std::size_t>(cli.get_int("columns", 72));
-  radio::Slot interval = cli.get_int("interval", 0);
   cli.reject_unknown();
 
   if (interval <= 0) {
