@@ -116,9 +116,7 @@ inline bool write_atomic(const std::string& path, const std::string& content,
 /// Physical layer whose transmission range R_T equals `r_t` with the library
 /// default α, β, ρ (noise solved from the R_T definition).
 inline sinr::SinrParams phys_for_radius(double r_t) {
-  sinr::SinrParams p;
-  p.noise = p.power / (2.0 * p.beta * std::pow(r_t, p.alpha));
-  return p;
+  return sinr::SinrParams{}.with_r_t(r_t);
 }
 
 /// Uniform deployment with expected average degree ≈ `avg_degree`
@@ -278,7 +276,8 @@ class MetricsSidecar {
     trial_timing_.total_us += timing.total_us;
     if (observation_->profiler != nullptr) {
       for (const std::uint64_t us : timing.trial_us) {
-        observation_->profiler->record(obs::Phase::kTrial, us, us);
+        observation_->profiler->record(obs::Phase::kTrial, us * 1000,
+                                       us * 1000);
       }
     }
   }

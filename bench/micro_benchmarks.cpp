@@ -19,9 +19,7 @@ namespace {
 using namespace sinrcolor;
 
 sinr::SinrParams phys_for_radius(double r_t) {
-  sinr::SinrParams p;
-  p.noise = p.power / (2.0 * p.beta * std::pow(r_t, p.alpha));
-  return p;
+  return sinr::SinrParams{}.with_r_t(r_t);
 }
 
 std::vector<sinr::Transmitter> random_txs(std::size_t k, std::uint64_t seed) {

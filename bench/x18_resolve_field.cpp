@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
   using namespace sinrcolor;
   const common::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 2000, 1));
-  const double avg = cli.get_double("avg-degree", 64.0);
-  const double tx_prob = cli.get_double("tx-prob", 0.25);
+  const double avg = cli.get_double_at_least("avg-degree", 64.0, 1e-9);
+  const double tx_prob =
+      cli.get_probability("tx-prob", 0.25, /*allow_one=*/true);
   const auto slots =
       static_cast<std::size_t>(cli.get_int_at_least("slots", 40, 1));
   const auto reps =

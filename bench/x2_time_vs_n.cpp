@@ -48,7 +48,7 @@ struct TrialResult {
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
-  const double avg = cli.get_double("avg-degree", 10.0);
+  const double avg = cli.get_double_at_least("avg-degree", 10.0, 1e-9);
   const auto seeds =
       static_cast<std::size_t>(cli.get_int_at_least("seeds", 2, 1));
   const auto base_seed = cli.get_seed("seed", 2);

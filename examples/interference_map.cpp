@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   phys.beta = cli.get_double("beta", 1.5);
   cli.reject_unknown();
 
-  phys.noise = phys.power / (2.0 * phys.beta * 1.0);  // R_T = 1
-  phys.validate();
+  phys = phys.with_r_t(1.0);
+  if (const std::string problem = phys.violation(); !problem.empty()) {
+    cli.usage_error(problem);
+  }
   std::printf("%s\n", phys.to_string().c_str());
   std::printf("R_max=%.3f R_T=%.3f (paper: R_T=(P/2Nbeta)^(1/alpha))\n\n",
               phys.r_max(), phys.r_t());

@@ -7,7 +7,6 @@
 //
 //   ./examples/sensor_network_init [--n=150] [--side=4.5] [--clusters=4]
 //                                  [--seed=7] [--wakeup-window=2000]
-#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -39,8 +38,7 @@ int main(int argc, char** argv) {
   std::printf("[deploy] n=%zu clusters=%zu Delta=%zu connected=%s\n", g.size(),
               clusters, g.max_degree(), graph::is_connected(g) ? "yes" : "no");
 
-  sinr::SinrParams phys;
-  phys.noise = phys.power / (2.0 * phys.beta * std::pow(g.radius(), phys.alpha));
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(g.radius());
   const double d = phys.mac_distance_d();
   std::printf("[phys]   %s\n", phys.to_string().c_str());
 

@@ -7,7 +7,6 @@
 // condition in the graph model — and visibly insufficient under SINR.
 //
 //   ./examples/tdma_mac [--n=250] [--side=4.5] [--seed=3] [--aloha-p=0.05]
-#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -25,13 +24,13 @@ int main(int argc, char** argv) {
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 250, 1));
   const double side = cli.get_double_at_least("side", 4.5, 1e-9);
   const auto seed = cli.get_seed("seed", 3);
-  const double aloha_p = cli.get_double("aloha-p", 0.05);
+  const double aloha_p =
+      cli.get_probability("aloha-p", 0.05, /*allow_one=*/false);
   cli.reject_unknown();
 
   common::Rng rng(seed);
   graph::UnitDiskGraph g(geometry::uniform_deployment(n, side, rng), 1.0);
-  sinr::SinrParams phys;
-  phys.noise = phys.power / (2.0 * phys.beta * std::pow(g.radius(), phys.alpha));
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(g.radius());
   const double d = phys.mac_distance_d();
   std::printf("n=%zu Delta=%zu, Theorem-3 constant d=%.3f (schedule needs a "
               "distance-%.3f coloring)\n",

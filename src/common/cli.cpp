@@ -4,21 +4,13 @@
 #include <cstdlib>
 
 namespace sinrcolor::common {
-namespace {
-
-[[noreturn]] void usage_error(const std::string& program, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\n", program.c_str(), message.c_str());
-  std::exit(2);
-}
-
-}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   program_ = argc > 0 ? argv[0] : "program";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      usage_error(program_, "positional arguments are not supported: " + arg);
+      usage_error("positional arguments are not supported: " + arg);
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
@@ -49,7 +41,7 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) c
   char* end = nullptr;
   const long long v = std::strtoll(raw.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
-    usage_error(program_, "flag --" + name + " expects an integer, got '" + raw + "'");
+    usage_error("flag --" + name + " expects an integer, got '" + raw + "'");
   }
   return v;
 }
@@ -60,7 +52,7 @@ double Cli::get_double(const std::string& name, double default_value) const {
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
   if (end == nullptr || *end != '\0') {
-    usage_error(program_, "flag --" + name + " expects a number, got '" + raw + "'");
+    usage_error("flag --" + name + " expects a number, got '" + raw + "'");
   }
   return v;
 }
@@ -70,9 +62,8 @@ std::int64_t Cli::get_int_at_least(const std::string& name,
                                    std::int64_t min) const {
   const std::int64_t v = get_int(name, default_value);
   if (has(name) && v < min) {
-    usage_error(program_, "flag --" + name + " must be at least " +
-                              std::to_string(min) + ", got " +
-                              std::to_string(v));
+    usage_error("flag --" + name + " must be at least " +
+                std::to_string(min) + ", got " + std::to_string(v));
   }
   return v;
 }
@@ -84,7 +75,19 @@ double Cli::get_double_at_least(const std::string& name, double default_value,
     char msg[128];
     std::snprintf(msg, sizeof msg, "flag --%s must be at least %g, got %g",
                   name.c_str(), min, v);
-    usage_error(program_, msg);
+    usage_error(msg);
+  }
+  return v;
+}
+
+double Cli::get_probability(const std::string& name, double default_value,
+                            bool allow_one) const {
+  const double v = get_double(name, default_value);
+  if (has(name) && !(v > 0.0 && (allow_one ? v <= 1.0 : v < 1.0))) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg, "flag --%s must be in (0, 1%s, got %g",
+                  name.c_str(), allow_one ? "]" : ")", v);
+    usage_error(msg);
   }
   return v;
 }
@@ -94,7 +97,7 @@ bool Cli::get_bool(const std::string& name, bool default_value) const {
   if (raw.empty()) return default_value;
   if (raw == "true" || raw == "1" || raw == "yes") return true;
   if (raw == "false" || raw == "0" || raw == "no") return false;
-  usage_error(program_, "flag --" + name + " expects a boolean, got '" + raw + "'");
+  usage_error("flag --" + name + " expects a boolean, got '" + raw + "'");
 }
 
 std::uint64_t Cli::get_seed(const std::string& name, std::uint64_t default_value) const {
@@ -103,16 +106,21 @@ std::uint64_t Cli::get_seed(const std::string& name, std::uint64_t default_value
   char* end = nullptr;
   const unsigned long long v = std::strtoull(raw.c_str(), &end, 0);
   if (end == nullptr || *end != '\0') {
-    usage_error(program_, "flag --" + name + " expects a seed, got '" + raw + "'");
+    usage_error("flag --" + name + " expects a seed, got '" + raw + "'");
   }
   return v;
+}
+
+void Cli::usage_error(const std::string& message) const {
+  std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+  std::exit(2);
 }
 
 void Cli::reject_unknown() const {
   for (const auto& [name, value] : values_) {
     (void)value;
     if (consumed_.find(name) == consumed_.end()) {
-      usage_error(program_, "unknown flag --" + name);
+      usage_error("unknown flag --" + name);
     }
   }
 }

@@ -28,11 +28,21 @@ class Cli {
                                 std::int64_t min) const;
   double get_double_at_least(const std::string& name, double default_value,
                              double min) const;
+  /// get_double for a probability flag: the value must lie in (0, 1], or in
+  /// the open (0, 1) when `allow_one` is false. Anything else (NaN
+  /// included) exits with the usage error.
+  double get_probability(const std::string& name, double default_value,
+                         bool allow_one) const;
   bool get_bool(const std::string& name, bool default_value) const;
   std::uint64_t get_seed(const std::string& name, std::uint64_t default_value) const;
 
   /// Names consumed via get*(); call after all reads to reject unknown flags.
   void reject_unknown() const;
+
+  /// Prints "<program>: <message>" to stderr and exits 2 — the usage-error
+  /// path for a value the front end validates itself (e.g. the first
+  /// violated rule of sinr::SinrParams::violation()).
+  [[noreturn]] void usage_error(const std::string& message) const;
 
   const std::string& program() const { return program_; }
 

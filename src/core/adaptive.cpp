@@ -1,12 +1,10 @@
 #include "core/adaptive.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "common/check.h"
 #include "radio/interference_model.h"
-#include "radio/wakeup.h"
 
 namespace sinrcolor::core {
 namespace {
@@ -83,28 +81,13 @@ std::string AdaptiveRunResult::summary() const {
 
 AdaptiveRunResult run_adaptive_coloring(const graph::UnitDiskGraph& g,
                                         const AdaptiveRunConfig& config) {
-  sinr::SinrParams phys;
-  phys.noise =
-      phys.power / (2.0 * phys.beta * std::pow(g.radius(), phys.alpha));
-
-  radio::WakeupSchedule wakeups;
-  switch (config.wakeup) {
-    case WakeupKind::kSimultaneous:
-      wakeups = radio::simultaneous_wakeup(g.size());
-      break;
-    case WakeupKind::kUniform: {
-      common::Rng rng(common::derive_seed(config.seed, 0xbeefULL));
-      wakeups = radio::uniform_wakeup(g.size(), config.wakeup_window, rng);
-      break;
-    }
-    case WakeupKind::kStaggered:
-      wakeups = radio::staggered_wakeup(g.size(), config.wakeup_window);
-      break;
-  }
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(g.radius());
 
   radio::Simulator simulator(
       g, std::make_unique<radio::SinrInterferenceModel>(g, phys),
-      std::move(wakeups), config.seed);
+      make_wakeup_schedule(g.size(), config.wakeup, config.wakeup_window,
+                           config.seed),
+      config.seed);
 
   std::vector<AdaptiveMwNode*> nodes;
   nodes.reserve(g.size());

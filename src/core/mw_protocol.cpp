@@ -12,10 +12,8 @@ namespace sinrcolor::core {
 
 sinr::SinrParams resolve_phys(const graph::UnitDiskGraph& g,
                               const MwRunConfig& config) {
-  sinr::SinrParams phys = config.phys_template;
   const double r_t = g.radius();
-  phys.noise =
-      phys.power / (2.0 * phys.beta * std::pow(r_t, phys.alpha));
+  const sinr::SinrParams phys = config.phys_template.with_r_t(r_t);
   phys.validate();
   SINRCOLOR_CHECK(std::abs(phys.r_t() - r_t) <= 1e-9 * r_t);
   return phys;
@@ -30,11 +28,7 @@ MwParams derive_mw_params(const graph::UnitDiskGraph& g,
                       ? config.delta_estimate
                       : std::max<std::size_t>(g.max_degree(), 1);
   mw.phys = resolve_phys(g, config);
-  mw.c = config.c;
-
-  return config.profile == ParamProfile::kTheory
-             ? MwParams::theory(mw)
-             : MwParams::practical(mw, config.tuning);
+  return MwParams::practical(mw, config.tuning);
 }
 
 std::unique_ptr<radio::InterferenceModel> make_interference_model(
@@ -47,17 +41,18 @@ std::unique_ptr<radio::InterferenceModel> make_interference_model(
       radio::ResolveOptions{config.resolve, config.threads});
 }
 
-radio::WakeupSchedule make_wakeup_schedule(std::size_t n,
-                                           const MwRunConfig& config) {
-  switch (config.wakeup) {
+radio::WakeupSchedule make_wakeup_schedule(std::size_t n, WakeupKind kind,
+                                           radio::Slot window,
+                                           std::uint64_t seed) {
+  switch (kind) {
     case WakeupKind::kSimultaneous:
       return radio::simultaneous_wakeup(n);
     case WakeupKind::kUniform: {
-      common::Rng rng(common::derive_seed(config.seed, 0xbeefULL));
-      return radio::uniform_wakeup(n, config.wakeup_window, rng);
+      common::Rng rng(common::derive_seed(seed, 0xbeefULL));
+      return radio::uniform_wakeup(n, window, rng);
     }
     case WakeupKind::kStaggered:
-      return radio::staggered_wakeup(n, config.wakeup_window);
+      return radio::staggered_wakeup(n, window);
   }
   return radio::simultaneous_wakeup(n);
 }
@@ -91,7 +86,9 @@ MwInstance::MwInstance(const graph::UnitDiskGraph& g, const MwRunConfig& config)
     : graph_(g), config_(config), params_(derive_mw_params(g, config)) {
   simulator_ = std::make_unique<radio::Simulator>(
       graph_, make_interference_model(graph_, config_),
-      make_wakeup_schedule(g.size(), config_), config_.seed);
+      make_wakeup_schedule(g.size(), config_.wakeup, config_.wakeup_window,
+                           config_.seed),
+      config_.seed);
 
   schedule_random_failures(*simulator_, config_);
 

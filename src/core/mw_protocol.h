@@ -28,12 +28,8 @@ enum class WakeupKind : std::uint8_t {
   kStaggered,     ///< node v wakes at v · wakeup_window
 };
 
-enum class ParamProfile : std::uint8_t { kPractical, kTheory };
-
 struct MwRunConfig {
-  ParamProfile profile = ParamProfile::kPractical;
-  PracticalTuning tuning;          ///< used when profile == kPractical
-  double c = 5.0;                  ///< used when profile == kTheory
+  PracticalTuning tuning;          ///< the practical profile's constants
   /// Physical-layer template: α, β, ρ are taken from here; the noise floor is
   /// re-solved so that R_T equals the graph's radius (the UDG must remain the
   /// physical reachability graph). Defaults: α=4, β=1.5, ρ=1.5.
@@ -48,9 +44,9 @@ struct MwRunConfig {
   /// Reception-resolution path of the SINR media (ignored under the graph
   /// medium). The default, radio::ResolveOptions{}'s kind, is kNaive: it
   /// re-sums per (sender, listener) pair and is the fastest kind at the
-  /// protocol's few transmitters per slot (docs/PERFORMANCE.md). kField
-  /// shares one interference-field sum per covered listener; kSimd evaluates
-  /// the same field through the SoA batch kernel (docs/KERNELS.md); both win
+  /// protocol's few transmitters per slot (docs/PERFORMANCE.md). kField and
+  /// kSimd share one interference-field sum per covered listener, summed in
+  /// one Kahan chain or in the 8-lane SoA kernel (docs/KERNELS.md); both win
   /// on dense slots. Deliveries are identical across all three.
   sinr::ResolveKind resolve = radio::ResolveOptions{}.kind;
   /// Worker threads for the field/simd paths' per-listener shards (1 =
@@ -154,7 +150,8 @@ MwRunResult run_mw_coloring(const graph::UnitDiskGraph& g,
 sinr::SinrParams resolve_phys(const graph::UnitDiskGraph& g,
                               const MwRunConfig& config);
 
-/// Protocol parameters for the instance (profile / estimates / override).
+/// Protocol parameters for the instance (practical profile at the true or
+/// estimated n and Δ, unless params_override is set).
 MwParams derive_mw_params(const graph::UnitDiskGraph& g,
                           const MwRunConfig& config);
 
@@ -162,9 +159,11 @@ MwParams derive_mw_params(const graph::UnitDiskGraph& g,
 std::unique_ptr<radio::InterferenceModel> make_interference_model(
     const graph::UnitDiskGraph& g, const MwRunConfig& config);
 
-/// The wake-up schedule the config selects.
-radio::WakeupSchedule make_wakeup_schedule(std::size_t n,
-                                           const MwRunConfig& config);
+/// The wake-up schedule of `kind` over `window` slots; a uniform schedule
+/// draws from its own stream derived from `seed`.
+radio::WakeupSchedule make_wakeup_schedule(std::size_t n, WakeupKind kind,
+                                           radio::Slot window,
+                                           std::uint64_t seed);
 
 /// Applies failure_fraction / failure_window to the simulator: ⌈fraction·n⌉
 /// random nodes die at a uniform slot in [0, failure_window]. Nodes with

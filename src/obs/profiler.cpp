@@ -45,15 +45,15 @@ Profiler::PhaseStats::PhaseStats() : hist(phase_bucket_edges()) {}
 
 Profiler::Profiler() = default;
 
-void Profiler::record(Phase phase, std::uint64_t total_us,
-                      std::uint64_t self_us) {
+void Profiler::record(Phase phase, std::uint64_t total_ns,
+                      std::uint64_t self_ns) {
   common::MutexLock lock(mutex_);
   PhaseStats& stats = phases_[static_cast<std::size_t>(phase)];
   ++stats.count;
-  stats.total_us += total_us;
-  stats.self_us += self_us;
-  stats.max_us = std::max(stats.max_us, total_us);
-  stats.hist.record(static_cast<double>(total_us));
+  stats.total_ns += total_ns;
+  stats.self_ns += self_ns;
+  stats.max_ns = std::max(stats.max_ns, total_ns);
+  stats.hist.record(static_cast<double>(total_ns) / 1000.0);
 }
 
 Profiler::Snapshot Profiler::stats(Phase phase) const {
@@ -61,9 +61,9 @@ Profiler::Snapshot Profiler::stats(Phase phase) const {
   const PhaseStats& stats = phases_[static_cast<std::size_t>(phase)];
   Snapshot snap;
   snap.count = stats.count;
-  snap.total_us = stats.total_us;
-  snap.self_us = stats.self_us;
-  snap.max_us = stats.max_us;
+  snap.total_us = stats.total_ns / 1000;
+  snap.self_us = stats.self_ns / 1000;
+  snap.max_us = stats.max_ns / 1000;
   snap.p50_us = stats.hist.quantile_upper_bound(0.50);
   snap.p95_us = stats.hist.quantile_upper_bound(0.95);
   return snap;
@@ -87,9 +87,9 @@ void Profiler::write_json(common::JsonWriter& json) const {
     json.key(to_string(static_cast<Phase>(i)));
     json.begin_object();
     json.field("count", stats.count);
-    json.field("total_us", stats.total_us);
-    json.field("self_us", stats.self_us);
-    json.field("max_us", stats.max_us);
+    json.field("total_us", stats.total_ns / 1000);
+    json.field("self_us", stats.self_ns / 1000);
+    json.field("max_us", stats.max_ns / 1000);
     json.field("p50_us", stats.hist.quantile_upper_bound(0.50));
     json.field("p95_us", stats.hist.quantile_upper_bound(0.95));
     json.end_object();

@@ -8,6 +8,12 @@
 // kSlot's self time is the slot-loop overhead left after kTxDecide /
 // kResolve / kDeliver / kEndSlot are subtracted out.
 //
+// Resolution: scopes are timed, nested and accumulated in steady_clock
+// nanoseconds, so a phase of many sub-microsecond scopes (protocol_step)
+// sums to its true time instead of truncating each scope to whole
+// microseconds. The reports keep their `*_us` fields, converted only when a
+// snapshot or the JSON is taken.
+//
 // Null-guard discipline (same as SINRCOLOR_TRACE): with a null Profiler* the
 // scope constructor is one pointer test — no clock read, no stack push, no
 // lock. Profiler-off runs stay within the ≤2% overhead budget measured on
@@ -73,14 +79,17 @@ class Profiler {
  public:
   Profiler();
 
-  /// One closed scope of `phase`: `total_us` entry-to-exit, `self_us` with
-  /// enclosed scopes subtracted. Safe from any thread.
-  void record(Phase phase, std::uint64_t total_us, std::uint64_t self_us)
+  /// One closed scope of `phase`: `total_ns` entry-to-exit, `self_ns` with
+  /// enclosed scopes subtracted, both in steady_clock nanoseconds. Safe from
+  /// any thread.
+  void record(Phase phase, std::uint64_t total_ns, std::uint64_t self_ns)
       SINRCOLOR_EXCLUDES(mutex_);
 
-  /// Copyable snapshot of one phase's stats. Quantiles are bucket upper
-  /// bounds from the shared log-spaced microsecond histogram
-  /// (Histogram::quantile_upper_bound — the MetricsRegistry machinery).
+  /// Copyable snapshot of one phase's stats, converted from the accumulated
+  /// nanoseconds to whole microseconds (floor) at snapshot time. Quantiles
+  /// are bucket upper bounds from the shared log-spaced microsecond
+  /// histogram (Histogram::quantile_upper_bound — the MetricsRegistry
+  /// machinery).
   struct Snapshot {
     std::uint64_t count = 0;
     std::uint64_t total_us = 0;
@@ -103,9 +112,9 @@ class Profiler {
   struct PhaseStats {
     PhaseStats();
     std::uint64_t count = 0;
-    std::uint64_t total_us = 0;
-    std::uint64_t self_us = 0;
-    std::uint64_t max_us = 0;
+    std::uint64_t total_ns = 0;
+    std::uint64_t self_ns = 0;
+    std::uint64_t max_ns = 0;
     Histogram hist;  ///< log-spaced microsecond buckets (shared edges)
   };
 
@@ -115,13 +124,13 @@ class Profiler {
 
 namespace detail {
 
-/// Per-thread nesting stack: each open scope tracks the summed duration of
-/// its already-closed children so the parent can report self time. Fixed
+/// Per-thread nesting stack: each open scope tracks the summed duration (ns)
+/// of its already-closed children so the parent can report self time. Fixed
 /// depth — deeper nesting still records totals, just without the self-time
 /// split for the overflowing frames.
 struct ProfileStack {
   static constexpr std::size_t kMaxDepth = 16;
-  std::uint64_t child_us[kMaxDepth];
+  std::uint64_t child_ns[kMaxDepth];
   std::size_t depth = 0;
 };
 
@@ -141,7 +150,7 @@ class PhaseScope {
     phase_ = phase;
     auto& stack = detail::profile_stack();
     if (stack.depth < detail::ProfileStack::kMaxDepth) {
-      stack.child_us[stack.depth] = 0;
+      stack.child_ns[stack.depth] = 0;
       depth_ = ++stack.depth;
     }
     start_ = std::chrono::steady_clock::now();
@@ -150,18 +159,18 @@ class PhaseScope {
   ~PhaseScope() {
     if (profiler_ == nullptr) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
-    const auto total_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
+    const auto total_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
             .count());
-    std::uint64_t child_us = 0;
+    std::uint64_t child_ns = 0;
     if (depth_ > 0) {
       auto& stack = detail::profile_stack();
-      child_us = stack.child_us[depth_ - 1];
+      child_ns = stack.child_ns[depth_ - 1];
       stack.depth = depth_ - 1;
-      if (depth_ > 1) stack.child_us[depth_ - 2] += total_us;
+      if (depth_ > 1) stack.child_ns[depth_ - 2] += total_ns;
     }
-    profiler_->record(phase_, total_us,
-                      total_us >= child_us ? total_us - child_us : 0);
+    profiler_->record(phase_, total_ns,
+                      total_ns >= child_ns ? total_ns - child_ns : 0);
   }
 
   PhaseScope(const PhaseScope&) = delete;

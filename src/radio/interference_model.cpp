@@ -96,7 +96,7 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
       pool_(make_pool(options)) {
   params_.validate();
   check_radius_matches_phys(graph_, params_);
-  // n·(Δ+1) bounds the simd path's candidate-pair arena: each transmitter
+  // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
   // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency). The naive
   // path never touches the engine.
   if (options_.kind != sinr::ResolveKind::kNaive) {
@@ -149,7 +149,7 @@ void SinrInterferenceModel::resolve(Slot slot,
     jammers = disturbance_->jammers;
     for (const Jammer& jam : jammers) txs_.push_back({jam.position});
   }
-  // Simd coverage: a node transmitter's δ ≤ R_T listeners are exactly its
+  // Engine coverage: a node transmitter's δ ≤ R_T listeners are exactly its
   // UDG neighbors (check_radius_matches_phys pins radius == R_T); injected
   // jammers carry no node id and fall back to the grid query.
   const auto coverage_for =

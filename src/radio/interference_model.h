@@ -16,12 +16,14 @@
 //            at the protocol's few transmitters per slot
 //            (docs/PERFORMANCE.md), and the A/B oracle the engine paths must
 //            match exactly (tests/field_equivalence_test.cpp).
-//   kField — the shared interference-field engine (sinr/field_engine.h):
-//            F(u) is summed once per covered listener, every candidate
-//            resolves in O(1) against F − signal, and listeners shard over a
-//            deterministic common::TaskPool (ResolveOptions::threads). It
-//            wins on dense slots.
-//   kSimd  — the same engine through the SoA batch kernel (docs/KERNELS.md).
+//   kField, kSimd — the shared interference-field engine
+//            (sinr/field_engine.h): F(u) is summed once per covered
+//            listener, every candidate resolves in O(1) against F − signal,
+//            and listeners shard over a deterministic common::TaskPool
+//            (ResolveOptions::threads). The two kinds share coverage,
+//            candidates and the decode pass and differ only in how F(u) is
+//            summed: one Kahan chain (kField) or the 8-lane SoA kernel
+//            (kSimd, docs/KERNELS.md). They win on dense slots.
 #pragma once
 
 #include <cstdint>

@@ -37,9 +37,8 @@ namespace sinrcolor::radio {
 class Simulator {
  public:
   /// Observer invoked after each slot's transmissions are fixed but before
-  /// delivery; used by interference probes and tests. `tx_probs[v]` is the
-  /// probability with which node v would have transmitted this slot (0 for
-  /// asleep/non-transmitting states), supplied by protocols that expose it.
+  /// delivery, with the slot and its transmissions in sender order; used by
+  /// interference probes and tests.
   using SlotObserver =
       std::function<void(Slot, std::span<const TxRecord>)>;
 

@@ -15,7 +15,9 @@ RecoveryInstance::RecoveryInstance(const graph::UnitDiskGraph& g,
       params_(core::derive_mw_params(g, config)) {
   simulator_ = std::make_unique<radio::Simulator>(
       graph_, core::make_interference_model(graph_, config_),
-      core::make_wakeup_schedule(g.size(), config_), config_.seed);
+      core::make_wakeup_schedule(g.size(), config_.wakeup,
+                                 config_.wakeup_window, config_.seed),
+      config_.seed);
 
   const core::RecoveryOptions& rec = config_.recovery;
   std::vector<bool> is_joiner(g.size(), false);

@@ -16,28 +16,32 @@
 // structure Lemma 3 exploits analytically: far transmitters contribute a
 // globally bounded total to F(u) and never need to be enumerated per sender.
 //
-// Determinism: F(u) is accumulated with Kahan compensation in ascending
-// transmitter order, so it is a pure function of (params, listener,
-// transmitter sequence) — independent of thread count, shard boundaries and
-// attached observation sinks. Batch resolves shard the sorted covered-
-// listener list into contiguous ranges over a common::TaskPool and merge
-// per-shard results in shard order, so 1-thread and N-thread runs are
-// byte-identical (tests/determinism_test.cpp). The naive per-pair loop is
-// kept as the A/B oracle (ResolveKind::kNaive); the equivalence suite
-// (tests/field_equivalence_test.cpp) holds the paths to identical
-// deliveries.
+// One per-listener path serves both engine kinds. Coverage comes from the
+// transmitters' UDG neighbour spans (jammers fall back to a grid query) and
+// is scattered into a per-listener candidate CSR; the transmitter batch is
+// staged as contiguous x/y/weight arrays; each covered listener sums F(u)
+// over them, then tests its candidates, in ascending transmitter order,
+// against F − signal. The only kind-dependent choice is the F accumulator:
+//   kField — field_accumulate_serial: one Kahan chain in ascending
+//            transmitter order;
+//   kSimd  — field_accumulate_lanes: a fused, branch-free loop the compiler
+//            vectorizes, folding into kKahanLanes strided Kahan chains
+//            combined in fixed order (docs/KERNELS.md).
+// Both fold the same contribution_at terms, so per-term signals are bitwise
+// identical; the lane split changes only the rounding sequence of F(u), by
+// ulps. Decode thresholds are continuous in F and the threshold-equality
+// set is measure zero, so deliveries (and full run JSON) match across the
+// kinds and the naive oracle in practice; the equivalence suite
+// (tests/field_equivalence_test.cpp) and the x18 three-way harness enforce
+// exactly that.
 //
-// ResolveKind::kSimd swaps the per-listener scalar loop for the SoA batch
-// kernel (field_accumulate_lanes): contiguous x/y/weight arrays, a fused
-// branch-free distance→δ^α→contribution loop the compiler vectorizes, and a
-// batched Kahan reduction over kKahanLanes fixed strided chains. The lane
-// split changes the rounding sequence, so F(u) may differ from the scalar
-// field path by ulps — but per-term signals are bitwise identical, decode
-// thresholds are continuous in F, and the threshold-equality set is measure
-// zero, so deliveries (and full run JSON) match kField in practice; the
-// equivalence suite and the x18 three-way harness enforce exactly that. The
-// lane count is fixed (never ISA-dependent), so kSimd is as deterministic
-// across thread counts and builds as kField. See docs/KERNELS.md.
+// Determinism: F(u) is a pure function of (params, listener, transmitter
+// sequence) under either accumulator — independent of thread count, shard
+// boundaries, attached observation sinks and the target ISA (the lane count
+// is fixed). Batch resolves shard the sorted covered-listener list into
+// contiguous ranges over a common::TaskPool and merge per-shard results in
+// shard order, so 1-thread and N-thread runs are byte-identical
+// (tests/determinism_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -62,8 +66,8 @@ namespace sinrcolor::sinr {
 /// Which reception-resolution path a medium runs.
 enum class ResolveKind : std::uint8_t {
   kNaive,  ///< per-(sender, listener) interference sums — the reference oracle
-  kField,  ///< shared per-listener field F(u), resolved per candidate in O(1)
-  kSimd,   ///< SoA batch kernel: fused δ^α loop, 8-lane batched Kahan
+  kField,  ///< the field engine, F(u) summed in one Kahan chain
+  kSimd,   ///< the field engine, F(u) summed in the 8-lane batched kernel
 };
 
 const char* to_string(ResolveKind kind);
@@ -90,10 +94,11 @@ class KahanSum {
 };
 
 /// Path-loss profile of the exponent α, mirroring the scalar fast paths in
-/// pow_alpha_from_sq. The simd kernel is instantiated once per profile so the
-/// δ^α computation in the fused loop is branch-free multiplies (plus one
+/// pow_alpha_from_sq. Both accumulators are instantiated once per profile so
+/// the δ^α computation in the fused loop is branch-free multiplies (plus one
 /// vectorizable sqrt for α=3); kGeneral falls back to the same scalar
-/// std::pow(d², α/2) call the scalar path makes, keeping per-term bits equal.
+/// std::pow(d², α/2) call pow_alpha_from_sq makes, keeping per-term bits
+/// equal.
 enum class AlphaProfile : std::uint8_t {
   kCube,     ///< α = 3:  δ³  = d²·√d²
   kQuartic,  ///< α = 4:  δ⁴  = d²·d²
@@ -131,11 +136,11 @@ inline double pow_alpha_profiled(double d_sq, double half_alpha) {
 /// all profitable; 16 spills the SSE2 register file).
 inline constexpr std::size_t kKahanLanes = 8;
 
-/// One transmitter's contribution P·g/δ^α from SoA arrays — the scalar twin
-/// of the kernel's loop body (same expressions, same association, so the
-/// same bits). The simd resolve path recomputes only its ~Δ·p candidates
-/// through this instead of storing all T per-element contributions, keeping
-/// the hot loop store-free.
+/// One transmitter's contribution P·g/δ^α from SoA arrays — the one term
+/// both accumulators fold and the scalar twin of the kernel's loop body
+/// (same expressions, same association, so the same bits). The candidate
+/// pass recomputes only its ~Δ·p candidates through this instead of storing
+/// all T per-element contributions, keeping the hot loops store-free.
 template <AlphaProfile P>
 inline double contribution_at(const double* x, const double* y,
                               const double* w, std::size_t j, double ux,
@@ -188,23 +193,47 @@ double field_accumulate_lanes(const double* x, const double* y,
   return total.total();
 }
 
+/// kField's accumulator: the same contribution_at terms folded into one
+/// KahanSum in ascending transmitter order. It does not vectorize (one
+/// loop-carried chain) but skips the lane combine, which pays off when T is
+/// small.
+template <AlphaProfile P>
+double field_accumulate_serial(const double* x, const double* y,
+                               const double* w, std::size_t count, double ux,
+                               double uy, double half_alpha) {
+  KahanSum total;
+  for (std::size_t j = 0; j < count; ++j) {
+    total.add(contribution_at<P>(x, y, w, j, ux, uy, half_alpha));
+  }
+  return total.total();
+}
+
 using FieldKernelFn = double (*)(const double*, const double*, const double*,
                                  std::size_t, double, double, double);
 using FieldContribFn = double (*)(const double*, const double*, const double*,
                                   std::size_t, double, double, double);
 
-/// The α-specialization table: one pre-instantiated kernel per profile,
-/// selected once per slot (never inside the hot loop). Extending the kernel
-/// to a new α fast path = add an AlphaProfile entry, a pow_alpha_profiled
-/// branch, its pow_alpha_from_sq twin, and a row here.
-inline FieldKernelFn field_kernel_for(AlphaProfile profile) {
-  static constexpr FieldKernelFn kTable[] = {
+/// The accumulator table: one pre-instantiated F(u) sum per (engine kind,
+/// α profile), selected once per slot (never inside the hot loop). kSimd
+/// takes the 8-lane kernel, kField the serial chain; kNaive never reaches
+/// the engine. Extending the kernel to a new α fast path = add an
+/// AlphaProfile entry, a pow_alpha_profiled branch, its pow_alpha_from_sq
+/// twin, and a row in each table here.
+inline FieldKernelFn field_kernel_for(ResolveKind kind, AlphaProfile profile) {
+  static constexpr FieldKernelFn kLanes[] = {
       &field_accumulate_lanes<AlphaProfile::kCube>,
       &field_accumulate_lanes<AlphaProfile::kQuartic>,
       &field_accumulate_lanes<AlphaProfile::kSextic>,
       &field_accumulate_lanes<AlphaProfile::kGeneral>,
   };
-  return kTable[static_cast<std::size_t>(profile)];
+  static constexpr FieldKernelFn kSerial[] = {
+      &field_accumulate_serial<AlphaProfile::kCube>,
+      &field_accumulate_serial<AlphaProfile::kQuartic>,
+      &field_accumulate_serial<AlphaProfile::kSextic>,
+      &field_accumulate_serial<AlphaProfile::kGeneral>,
+  };
+  const auto i = static_cast<std::size_t>(profile);
+  return kind == ResolveKind::kSimd ? kLanes[i] : kSerial[i];
 }
 
 /// Companion table for the scalar per-candidate recompute.
@@ -220,71 +249,18 @@ inline FieldContribFn field_contrib_for(AlphaProfile profile) {
 
 /// Gain functor for the paper's channel (no fading, no jammers): every link
 /// has unit power gain.
-/// (P · 1.0 is bitwise P, so the field path matches the naive path's
-/// per-term arithmetic exactly.)
+/// (P · 1.0 is bitwise P, so the engine matches the naive path's per-term
+/// arithmetic exactly.)
 struct UnitGain {
   double operator()(std::size_t /*tx*/) const { return 1.0; }
 };
 
-/// A transmitter within decoding range of the listener under evaluation.
-struct FieldCandidate {
-  std::uint32_t tx;  ///< index into the transmitter span
-  double signal;     ///< its received power at the listener
-};
-
-/// One listener's field evaluation: returns the Kahan-compensated total
-/// F = Σ_j P·gain(j)/δ^α over ALL transmitters (ascending j) and fills
-/// `candidates` with the transmitters within `candidate_radius` (the δ ≤ R_T
-/// gate) and their signal powers. Aborts if a transmitter coincides with
-/// `at`, mirroring interference_at.
-template <typename GainFn>
-double field_at(const SinrParams& params, const geometry::Point& at,
-                std::span<const Transmitter> txs, double candidate_radius,
-                GainFn&& gain, std::vector<FieldCandidate>& candidates) {
-  const double r_sq = candidate_radius * candidate_radius;
-  KahanSum field;
-  candidates.clear();
-  for (std::size_t j = 0; j < txs.size(); ++j) {
-    const double d_sq = geometry::distance_sq(at, txs[j].position);
-    SINRCOLOR_CHECK_MSG(d_sq > 0.0, "transmitter coincides with listener");
-    const double power =
-        params.power * gain(j) / pow_alpha_from_sq(d_sq, params.alpha);
-    field.add(power);
-    if (d_sq <= r_sq) {
-      candidates.push_back({static_cast<std::uint32_t>(j), power});
-    }
-  }
-  return field.total();
-}
-
-/// The unique candidate (if any) whose signal clears the SINR threshold
-/// against the shared field: signal ≥ β·(N + F − signal). With β ≥ 1 at most
-/// one candidate can carry more than half the received power; asserted.
-/// Returns the winning transmitter index; writes the decode margin
-/// (achieved SINR over β) through `margin` when non-null.
-inline std::optional<std::size_t> resolve_from_field(
-    const SinrParams& params, double field,
-    std::span<const FieldCandidate> candidates, double* margin = nullptr) {
-  std::optional<std::size_t> winner;
-  for (const FieldCandidate& c : candidates) {
-    const double threshold =
-        params.beta * (params.noise + (field - c.signal));
-    if (c.signal >= threshold) {
-      SINRCOLOR_CHECK_MSG(!winner.has_value(),
-                          "beta >= 1 forbids two decodable senders");
-      winner = c.tx;
-      if (margin != nullptr) *margin = c.signal / threshold;
-    }
-  }
-  return winner;
-}
-
 /// Batch per-slot resolver with reusable scratch. Enumerates the listeners
-/// covered by any transmitter through the spatial index, evaluates F(u) once
-/// per covered listener, and reports every successful decode sorted by
-/// listener id. Listeners shard contiguously over `pool` (null or 1 thread
-/// ⇒ inline); per-listener work is independent and merged in shard order, so
-/// the output never depends on the thread count.
+/// covered by any transmitter, evaluates F(u) once per covered listener, and
+/// reports every successful decode sorted by listener id. Listeners shard
+/// contiguously over `pool` (null or 1 thread ⇒ inline); per-listener work
+/// is independent and merged in shard order, so the output never depends on
+/// the thread count.
 class FieldEngine {
  public:
   struct Decode {
@@ -297,10 +273,11 @@ class FieldEngine {
   /// listeners / transmitters, `shard_count` pool shards) so resolve_slot
   /// never allocates afterwards — amortized growth would otherwise spike on
   /// whichever late slot happens to set a coverage record, breaking the
-  /// zero-allocation steady-state contract. ~28 bytes per node per shard.
-  /// `candidate_pairs` bounds the simd path's (listener, tx) pair arena:
-  /// every pair has δ ≤ R_T, so Σ_tx |coverage(tx)| ≤ n·(Δ+1) when every
-  /// node transmits — callers pass n·(max_degree+1).
+  /// zero-allocation steady-state contract. About 52 bytes per node plus 24
+  /// per node per shard, and 12 per candidate pair.
+  /// `candidate_pairs` bounds the (listener, tx) pair arena: every pair has
+  /// δ ≤ R_T, so Σ_tx |coverage(tx)| ≤ n·(Δ+1) when every node transmits —
+  /// callers pass n·(max_degree+1).
   void reserve(std::size_t nodes, std::size_t shard_count,
                std::size_t candidate_pairs = 0) {
     if (touched_.size() < nodes) touched_.resize(nodes, 0);
@@ -316,7 +293,6 @@ class FieldEngine {
     cand_idx_.reserve(candidate_pairs);
     shards_.resize(std::max({shards_.size(), shard_count, std::size_t{1}}));
     for (Shard& shard : shards_) {
-      shard.candidates.reserve(nodes);
       shard.decodes.reserve(nodes);
       shard.weights.reserve(nodes);
     }
@@ -328,17 +304,14 @@ class FieldEngine {
   /// the per-transmitter gain functor for listener u (UnitGain factory for
   /// the paper's channel); `gain_listener_invariant` declares that every
   /// listener's functor returns the same gains (true without fading, jammers
-  /// included), letting the simd path build its weight
-  /// array once per slot instead of once per listener. `coverage_for(j)`
-  /// optionally returns transmitter j's precomputed candidate-listener span
-  /// (the UDG neighborhood of a node transmitter — δ ≤ R_T is exactly
-  /// adjacency when the graph radius equals R_T, the same structural fact
-  /// the naive path iterates); nullopt falls back to a grid query
-  /// (jammers). Only the simd path consumes it — the scalar field path
-  /// keeps its banked grid-pass behavior. `kind` selects
-  /// the per-listener evaluation: kField runs the scalar field_at, kSimd the
-  /// SoA batch kernel (kNaive is handled by the medium, not here). Results
-  /// land in `decodes`, cleared first.
+  /// included), letting the weight array be built once per slot instead of
+  /// once per listener. `coverage_for(j)` returns transmitter j's
+  /// candidate-listener span (the UDG neighborhood of a node transmitter —
+  /// δ ≤ R_T is exactly adjacency when the graph radius equals R_T, the same
+  /// structural fact the naive path iterates); nullopt falls back to a grid
+  /// query (jammers). `kind` selects the F(u) accumulator (kField or kSimd;
+  /// kNaive is handled by the medium, not here). Results land in `decodes`,
+  /// cleared first.
   template <typename GainForListener, typename CoverageFor>
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
                     const geometry::GridIndex& index,
@@ -350,19 +323,18 @@ class FieldEngine {
                     common::TaskPool* pool, std::vector<Decode>& decodes) {
     decodes.clear();
     if (txs.empty()) return;
-    const bool simd = kind == ResolveKind::kSimd;
-    collect_covered(txs, index, listening, candidate_radius, coverage_for,
-                    /*record_pairs=*/simd);
+    collect_covered(txs, index, listening, candidate_radius, coverage_for);
 
     const std::size_t shard_count = std::max<std::size_t>(
         1, std::min(pool != nullptr ? pool->thread_count() : 1,
                     covered_.size()));
     shards_.resize(std::max(shards_.size(), shard_count));
-    if (simd && !covered_.empty()) {
+    if (!covered_.empty()) {
       build_candidate_csr();
       // SoA snapshot of the transmitter batch. Weights fold power·gain so the
-      // kernel body is a single divide; with listener-invariant gains they are
-      // computed once here, otherwise per listener into shard scratch.
+      // accumulator body is a single divide; with listener-invariant gains
+      // they are computed once here, otherwise per listener into shard
+      // scratch.
       soa_x_.clear();
       soa_y_.clear();
       for (const Transmitter& t : txs) {
@@ -377,35 +349,15 @@ class FieldEngine {
         }
       }
     }
-    const auto shard_body_field = [&](std::size_t s) {
+    const AlphaProfile profile = classify_alpha(params.alpha);
+    const FieldKernelFn accumulate = field_kernel_for(kind, profile);
+    const FieldContribFn contrib = field_contrib_for(profile);
+    const double half_alpha = params.alpha / 2.0;
+    const auto shard_body = [&](std::size_t s) {
       Shard& shard = shards_[s];
       shard.decodes.clear();
       const auto [begin, end] =
           common::TaskPool::shard_range(covered_.size(), shard_count, s);
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::uint32_t u = covered_[k];
-        auto gain = gain_for(u);
-        const double field = field_at(params, positions[u], txs,
-                                      candidate_radius, gain,
-                                      shard.candidates);
-        double margin = 0.0;
-        const auto winner =
-            resolve_from_field(params, field, shard.candidates, &margin);
-        if (winner.has_value()) {
-          shard.decodes.push_back(
-              {u, static_cast<std::uint32_t>(*winner), margin});
-        }
-      }
-    };
-    const auto shard_body_simd = [&](std::size_t s) {
-      Shard& shard = shards_[s];
-      shard.decodes.clear();
-      const auto [begin, end] =
-          common::TaskPool::shard_range(covered_.size(), shard_count, s);
-      const AlphaProfile profile = classify_alpha(params.alpha);
-      const FieldKernelFn kernel = field_kernel_for(profile);
-      const FieldContribFn contrib = field_contrib_for(profile);
-      const double half_alpha = params.alpha / 2.0;
       const double* x = soa_x_.data();
       const double* y = soa_y_.data();
       for (std::size_t k = begin; k < end; ++k) {
@@ -424,14 +376,16 @@ class FieldEngine {
         const double ux = positions[u].x;
         const double uy = positions[u].y;
         const double field =
-            kernel(x, y, w, txs.size(), ux, uy, half_alpha);
-        // The kernel body is branch-free; a coincident transmitter shows up
-        // here as δ² = 0 ⇒ p = ∞ ⇒ F = ∞/NaN, mirroring field_at's abort.
+            accumulate(x, y, w, txs.size(), ux, uy, half_alpha);
+        // Both accumulators are branch-free; a coincident transmitter shows
+        // up here as δ² = 0 ⇒ p = ∞ ⇒ F = ∞/NaN.
         SINRCOLOR_CHECK_MSG(std::isfinite(field),
                             "transmitter coincides with listener");
         // Candidate pass over the coverage CSR (ascending tx order); each
-        // candidate's signal is recomputed through the kernel's scalar twin
-        // — the same bits the fused loop folded into F.
+        // candidate's signal is recomputed through contribution_at — the
+        // same bits the accumulator folded into F. The unique candidate (if
+        // any) with signal ≥ β·(N + F − signal) decodes; with β ≥ 1 at most
+        // one candidate can carry more than half the received power.
         double margin = 0.0;
         std::optional<std::uint32_t> winner;
         const std::uint32_t cb = cand_begin_[u];
@@ -450,13 +404,6 @@ class FieldEngine {
         if (winner.has_value()) {
           shard.decodes.push_back({u, *winner, margin});
         }
-      }
-    };
-    const auto shard_body = [&](std::size_t s) {
-      if (simd) {
-        shard_body_simd(s);
-      } else {
-        shard_body_field(s);
       }
     };
     // One kFieldAccum scope per shard when profiling. The scope lives in this
@@ -504,41 +451,39 @@ class FieldEngine {
             sizeof(std::uint32_t) +
         shards_.capacity() * sizeof(Shard);
     for (const Shard& shard : shards_) {
-      bytes += shard.candidates.capacity() * sizeof(FieldCandidate) +
-               shard.decodes.capacity() * sizeof(Decode) +
+      bytes += shard.decodes.capacity() * sizeof(Decode) +
                shard.weights.capacity() * sizeof(double);
     }
     return bytes;
   }
 
  private:
+  /// Gathers the slot's covered listeners (ascending) and every
+  /// (listener, tx) candidate pair, transmitter-outer.
   template <typename CoverageFor>
   void collect_covered(std::span<const Transmitter> txs,
                        const geometry::GridIndex& index,
                        std::span<const std::uint8_t> listening,
-                       double candidate_radius, CoverageFor&& coverage_for,
-                       bool record_pairs) {
+                       double candidate_radius, CoverageFor&& coverage_for) {
     if (touched_.size() < listening.size()) touched_.resize(listening.size(), 0);
     ++epoch_;
     covered_.clear();
     pairs_.clear();
     for (std::uint32_t tx_id = 0; tx_id < txs.size(); ++tx_id) {
-      if (record_pairs) {
-        // Fast coverage for the simd path: a node transmitter's candidate
-        // listeners are exactly its UDG neighbors (same δ ≤ R_T gate, same
-        // d² bits at graph-build time), already materialized as a sorted
-        // CSR span — no cell scan, no distance recomputation.
-        const auto span = coverage_for(std::size_t{tx_id});
-        if (span.has_value()) {
-          for (const std::uint32_t u : *span) {
-            if (!listening[u]) continue;
-            pairs_.push_back({u, tx_id});
-            if (touched_[u] == epoch_) continue;
-            touched_[u] = epoch_;
-            covered_.push_back(u);
-          }
-          continue;
+      // A node transmitter's candidate listeners are exactly its UDG
+      // neighbors (same δ ≤ R_T gate, same d² bits at graph-build time),
+      // already materialized as a sorted CSR span — no cell scan, no
+      // distance recomputation.
+      const auto span = coverage_for(std::size_t{tx_id});
+      if (span.has_value()) {
+        for (const std::uint32_t u : *span) {
+          if (!listening[u]) continue;
+          pairs_.push_back({u, tx_id});
+          if (touched_[u] == epoch_) continue;
+          touched_[u] = epoch_;
+          covered_.push_back(u);
         }
+        continue;
       }
       const Transmitter& t = txs[tx_id];
       index.for_each_within(
@@ -550,12 +495,9 @@ class FieldEngine {
             if (geometry::distance_sq(t.position, p) == 0.0) return;
             if (!listening[u]) return;
             // The grid gate is the δ ≤ R_T candidate gate (same d² bits:
-            // distance_sq is symmetric under IEEE negation), so this pass
-            // doubles as the simd path's candidate enumeration — recorded
-            // per (listener, tx) BEFORE the first-coverage dedup below.
-            if (record_pairs) {
-              pairs_.push_back({static_cast<std::uint32_t>(u), tx_id});
-            }
+            // distance_sq is symmetric under IEEE negation), recorded per
+            // (listener, tx) BEFORE the first-coverage dedup below.
+            pairs_.push_back({static_cast<std::uint32_t>(u), tx_id});
             if (touched_[u] == epoch_) return;
             touched_[u] = epoch_;
             covered_.push_back(static_cast<std::uint32_t>(u));
@@ -566,8 +508,8 @@ class FieldEngine {
 
   /// Scatters the coverage pairs into per-listener candidate lists (CSR over
   /// cand_idx_). pairs_ is tx-ascending per listener (outer loop order) and
-  /// the counting-sort scatter is stable, so each listener's list replays
-  /// field_at's ascending candidate order exactly.
+  /// the counting-sort scatter is stable, so each listener's candidates come
+  /// out in ascending transmitter order.
   void build_candidate_csr() {
     const std::size_t nodes = touched_.size();
     if (cand_begin_.size() < nodes) {
@@ -595,15 +537,14 @@ class FieldEngine {
   };
 
   struct Shard {
-    std::vector<FieldCandidate> candidates;
     std::vector<Decode> decodes;
-    std::vector<double> weights;  ///< simd: per-listener P·g(j) (fading only)
+    std::vector<double> weights;  ///< per-listener P·g(j) (fading only)
   };
 
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> touched_;
   std::vector<std::uint32_t> covered_;
-  // Simd-path scratch: SoA transmitter snapshot plus the coverage-pair CSR.
+  // SoA transmitter snapshot plus the coverage-pair CSR.
   std::vector<double> soa_x_;
   std::vector<double> soa_y_;
   std::vector<double> soa_w_;

@@ -8,12 +8,38 @@
 
 namespace sinrcolor::sinr {
 
+std::string SinrParams::violation() const {
+  // Written so that NaN fails every rule.
+  struct Rule {
+    bool holds;
+    const char* text;
+    double value;
+  };
+  const Rule rules[] = {
+      {power > 0.0, "transmit power P must be positive", power},
+      {noise > 0.0, "ambient noise N must be positive", noise},
+      {alpha > 2.0, "path-loss exponent alpha must exceed 2", alpha},
+      {beta >= 1.0, "SINR threshold beta must be at least 1", beta},
+      {rho > 1.0, "Markov constant rho must exceed 1", rho},
+  };
+  for (const Rule& rule : rules) {
+    if (rule.holds) continue;
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%s, got %g", rule.text, rule.value);
+    return buf;
+  }
+  return {};
+}
+
 void SinrParams::validate() const {
-  SINRCOLOR_CHECK_MSG(power > 0.0, "transmit power P must be positive");
-  SINRCOLOR_CHECK_MSG(noise > 0.0, "ambient noise N must be positive");
-  SINRCOLOR_CHECK_MSG(alpha > 2.0, "path-loss exponent alpha must exceed 2");
-  SINRCOLOR_CHECK_MSG(beta >= 1.0, "SINR threshold beta must be at least 1");
-  SINRCOLOR_CHECK_MSG(rho > 1.0, "Markov constant rho must exceed 1");
+  const std::string problem = violation();
+  SINRCOLOR_CHECK_MSG(problem.empty(), problem.c_str());
+}
+
+SinrParams SinrParams::with_r_t(double r_t) const {
+  SinrParams solved = *this;
+  solved.noise = power / (2.0 * beta * std::pow(r_t, alpha));
+  return solved;
 }
 
 double SinrParams::r_max() const {

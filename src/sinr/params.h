@@ -22,8 +22,18 @@ struct SinrParams {
   double beta = 1.5;      ///< β — decoding threshold (≥ 1).
   double rho = 1.5;       ///< ρ — Markov slack constant (> 1), Lemma 3.
 
-  /// Validates the model constraints above; aborts on violation.
+  /// The model constraints above as one rule list: returns the first
+  /// violated rule as a one-line diagnostic ("path-loss exponent alpha must
+  /// exceed 2, got 1"), or an empty string when every rule holds. Front ends
+  /// print it and exit 2; validate() is the in-library contract.
+  std::string violation() const;
+
+  /// CHECKs violation() is empty; aborts on violation.
   void validate() const;
+
+  /// A copy whose noise floor is solved so that R_T equals `r_t`:
+  /// N = P / (2·β·r_t^α), the inverse of r_t(). α, β and P are kept.
+  SinrParams with_r_t(double r_t) const;
 
   /// R_max = (P / (N·β))^{1/α}: maximum decoding distance without competition.
   double r_max() const;

@@ -18,8 +18,7 @@ graph::UnitDiskGraph uniform_graph(std::size_t n, double side,
 }
 
 TEST(AdaptiveNode, StartsFromInitialEstimate) {
-  sinr::SinrParams phys;
-  phys.noise = phys.power / (2.0 * phys.beta * 1.0);
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(1.0);
   AdaptiveMwNode node(0, 64, phys, PracticalTuning{}, 2);
   EXPECT_EQ(node.delta_estimate(), 2u);
   EXPECT_EQ(node.restarts(), 0u);
@@ -28,8 +27,7 @@ TEST(AdaptiveNode, StartsFromInitialEstimate) {
 }
 
 TEST(AdaptiveNode, DoublesWhenEvidenceExceedsEstimate) {
-  sinr::SinrParams phys;
-  phys.noise = phys.power / (2.0 * phys.beta * 1.0);
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(1.0);
   AdaptiveMwNode node(0, 64, phys, PracticalTuning{}, 2);
   node.on_wake(0);
 
@@ -49,8 +47,7 @@ TEST(AdaptiveNode, DoublesWhenEvidenceExceedsEstimate) {
 }
 
 TEST(AdaptiveNode, DuplicateSendersAreNotEvidence) {
-  sinr::SinrParams phys;
-  phys.noise = phys.power / (2.0 * phys.beta * 1.0);
+  const sinr::SinrParams phys = sinr::SinrParams{}.with_r_t(1.0);
   AdaptiveMwNode node(0, 64, phys, PracticalTuning{}, 2);
   node.on_wake(0);
   radio::Message m;

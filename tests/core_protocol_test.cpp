@@ -172,8 +172,7 @@ TEST(MwNode, TxProbabilityByState) {
   MwConfig cfg;
   cfg.n = 16;
   cfg.max_degree = 4;
-  cfg.phys.noise = cfg.phys.power /
-                   (2.0 * cfg.phys.beta * 1.0);  // R_T = 1
+  cfg.phys = cfg.phys.with_r_t(1.0);  // R_T = 1
   const auto params = MwParams::practical(cfg);
   MwNode node(0, params);
   EXPECT_EQ(node.tx_probability(), 0.0);  // asleep
@@ -188,7 +187,7 @@ TEST(MwNode, LoneNodeWalksThroughPhases) {
   MwConfig cfg;
   cfg.n = 4;
   cfg.max_degree = 1;
-  cfg.phys.noise = cfg.phys.power / (2.0 * cfg.phys.beta * 1.0);
+  cfg.phys = cfg.phys.with_r_t(1.0);
   const auto params = MwParams::practical(cfg);
   MwNode node(0, params);
   common::Rng rng(5);

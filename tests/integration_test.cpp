@@ -22,9 +22,7 @@ namespace sinrcolor {
 namespace {
 
 sinr::SinrParams phys_for_radius(double r_t) {
-  sinr::SinrParams p;
-  p.noise = p.power / (2.0 * p.beta * std::pow(r_t, p.alpha));
-  return p;
+  return sinr::SinrParams{}.with_r_t(r_t);
 }
 
 TEST(Integration, FullPipelineColoringToSimulatedAlgorithms) {

@@ -226,8 +226,8 @@ TEST(JsonlExport, RingOverflowAccountingSurvivesExport) {
 
 TEST(ChromeTrace, ProfilerTracksLandInSecondProcess) {
   obs::Profiler profiler;
-  profiler.record(obs::Phase::kSlot, 120, 100);
-  profiler.record(obs::Phase::kResolve, 20, 20);
+  profiler.record(obs::Phase::kSlot, 120'000, 100'000);  // ns
+  profiler.record(obs::Phase::kResolve, 20'000, 20'000);
   obs::TraceMeta meta;
   meta.node_count = 1;
 

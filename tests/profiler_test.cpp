@@ -4,6 +4,7 @@
 // unprofiled run on every medium (wall time never leaks into artifacts).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <set>
 #include <string>
@@ -54,8 +55,9 @@ TEST(HistogramQuantile, UpperBoundSemantics) {
 TEST(Profiler, RecordAggregatesAndQuantilesArePowerOfTwoEdges) {
   obs::Profiler profiler;
   EXPECT_EQ(profiler.recorded(), 0u);
-  profiler.record(obs::Phase::kSlot, 3, 3);
-  profiler.record(obs::Phase::kSlot, 1000, 900);
+  // record() takes nanoseconds; the snapshot reports whole microseconds.
+  profiler.record(obs::Phase::kSlot, 3'000, 3'000);
+  profiler.record(obs::Phase::kSlot, 1'000'000, 900'000);
   const auto snap = profiler.stats(obs::Phase::kSlot);
   EXPECT_EQ(snap.count, 2u);
   EXPECT_EQ(snap.total_us, 1003u);
@@ -114,6 +116,25 @@ TEST(PhaseScope, NestedScopesSplitSelfFromTotal) {
   // parent's self time has it subtracted.
   EXPECT_GE(outer.total_us, inner.total_us);
   EXPECT_LE(outer.self_us, outer.total_us - inner.total_us + 1);
+}
+
+TEST(PhaseScope, SubMicrosecondScopesKeepTheirTime) {
+  // Each scope spins for at least 500 ns. Truncating every scope to whole
+  // microseconds before summing would lose almost all of it; accumulating
+  // nanoseconds must report at least half a microsecond per scope.
+  obs::Profiler profiler;
+  constexpr std::uint64_t kScopes = 2000;
+  for (std::uint64_t i = 0; i < kScopes; ++i) {
+    SINRCOLOR_PROFILE(&profiler, obs::Phase::kProtocolStep);
+    const auto start = std::chrono::steady_clock::now();
+    while (std::chrono::steady_clock::now() - start <
+           std::chrono::nanoseconds(500)) {
+    }
+  }
+  const auto snap = profiler.stats(obs::Phase::kProtocolStep);
+  EXPECT_EQ(snap.count, kScopes);
+  EXPECT_GE(snap.total_us, kScopes / 2);
+  EXPECT_GE(snap.self_us, kScopes / 2);
 }
 
 TEST(PhaseScope, DepthOverflowStillRecordsTotals) {

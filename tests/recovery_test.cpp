@@ -21,9 +21,7 @@ namespace sinrcolor {
 namespace {
 
 sinr::SinrParams phys_for_radius(double r_t) {
-  sinr::SinrParams p;
-  p.noise = p.power / (2.0 * p.beta * std::pow(r_t, p.alpha));
-  return p;
+  return sinr::SinrParams{}.with_r_t(r_t);
 }
 
 // Transmits every slot; decides upon first reception.
@@ -180,7 +178,9 @@ TEST(Recovery, SimultaneousAdjacentJoinersResolveTheirCollision) {
       4 * static_cast<radio::Slot>(params.window_positive);
 
   radio::Simulator sim(g, core::make_interference_model(g, cfg),
-                       core::make_wakeup_schedule(4, cfg), cfg.seed);
+                       core::make_wakeup_schedule(4, cfg.wakeup,
+                                                  cfg.wakeup_window, cfg.seed),
+                       cfg.seed);
   std::vector<robust::SelfHealingNode*> nodes;
   for (graph::NodeId v = 0; v < 4; ++v) {
     const bool joiner = v == 1 || v == 2;
@@ -277,7 +277,9 @@ TEST(Recovery, FailureMidJoinPhaseLeavesSurvivorsConsistent) {
   const auto wp = static_cast<radio::Slot>(params.window_positive);
 
   radio::Simulator sim(g, core::make_interference_model(g, cfg),
-                       core::make_wakeup_schedule(3, cfg), cfg.seed);
+                       core::make_wakeup_schedule(3, cfg.wakeup,
+                                                  cfg.wakeup_window, cfg.seed),
+                       cfg.seed);
   std::vector<robust::SelfHealingNode*> nodes;
   for (graph::NodeId v = 0; v < 3; ++v) {
     auto node = std::make_unique<robust::SelfHealingNode>(

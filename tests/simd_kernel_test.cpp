@@ -1,10 +1,11 @@
-// Unit tests for the SoA accumulation kernel's numerical spec
+// Unit tests for the SoA accumulators' numerical spec
 // (sinr/field_engine.h, docs/KERNELS.md): the α-specialization table must be
-// a bitwise twin of the scalar pow_alpha_from_sq fast paths, and the blocked
-// 8-lane batched-Kahan kernel must reproduce — bit for bit — a plain scalar
-// replay of its definition ("lane l takes elements j ≡ l mod 8, lanes
+// a bitwise twin of the scalar pow_alpha_from_sq fast paths, the blocked
+// 8-lane batched-Kahan kernel (kSimd) must reproduce — bit for bit — a plain
+// scalar replay of its definition ("lane l takes elements j ≡ l mod 8, lanes
 // combined in fixed order") at every tail size, including the pure-tail
-// counts below one full block.
+// counts below one full block, and the serial accumulator (kField) must be
+// exactly one KahanSum over the same terms in ascending order.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -95,7 +96,10 @@ TEST(SimdKernel, KernelMatchesScalarReplayAcrossTailSizes) {
   common::Rng rng(91);
   std::vector<double> x, y, w;
   for (const double alpha : {3.0, 4.0, 6.0, 3.5}) {
-    const FieldKernelFn kernel = field_kernel_for(classify_alpha(alpha));
+    const AlphaProfile profile = classify_alpha(alpha);
+    const FieldKernelFn kernel = field_kernel_for(ResolveKind::kSimd, profile);
+    const FieldKernelFn serial = field_kernel_for(ResolveKind::kField, profile);
+    const FieldContribFn contrib = field_contrib_for(profile);
     for (const std::size_t count : counts) {
       fill_soa(count, rng, x, y, w);
       const double ux = rng.uniform(0.0, 6.0);
@@ -104,6 +108,16 @@ TEST(SimdKernel, KernelMatchesScalarReplayAcrossTailSizes) {
           kernel(x.data(), y.data(), w.data(), count, ux, uy, alpha / 2.0);
       const double want = replay_lane_spec(x, y, w, ux, uy, alpha);
       EXPECT_EQ(got, want) << "alpha " << alpha << " count " << count;
+      // kField's F(u): one Kahan chain over the same terms, ascending.
+      KahanSum chain;
+      for (std::size_t j = 0; j < count; ++j) {
+        chain.add(contrib(x.data(), y.data(), w.data(), j, ux, uy,
+                          alpha / 2.0));
+      }
+      EXPECT_EQ(
+          serial(x.data(), y.data(), w.data(), count, ux, uy, alpha / 2.0),
+          chain.total())
+          << "serial, alpha " << alpha << " count " << count;
     }
   }
 }
@@ -130,7 +144,8 @@ TEST(SimdKernel, ContribTableMatchesScalarTerm) {
 }
 
 TEST(SimdKernel, EmptyInputYieldsZeroField) {
-  const FieldKernelFn kernel = field_kernel_for(AlphaProfile::kQuartic);
+  const FieldKernelFn kernel =
+      field_kernel_for(ResolveKind::kSimd, AlphaProfile::kQuartic);
   EXPECT_EQ(kernel(nullptr, nullptr, nullptr, 0, 1.0, 2.0, 2.0), 0.0);
 }
 

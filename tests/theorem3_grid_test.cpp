@@ -21,8 +21,7 @@ sinr::SinrParams phys_for(double alpha, double beta, double r_t) {
   sinr::SinrParams p;
   p.alpha = alpha;
   p.beta = beta;
-  p.noise = p.power / (2.0 * beta * std::pow(r_t, alpha));
-  return p;
+  return p.with_r_t(r_t);
 }
 
 class Theorem3GridTest

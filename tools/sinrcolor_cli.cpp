@@ -1,7 +1,7 @@
 // sinrcolor — command-line front end for the library.
 //
 //   sinrcolor_cli params   [--n=..] [--delta=..] [--alpha=..] [--beta=..]
-//                          [--rho=..] [--profile=practical|theory]
+//                          [--rho=..]
 //   sinrcolor_cli color    [--n=..] [--side=..] [--seed=..] [--deployment=..]
 //                          [--wakeup=sync|uniform] [--resolve=field|simd|naive]
 //                          [--threads=..] [--trials=..]
@@ -110,9 +110,7 @@ graph::UnitDiskGraph build_graph(const common::Cli& cli) {
 }
 
 sinr::SinrParams phys_for(const graph::UnitDiskGraph& g) {
-  sinr::SinrParams p;
-  p.noise = p.power / (2.0 * p.beta * std::pow(g.radius(), p.alpha));
-  return p;
+  return sinr::SinrParams{}.with_r_t(g.radius());
 }
 
 // --resolve=field|simd|naive picks the SINR reception path (default: the
@@ -187,6 +185,9 @@ int cmd_params(const common::Cli& cli) {
   cfg.phys.rho = cli.get_double("rho", 1.5);
   cfg.phys.noise = 1e-6;
   cli.reject_unknown();
+  if (const std::string problem = cfg.phys.violation(); !problem.empty()) {
+    cli.usage_error(problem);
+  }
 
   const auto theory = core::MwParams::theory(cfg);
   const auto practical = core::MwParams::practical(cfg);
@@ -415,7 +416,7 @@ int cmd_sweep(const common::Cli& cli) {
       static_cast<std::size_t>(cli.get_int_at_least("trials", 4, 1));
   const auto threads =
       static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
-  const double avg = cli.get_double("avg-degree", 10.0);
+  const double avg = cli.get_double_at_least("avg-degree", 10.0, 1e-9);
   const auto base_seed = cli.get_seed("seed", 1);
   const bool shared_topology = cli.get_bool("shared-topology", false);
   const std::string csv_path = cli.get("csv", "");
