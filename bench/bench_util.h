@@ -25,12 +25,9 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/sweep.h"
-#include "core/mw_protocol.h"
 #include "geometry/deployment.h"
-#include "graph/topology_cache.h"
 #include "graph/unit_disk_graph.h"
 #include "obs/observation.h"
-#include "sinr/field_engine.h"
 #include "sinr/params.h"
 
 // Baked in by bench/CMakeLists.txt (git rev-parse at configure time);
@@ -130,25 +127,6 @@ inline graph::UnitDiskGraph uniform_graph_with_density(std::size_t n,
   return {geometry::uniform_deployment(n, side, rng), 1.0};
 }
 
-/// Cache-backed variant of uniform_graph_with_density: the topology for a
-/// given (n, avg_degree, seed) is built once per process and shared
-/// read-only across every trial and configuration that asks for it again
-/// (graph::global_topology_cache()). Byte-identical to the uncached builder.
-inline std::shared_ptr<const graph::UnitDiskGraph>
-shared_uniform_graph_with_density(std::size_t n, double avg_degree,
-                                  std::uint64_t seed) {
-  const double side = std::sqrt(static_cast<double>(n) * M_PI / avg_degree);
-  graph::TopologyKey key;
-  key.kind = "uniform-density";
-  key.n = n;
-  key.side = side;
-  key.radius = 1.0;
-  key.seed = seed;
-  key.param1 = avg_degree;
-  return graph::global_topology_cache().get_or_build(
-      key, [&] { return uniform_graph_with_density(n, avg_degree, seed); });
-}
-
 /// Parses `--sweep-threads=N` (default 1): how many trials the harness runs
 /// concurrently through common::SweepEngine. Results are byte-identical for
 /// every value; only wall time changes. Distinct from `--threads`, which is
@@ -167,29 +145,6 @@ inline void print_experiment_header(const char* id, const char* claim) {
 inline int print_verdict(bool pass, const std::string& detail) {
   std::printf("verdict: %s — %s\n", pass ? "PASS" : "FAIL", detail.c_str());
   return pass ? 0 : 1;
-}
-
-/// Parses `--resolve=field|simd|naive` (the SINR reception path — see
-/// docs/PERFORMANCE.md), defaulting to the library's own default kind.
-/// Exits 2 with a usage error on an unknown kind.
-inline sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
-  sinr::ResolveKind kind = core::MwRunConfig{}.resolve;
-  const std::string resolve = cli.get("resolve", sinr::to_string(kind));
-  if (!sinr::resolve_kind_from_string(resolve, kind)) {
-    std::fprintf(stderr, "unknown --resolve=%s (field|simd|naive)\n",
-                 resolve.c_str());
-    std::exit(2);
-  }
-  return kind;
-}
-
-/// Applies `--resolve` and `--threads=N` (the resolve worker count) to a run
-/// config. Both knobs change wall time only, never results, so harness
-/// claims are path-independent. Exits with a usage error on bad values.
-inline void apply_resolve_flags(const common::Cli& cli,
-                                core::MwRunConfig& cfg) {
-  cfg.resolve = resolve_kind_flag(cli);
-  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
 }
 
 /// Peak resident set size of this process in bytes (VmHWM from

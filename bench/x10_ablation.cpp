@@ -9,9 +9,9 @@
 // The defaults (first row) must be clean; each ablation should degrade.
 //
 // All four configurations run over the SAME topologies: trial s of every
-// configuration shares one cache-built graph (graph::TopologyCache), so the
-// ablation comparison is paired by construction and each topology is built
-// once instead of four times. Trials run through common::SweepEngine
+// configuration deploys its graph from the same seed, and the builder is a
+// pure function of its seed, so the ablation comparison is paired by
+// construction. Trials run through common::SweepEngine
 // (`--sweep-threads=N`); results are byte-identical for every thread count.
 #include <cstdio>
 #include <iostream>
@@ -59,20 +59,20 @@ int main(int argc, char** argv) {
     const auto results = engine.run(
         seeds, base_seed, [&](const common::TrialContext& ctx) {
           // Same ctx.seed for trial s across all four configurations ⇒ same
-          // cache key ⇒ one shared graph per trial, paired ablations.
-          const auto g = bench::shared_uniform_graph_with_density(
+          // graph per trial, paired ablations.
+          const auto g = bench::uniform_graph_with_density(
               n, 16.0, common::derive_seed(ctx.seed, 0x67));
           core::MwConfig mw;
-          mw.n = g->size();
-          mw.max_degree = std::max<std::size_t>(g->max_degree(), 1);
-          mw.phys = bench::phys_for_radius(g->radius());
+          mw.n = g.size();
+          mw.max_degree = std::max<std::size_t>(g.max_degree(), 1);
+          mw.phys = bench::phys_for_radius(g.radius());
           auto params = core::MwParams::practical(mw);
           mutate(params);
 
           core::MwRunConfig cfg;
           cfg.seed = common::derive_seed(ctx.seed, 0x70);  // 'p' — protocol
           cfg.params_override = params;
-          const auto r = core::run_mw_coloring(*g, cfg);
+          const auto r = core::run_mw_coloring(g, cfg);
           TrialOutcome out;
           out.violations = r.independence_violations;
           out.invalid = !(r.coloring_valid && r.metrics.all_decided);
@@ -122,10 +122,6 @@ int main(int argc, char** argv) {
           "expect violations");
 
   table.print(std::cout);
-  std::printf("topology cache: %zu graphs built, %llu shared reuses\n",
-              graph::global_topology_cache().size(),
-              static_cast<unsigned long long>(
-                  graph::global_topology_cache().hits()));
 
   const bool clean_default =
       baseline_run.violations == 0 && baseline_run.invalid == 0;

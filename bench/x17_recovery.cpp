@@ -29,26 +29,12 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/mw_protocol.h"
-#include "graph/coloring.h"
+#include "core/verify.h"
 #include "robust/recovery_protocol.h"
 
 namespace {
 
 using namespace sinrcolor;
-
-// (1,·)-validity restricted to nodes alive at the end of the run.
-bool live_coloring_valid(const graph::UnitDiskGraph& g,
-                         const core::MwRunResult& r) {
-  graph::Coloring live = r.coloring;
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    if (r.metrics.death_slot[v] >= 0) live.color[v] = graph::kUncolored;
-    else if (live.color[v] == graph::kUncolored) return false;
-  }
-  for (const auto& violation : graph::find_coloring_violations(g, live)) {
-    if (violation.u != violation.v) return false;
-  }
-  return true;
-}
 
 struct TargetedKills {
   std::vector<graph::NodeId> victims;
@@ -112,7 +98,9 @@ struct Tally {
     killed.add(static_cast<double>(r.metrics.failed_nodes));
     stalled.add(static_cast<double>(r.metrics.stalled_nodes));
     recovered.add(static_cast<double>(r.recovery.recovered_nodes));
-    if (!live_coloring_valid(g, r)) ++invalid_runs;
+    if (!core::live_coloring(g, r.coloring, r.metrics.death_slot).valid) {
+      ++invalid_runs;
+    }
   }
 };
 

@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
       "naive and the simd kernel beats field in wall time at n=2000, "
       "Delta~64");
 
-  const auto g = bench::shared_uniform_graph_with_density(n, avg, seed);
-  const auto phys = bench::phys_for_radius(g->radius());
+  const auto g = bench::uniform_graph_with_density(n, avg, seed);
+  const auto phys = bench::phys_for_radius(g.radius());
 
   // Pre-draw every slot's transmitter set so all paths replay the exact
   // same workload (transmitters never listen — half-duplex).
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
     std::uint64_t steady_allocs = 0;
   };
   const auto timed_pass = [&](sinr::ResolveKind kind) -> PassResult {
-    const radio::SinrInterferenceModel model(*g, phys,
+    const radio::SinrInterferenceModel model(g, phys,
                                              {kind, model_threads(kind)});
     std::vector<radio::Reception> receptions;
     receptions.reserve(n);
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   // pairs in every slot. Naive is the oracle both fast paths compare to.
   // got[t][u] = the sender u decoded in slot t (kInvalidNode = none).
   const auto capture_pass = [&](sinr::ResolveKind kind) {
-    const radio::SinrInterferenceModel model(*g, phys,
+    const radio::SinrInterferenceModel model(g, phys,
                                              {kind, model_threads(kind)});
     std::vector<std::vector<graph::NodeId>> got(
         slots, std::vector<graph::NodeId>(n, graph::kInvalidNode));
@@ -194,7 +194,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::printf("n=%zu Delta=%zu avg_deg=%.1f tx_prob=%.2f reps=%zu "
               "sweep_threads=%zu\n",
-              g->size(), g->max_degree(), g->average_degree(), tx_prob, reps,
+              g.size(), g.max_degree(), g.average_degree(), tx_prob, reps,
               sweep_threads);
   std::printf("delivery mismatches: field=%zu simd=%zu / %zu deliveries\n",
               field_mismatches, simd_mismatches, deliveries_total);

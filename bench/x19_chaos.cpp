@@ -35,10 +35,10 @@
 #include "common/sweep.h"
 #include "common/table.h"
 #include "core/mw_protocol.h"
+#include "core/verify.h"
 #include "faults/fault_engine.h"
 #include "faults/fault_plan.h"
 #include "faults/invariant_monitor.h"
-#include "graph/coloring.h"
 #include "robust/recovery_protocol.h"
 
 namespace {
@@ -62,20 +62,6 @@ constexpr double kIntensities[] = {0.0, 0.1, 0.25, 0.4};
 /// Conflict-duration histogram buckets (slots from onset to repair).
 constexpr radio::Slot kDurationEdges[] = {8, 64, 512};
 constexpr std::size_t kDurationBuckets = 4;  // (0,8] (8,64] (64,512] >512
-
-// (1,·)-validity restricted to nodes alive at the end of the run.
-bool live_coloring_valid(const graph::UnitDiskGraph& g,
-                         const core::MwRunResult& r) {
-  graph::Coloring live = r.coloring;
-  for (std::size_t v = 0; v < g.size(); ++v) {
-    if (r.metrics.death_slot[v] >= 0) live.color[v] = graph::kUncolored;
-    else if (live.color[v] == graph::kUncolored) return false;
-  }
-  for (const auto& violation : graph::find_coloring_violations(g, live)) {
-    if (violation.u != violation.v) return false;
-  }
-  return true;
-}
 
 using CheckRange = faults::InvariantMonitor::Report::CheckRange;
 constexpr std::size_t kCheckCount = faults::InvariantMonitor::kCheckCount;
@@ -192,7 +178,7 @@ int main(int argc, char** argv) {
   const std::string chaos_path = cli.get("chaos-out", "");
   const std::size_t sweep = bench::sweep_threads(cli);
   core::MwRunConfig base_cfg;
-  bench::apply_resolve_flags(cli, base_cfg);
+  core::apply_resolve_flags(cli, base_cfg);
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 
@@ -217,13 +203,13 @@ int main(int argc, char** argv) {
   const double side = std::sqrt(static_cast<double>(n) * M_PI / avg);
   const auto run_trial = [&](const Medium& medium, double intensity,
                              const common::TrialContext& ctx) -> TrialResult {
-    const auto g = bench::shared_uniform_graph_with_density(
+    const auto g = bench::uniform_graph_with_density(
         n, avg, common::derive_seed(ctx.seed, 0x67));
     core::MwRunConfig cfg = base_cfg;
     cfg.seed = ctx.seed;
     cfg.graph_model = medium.graph_model;
     if (medium.fading) cfg.fading.kind = sinr::FadingKind::kLogNormal;
-    const auto params = core::derive_mw_params(*g, cfg);
+    const auto params = core::derive_mw_params(g, cfg);
     // Faulted runs converge later than the clean bound; give them headroom.
     cfg.max_slots = 2 * params.recommended_max_slots();
     // Post-decision air time: a conflict opened by the LAST decision still
@@ -233,7 +219,7 @@ int main(int argc, char** argv) {
 
     const faults::FaultPlan plan =
         make_plan(intensity, n, params, side, ctx.seed);
-    robust::RecoveryInstance instance(*g, cfg);
+    robust::RecoveryInstance instance(g, cfg);
     if (sidecar.observation() != nullptr) {
       instance.attach_observation(sidecar.observation());
     }
@@ -241,7 +227,7 @@ int main(int argc, char** argv) {
     fault_engine.install(instance.simulator());
     const auto& nodes = instance.nodes();
     faults::InvariantMonitor monitor(
-        *g, [&nodes](graph::NodeId v) { return nodes[v]->final_color(); });
+        g, [&nodes](graph::NodeId v) { return nodes[v]->final_color(); });
     monitor.attach(instance.simulator());
     const auto r = instance.run();
 
@@ -267,7 +253,8 @@ int main(int argc, char** argv) {
       }
     }
     out.stalled = r.metrics.stalled_nodes;
-    out.live_valid = live_coloring_valid(*g, r);
+    out.live_valid =
+        core::live_coloring(g, r.coloring, r.metrics.death_slot).valid;
     out.monitor_clean = report.clean();
     for (std::size_t c = 0; c < kCheckCount; ++c) out.checks[c] = report.check[c];
     out.open_range = report.open_range;

@@ -18,8 +18,7 @@
 // steady-state allocation (counting builds).
 #include <cstdio>
 #include <iostream>
-#include <string>
-#include <vector>
+#include <limits>
 
 #include "bench/bench_util.h"
 #include "common/alloc_counter.h"
@@ -53,36 +52,17 @@ struct RunOutcome {
 
 int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
-  const std::string n_list = cli.get("n-list", "1000,4000");
+  // Node ids are 32-bit (graph::NodeId), which bounds every size.
+  constexpr auto kMaxNodes = std::numeric_limits<graph::NodeId>::max();
+  const auto sizes = cli.get_count_list("n-list", "1000,4000", kMaxNodes);
   const double avg = cli.get_double_at_least("avg-degree", 12.0, 1e-9);
   const auto seed = cli.get_seed("seed", 1);
   const auto big_n =
-      static_cast<std::size_t>(cli.get_int_at_least("big-n", 0, 0));
+      static_cast<std::size_t>(cli.get_int_in_range("big-n", 0, 0, kMaxNodes));
   const auto big_slots =
       static_cast<radio::Slot>(cli.get_int_at_least("big-slots", 64, 1));
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
-
-  std::vector<std::size_t> sizes;
-  std::size_t pos = 0;
-  while (pos < n_list.size()) {
-    const std::size_t comma = n_list.find(',', pos);
-    const std::string tok =
-        n_list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos);
-    // Digits only: strtoul alone would wrap "-5" to a huge node count.
-    const bool digits = !tok.empty() && tok.find_first_not_of("0123456789") ==
-                                            std::string::npos;
-    const unsigned long v =
-        digits ? std::strtoul(tok.c_str(), nullptr, 10) : 0;
-    if (v == 0) {
-      std::fprintf(stderr, "bad --n-list entry '%s'\n", tok.c_str());
-      return 2;
-    }
-    sizes.push_back(static_cast<std::size_t>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
 
   bench::print_experiment_header(
       "X20: the slot loop at scale",
@@ -93,9 +73,9 @@ int main(int argc, char** argv) {
   // One full protocol run. The sidecar observation is never attached to
   // these runs (its tracer would time the trace, not the slot loop);
   // aggregate counters are recorded into the sidecar registry directly.
-  const auto run_once = [&](const Medium& medium, std::size_t n,
+  const auto run_once = [&](const Medium& medium,
+                            const graph::UnitDiskGraph& g,
                             radio::Slot max_slots) -> RunOutcome {
-    const auto g = bench::shared_uniform_graph_with_density(n, avg, seed);
     core::MwRunConfig cfg;
     cfg.seed = seed;
     cfg.graph_model = medium.graph_model;
@@ -106,7 +86,7 @@ int main(int argc, char** argv) {
     cfg.check_independence = false;
     RunOutcome out;
     bench::WallTimer timer;
-    const core::MwRunResult r = core::run_mw_coloring(*g, cfg);
+    const core::MwRunResult r = core::run_mw_coloring(g, cfg);
     out.wall_us = timer.elapsed_us();
     out.metrics = r.metrics;
     out.coloring_valid = r.coloring_valid;
@@ -130,9 +110,10 @@ int main(int argc, char** argv) {
   std::uint64_t headline_steps_permille = 0;
   std::size_t n_max = 0;
 
-  const auto add_row = [&](const Medium& medium, std::size_t n,
+  const auto add_row = [&](const Medium& medium, const graph::UnitDiskGraph& g,
                            radio::Slot max_slots, bool gate_decided) {
-    const RunOutcome run = run_once(medium, n, max_slots);
+    const std::size_t n = g.size();
+    const RunOutcome run = run_once(medium, g, max_slots);
     slot_allocs += run.metrics.slot_heap_allocs;
     if (!run.metrics.steady_state_alloc_free()) ++steady_violations;
     if (gate_decided) {
@@ -163,13 +144,16 @@ int main(int argc, char** argv) {
     }
   };
 
+  // One graph per size, shared by its three media rows.
   for (const std::size_t n : sizes) {
+    const auto g = bench::uniform_graph_with_density(n, avg, seed);
     for (const Medium& medium : kMedia) {
-      add_row(medium, n, /*max_slots=*/0, /*gate_decided=*/true);
+      add_row(medium, g, /*max_slots=*/0, /*gate_decided=*/true);
     }
   }
   if (big_n > 0) {
-    add_row(kMedia[0], big_n, big_slots, /*gate_decided=*/false);
+    add_row(kMedia[0], bench::uniform_graph_with_density(big_n, avg, seed),
+            big_slots, /*gate_decided=*/false);
   }
   table.print(std::cout);
 

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // sweep (trial-level parallelism), so every trial resolves single-threaded
   // — nested pools would oversubscribe the host.
   core::MwRunConfig base_cfg;
-  base_cfg.resolve = bench::resolve_kind_flag(cli);
+  base_cfg.resolve = core::resolve_kind_flag(cli);
   auto threads =
       static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   bench::MetricsSidecar sidecar(cli);
@@ -89,17 +89,17 @@ int main(int argc, char** argv) {
   // (base_seed, trial index, n) — not on thread count or execution order.
   const auto run_trial = [&](std::size_t n, const common::TrialContext& ctx,
                              bool attach_sidecar) -> TrialResult {
-    const auto g = bench::shared_uniform_graph_with_density(
+    const auto g = bench::uniform_graph_with_density(
         n, avg, common::derive_seed(ctx.seed, 0x67));  // 'g' — graph stream
     core::MwRunConfig cfg = base_cfg;
     cfg.seed = ctx.seed;
-    core::MwInstance instance(*g, cfg);
+    core::MwInstance instance(g, cfg);
     if (attach_sidecar && sidecar.observation() != nullptr) {
       instance.attach_observation(sidecar.observation());
     }
     const auto r = instance.run();
     TrialResult out;
-    out.delta = static_cast<double>(g->max_degree());
+    out.delta = static_cast<double>(g.max_degree());
     out.max_latency = static_cast<double>(r.metrics.max_decision_latency());
     out.mean_latency = r.metrics.mean_decision_latency();
     out.norm = out.max_latency / (out.delta * std::log(static_cast<double>(n)));

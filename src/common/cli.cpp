@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace sinrcolor::common {
 
@@ -60,10 +61,19 @@ double Cli::get_double(const std::string& name, double default_value) const {
 std::int64_t Cli::get_int_at_least(const std::string& name,
                                    std::int64_t default_value,
                                    std::int64_t min) const {
+  return get_int_in_range(name, default_value, min,
+                          std::numeric_limits<std::int64_t>::max());
+}
+
+std::int64_t Cli::get_int_in_range(const std::string& name,
+                                   std::int64_t default_value,
+                                   std::int64_t min, std::int64_t max) const {
   const std::int64_t v = get_int(name, default_value);
-  if (has(name) && v < min) {
-    usage_error("flag --" + name + " must be at least " +
-                std::to_string(min) + ", got " + std::to_string(v));
+  if (has(name) && (v < min || v > max)) {
+    usage_error("flag --" + name + " must be at " +
+                (v < min ? "least " + std::to_string(min)
+                         : "most " + std::to_string(max)) +
+                ", got " + std::to_string(v));
   }
   return v;
 }
@@ -90,6 +100,43 @@ double Cli::get_probability(const std::string& name, double default_value,
     usage_error(msg);
   }
   return v;
+}
+
+double Cli::get_fraction(const std::string& name, double default_value) const {
+  const double v = get_double(name, default_value);
+  if (has(name) && !(v >= 0.0 && v <= 1.0)) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg, "flag --%s must be in [0, 1], got %g",
+                  name.c_str(), v);
+    usage_error(msg);
+  }
+  return v;
+}
+
+std::vector<std::uint64_t> Cli::get_count_list(const std::string& name,
+                                               const std::string& default_value,
+                                               std::uint64_t max) const {
+  const std::string raw = get(name, default_value);
+  std::vector<std::uint64_t> counts;
+  std::size_t pos = 0;
+  while (true) {
+    const std::size_t comma = raw.find(',', pos);
+    const std::string entry = raw.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    // Digits only: strtoull alone would wrap "-5" to a huge count.
+    const bool digits = !entry.empty() &&
+                        entry.find_first_not_of("0123456789") ==
+                            std::string::npos;
+    const unsigned long long v =
+        digits ? std::strtoull(entry.c_str(), nullptr, 10) : 0;
+    if (v == 0 || v > max) {
+      usage_error("bad --" + name + " entry '" + entry +
+                  "' (want a count in [1, " + std::to_string(max) + "])");
+    }
+    counts.push_back(v);
+    if (comma == std::string::npos) return counts;
+    pos = comma + 1;
+  }
 }
 
 bool Cli::get_bool(const std::string& name, bool default_value) const {

@@ -26,6 +26,11 @@ class Cli {
   std::int64_t get_int_at_least(const std::string& name,
                                 std::int64_t default_value,
                                 std::int64_t min) const;
+  /// get_int_at_least with an upper bound too: above `max` exits with the
+  /// usage error "flag --x must be at most MAX".
+  std::int64_t get_int_in_range(const std::string& name,
+                                std::int64_t default_value, std::int64_t min,
+                                std::int64_t max) const;
   double get_double_at_least(const std::string& name, double default_value,
                              double min) const;
   /// get_double for a probability flag: the value must lie in (0, 1], or in
@@ -33,6 +38,15 @@ class Cli {
   /// included) exits with the usage error.
   double get_probability(const std::string& name, double default_value,
                          bool allow_one) const;
+  /// get_double for a fraction flag: the value must lie in [0, 1].
+  /// Anything else (NaN included) exits with the usage error.
+  double get_fraction(const std::string& name, double default_value) const;
+  /// A comma-separated list of counts ("64,128,256"), each in [1, max]. An
+  /// entry that is empty, not a decimal number, zero or above `max` exits
+  /// with the usage error "bad --x entry '<entry>'".
+  std::vector<std::uint64_t> get_count_list(const std::string& name,
+                                            const std::string& default_value,
+                                            std::uint64_t max) const;
   bool get_bool(const std::string& name, bool default_value) const;
   std::uint64_t get_seed(const std::string& name, std::uint64_t default_value) const;
 

@@ -13,8 +13,8 @@
 //      many trials run, which thread claims trial i, and in what order
 //      trials execute (tests/sweep_test.cpp pins all three).
 //   2. Each trial writes only to its own pre-sized result slot; trials share
-//      no mutable state (read-only topology sharing is fine —
-//      graph::TopologyCache hands out shared_ptr<const UnitDiskGraph>).
+//      no mutable state (a graph built before the sweep and only read by
+//      the trials is fine, as in `sinrcolor_cli sweep --shared-topology`).
 //   3. Reduction happens AFTER the join, in trial-index order, so even
 //      order-sensitive float accumulation matches a serial sweep exactly.
 //
@@ -76,9 +76,9 @@ struct SweepTiming {
 /// race-free by construction: slots are disjoint and the pool's job join
 /// provides the happens-before edge back to the caller. What the trial
 /// callback does is the caller's obligation — share nothing mutable except
-/// internally-synchronized sinks (obs::Tracer, obs::Counter,
-/// graph::TopologyCache); tests/concurrency_stress_test.cpp runs exactly
-/// that pattern under TSan.
+/// internally-synchronized sinks (obs::Tracer, obs::Counter), and read
+/// shared inputs such as a graph only; tests/concurrency_stress_test.cpp
+/// runs both patterns under TSan.
 class SweepEngine {
  public:
   explicit SweepEngine(std::size_t threads);

@@ -75,8 +75,4 @@ std::string Table::percent(double fraction, int precision) {
   return buf;
 }
 
-void print_banner(std::ostream& os, const std::string& title) {
-  os << "\n== " << title << " ==\n";
-}
-
 }  // namespace sinrcolor::common

@@ -33,7 +33,4 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Prints a section banner ("== title ==") used between experiment tables.
-void print_banner(std::ostream& os, const std::string& title);
-
 }  // namespace sinrcolor::common

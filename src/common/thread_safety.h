@@ -1,8 +1,8 @@
 // Clang thread-safety-analysis capability macros (no-ops elsewhere).
 //
 // The parallel engine's byte-identity claim rests on a small, explicit
-// concurrency surface: common::TaskPool, common::SweepEngine,
-// graph::TopologyCache, the obs sinks and faults::FaultEngine. These macros
+// concurrency surface: common::TaskPool, common::SweepEngine, the obs sinks
+// and faults::FaultEngine. These macros
 // let each class declare its lock discipline in the type system —
 // which mutex guards which field, which private helpers require the lock —
 // so `clang++ -Wthread-safety -Wthread-safety-beta` (the CI thread-safety

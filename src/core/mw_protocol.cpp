@@ -10,6 +10,20 @@
 
 namespace sinrcolor::core {
 
+sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
+  sinr::ResolveKind kind = MwRunConfig{}.resolve;
+  const std::string resolve = cli.get("resolve", sinr::to_string(kind));
+  if (!sinr::resolve_kind_from_string(resolve, kind)) {
+    cli.usage_error("unknown --resolve=" + resolve + " (field|simd|naive)");
+  }
+  return kind;
+}
+
+void apply_resolve_flags(const common::Cli& cli, MwRunConfig& cfg) {
+  cfg.resolve = resolve_kind_flag(cli);
+  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+}
+
 sinr::SinrParams resolve_phys(const graph::UnitDiskGraph& g,
                               const MwRunConfig& config) {
   const double r_t = g.radius();

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "core/mw_node.h"
 #include "core/mw_params.h"
 #include "core/recovery_types.h"
@@ -86,6 +87,14 @@ struct MwRunConfig {
   /// them. They live here so every harness configures one struct.
   RecoveryOptions recovery;
 };
+
+/// Reads `--resolve=field|simd|naive` for MwRunConfig::resolve (default: the
+/// library's kind). An unknown kind exits 2 with the usage error.
+sinr::ResolveKind resolve_kind_flag(const common::Cli& cli);
+
+/// Reads `--resolve` and `--threads=N` (at least 1) into `cfg`'s resolve
+/// kind and resolve worker count. Both change wall time only, never results.
+void apply_resolve_flags(const common::Cli& cli, MwRunConfig& cfg);
 
 struct MwRunResult {
   MwParams params;

@@ -15,6 +15,27 @@ graph::Coloring extract_coloring(const std::vector<MwNode*>& nodes) {
   return coloring;
 }
 
+LiveColoring live_coloring(const graph::UnitDiskGraph& g,
+                           const graph::Coloring& coloring,
+                           const std::vector<radio::Slot>& death_slot) {
+  SINRCOLOR_CHECK(coloring.size() == g.size() && death_slot.size() == g.size());
+  LiveColoring live{coloring, true};
+  for (std::size_t v = 0; v < g.size(); ++v) {
+    if (death_slot[v] >= 0) {
+      live.coloring.color[v] = graph::kUncolored;
+    } else if (live.coloring.color[v] == graph::kUncolored) {
+      live.valid = false;
+    }
+  }
+  // The validator reports an uncolored node against itself; dead nodes are
+  // uncolored on purpose and uncolored survivors were caught above.
+  for (const auto& violation :
+       graph::find_coloring_violations(g, live.coloring)) {
+    if (violation.u != violation.v) live.valid = false;
+  }
+  return live;
+}
+
 std::vector<graph::NodeId> extract_leaders(const std::vector<MwNode*>& nodes) {
   std::vector<graph::NodeId> leaders;
   for (const MwNode* node : nodes) {

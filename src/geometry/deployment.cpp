@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "geometry/grid_index.h"
 
 namespace sinrcolor::geometry {
 namespace {
@@ -106,33 +105,6 @@ Deployment line_deployment(std::size_t n, double spacing) {
   d.points.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     d.points.push_back({spacing * static_cast<double>(i), 0.0});
-  }
-  return d;
-}
-
-Deployment poisson_disk_deployment(std::size_t n, double side, double min_spacing,
-                                   common::Rng& rng) {
-  SINRCOLOR_CHECK(side > 0.0);
-  SINRCOLOR_CHECK(min_spacing > 0.0);
-  Deployment d;
-  d.side = side;
-  // Dart throwing with a grid accelerator; cap attempts so saturated squares
-  // terminate (the caller observes the reduced size).
-  GridIndex index(side, min_spacing);
-  const std::size_t max_attempts = 64 * std::max<std::size_t>(n, 1);
-  std::size_t attempts = 0;
-  while (d.points.size() < n && attempts < max_attempts) {
-    ++attempts;
-    const Point candidate{rng.uniform(0.0, side), rng.uniform(0.0, side)};
-    bool clear = true;
-    index.for_each_within(candidate, min_spacing,
-                          [&](std::size_t /*id*/, const Point& /*p*/) {
-                            clear = false;
-                          });
-    if (clear) {
-      index.insert(d.points.size(), candidate);
-      d.points.push_back(candidate);
-    }
   }
   return d;
 }

@@ -40,10 +40,4 @@ Deployment clustered_deployment(std::size_t n, double side, std::size_t clusters
 /// (collinear chain; an adversarial case for disc-packing arguments).
 Deployment line_deployment(std::size_t n, double spacing);
 
-/// Poisson-disk ("blue noise") deployment: points uniform in the square but
-/// no two closer than `min_spacing` (dart throwing). The returned size can be
-/// smaller than `n` if the square saturates.
-Deployment poisson_disk_deployment(std::size_t n, double side, double min_spacing,
-                                   common::Rng& rng);
-
 }  // namespace sinrcolor::geometry

@@ -66,23 +66,4 @@ bool is_valid_coloring(const UnitDiskGraph& g, const Coloring& coloring, double 
   return coloring.complete() && find_coloring_violations(g, coloring, d).empty();
 }
 
-std::vector<NodeId> color_class(const Coloring& coloring, Color color) {
-  std::vector<NodeId> nodes;
-  for (NodeId v = 0; v < coloring.size(); ++v) {
-    if (coloring.color[v] == color) nodes.push_back(v);
-  }
-  return nodes;
-}
-
-std::vector<std::size_t> color_histogram(const Coloring& coloring) {
-  const Color top = coloring.max_color();
-  std::vector<std::size_t> histogram(top == kUncolored ? 0
-                                                       : static_cast<std::size_t>(top) + 1,
-                                     0);
-  for (Color c : coloring.color) {
-    if (c != kUncolored) ++histogram[static_cast<std::size_t>(c)];
-  }
-  return histogram;
-}
-
 }  // namespace sinrcolor::graph

@@ -50,10 +50,4 @@ std::vector<ColoringViolation> find_coloring_violations(const UnitDiskGraph& g,
 bool is_valid_coloring(const UnitDiskGraph& g, const Coloring& coloring,
                        double d = 1.0);
 
-/// The set of nodes holding `color` (sorted).
-std::vector<NodeId> color_class(const Coloring& coloring, Color color);
-
-/// Per-color-class sizes, indexed by color (0..max_color).
-std::vector<std::size_t> color_histogram(const Coloring& coloring);
-
 }  // namespace sinrcolor::graph

@@ -98,14 +98,4 @@ std::uint32_t hop_diameter(const UnitDiskGraph& g) {
   return diameter;
 }
 
-std::vector<NodeId> k_hop_neighborhood(const UnitDiskGraph& g, NodeId v,
-                                       std::uint32_t k) {
-  const auto dist = bfs_distances(g, v);
-  std::vector<NodeId> result;
-  for (NodeId u = 0; u < g.size(); ++u) {
-    if (u != v && dist[u] <= k) result.push_back(u);
-  }
-  return result;
-}
-
 }  // namespace sinrcolor::graph

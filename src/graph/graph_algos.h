@@ -31,8 +31,4 @@ bool is_connected(const UnitDiskGraph& g);
 /// component (exact; O(n · (n + m)), fine at experiment scales).
 std::uint32_t hop_diameter(const UnitDiskGraph& g);
 
-/// Nodes at hop distance exactly ≤ k from v (excluding v), sorted.
-std::vector<NodeId> k_hop_neighborhood(const UnitDiskGraph& g, NodeId v,
-                                       std::uint32_t k);
-
 }  // namespace sinrcolor::graph

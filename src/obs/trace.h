@@ -83,9 +83,11 @@ struct TraceEvent {
 /// (the freshest events are the ones that explain a stall at the end of a
 /// run); the number of overwritten events is reported via dropped().
 ///
-/// Thread safety: the ring is internally synchronized (a shared-state sink —
-/// the coming spatially-sharded engine will emit from resolve shards), so
-/// concurrent record() calls are safe and never lose an event. The per-event
+/// Thread safety: the ring is internally synchronized, so concurrent
+/// record() calls are safe and never lose an event. Today only
+/// tests/concurrency_stress_test.cpp's SharedSinkStressTest emits into one
+/// tracer from several threads: a harness that attaches a sidecar
+/// observation runs its trials serially. The per-event
 /// lock is paid only when a sink is attached; the SINRCOLOR_TRACE fast path
 /// for unobserved runs stays a single pointer test. NOTE: concurrent
 /// emitters make the ring ORDER nondeterministic — byte-compared artifacts

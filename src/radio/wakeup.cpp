@@ -1,7 +1,5 @@
 #include "radio/wakeup.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace sinrcolor::radio {
@@ -24,11 +22,6 @@ WakeupSchedule staggered_wakeup(std::size_t n, Slot interval) {
     schedule[v] = static_cast<Slot>(v) * interval;
   }
   return schedule;
-}
-
-Slot last_wakeup(const WakeupSchedule& schedule) {
-  if (schedule.empty()) return 0;
-  return *std::max_element(schedule.begin(), schedule.end());
 }
 
 }  // namespace sinrcolor::radio

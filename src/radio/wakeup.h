@@ -23,7 +23,4 @@ WakeupSchedule uniform_wakeup(std::size_t n, Slot window, common::Rng& rng);
 /// Node v wakes at slot v * interval (deterministic stagger).
 WakeupSchedule staggered_wakeup(std::size_t n, Slot interval);
 
-/// Latest wake-up slot in the schedule (0 for empty schedules).
-Slot last_wakeup(const WakeupSchedule& schedule);
-
 }  // namespace sinrcolor::radio

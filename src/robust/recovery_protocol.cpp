@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "core/verify.h"
 
 namespace sinrcolor::robust {
 
@@ -94,25 +95,13 @@ core::MwRunResult RecoveryInstance::run() {
     }
   }
 
-  // Validity on the live nodes: every survivor colored, no two adjacent
-  // survivors sharing a color. Dead nodes keep their stale color in
-  // result.coloring for inspection, but no live radio uses it.
-  graph::Coloring live = result.coloring;
-  bool all_live_colored = true;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (result.metrics.death_slot[v] >= 0) {
-      live.color[v] = graph::kUncolored;
-    } else if (live.color[v] == graph::kUncolored) {
-      all_live_colored = false;
-    }
-  }
-  std::size_t live_conflicts = 0;
-  for (const auto& violation : graph::find_coloring_violations(graph_, live)) {
-    if (violation.u != violation.v) ++live_conflicts;  // skip uncolored entries
-  }
-  result.coloring_valid = all_live_colored && live_conflicts == 0;
-  result.palette = live.palette_size();
-  result.max_color = live.max_color();
+  // Dead nodes keep their stale color in result.coloring for inspection;
+  // validity and the palette count the live nodes only.
+  const core::LiveColoring live =
+      core::live_coloring(graph_, result.coloring, result.metrics.death_slot);
+  result.coloring_valid = live.valid;
+  result.palette = live.coloring.palette_size();
+  result.max_color = live.coloring.max_color();
 
   core::RecoveryStats& stats = result.recovery;
   stats.joined_nodes = result.metrics.joined_nodes;

@@ -1,9 +1,9 @@
 // Many-thread hammer for the concurrency surface behind the determinism
-// claim: TaskPool submit/drain, TopologyCache::get_or_build under colliding
-// keys, and parallel trace/metrics emission during a threaded SweepEngine
-// run. The assertions here are deliberately simple (conservation counts,
-// pointer identity, byte-identical results) — the real teeth are the TSan
-// tier (SINRCOLOR_SANITIZE=thread, CI job tsan-smoke), which holds every
+// claim: TaskPool submit/drain, trials reading one shared graph, and
+// parallel trace/metrics emission during a threaded SweepEngine run. The
+// assertions here are deliberately simple (conservation counts,
+// byte-identical results) — the real teeth are the TSan tier
+// (SINRCOLOR_SANITIZE=thread, CI job tsan-smoke), which holds every
 // interleaving this suite provokes to zero data-race reports with zero
 // suppressions.
 #include <gtest/gtest.h>
@@ -16,8 +16,9 @@
 #include "common/rng.h"
 #include "common/sweep.h"
 #include "common/task_pool.h"
+#include "core/mw_protocol.h"
+#include "core/report.h"
 #include "geometry/deployment.h"
-#include "graph/topology_cache.h"
 #include "graph/unit_disk_graph.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -100,75 +101,30 @@ TEST(TaskPoolStressTest, ManyPoolsRunConcurrently) {
   }
 }
 
-// --- TopologyCache: colliding get_or_build ---------------------------------
+// --- One graph read by concurrent trials ------------------------------------
 
-graph::UnitDiskGraph build_graph(std::size_t n, double side,
-                                 std::uint64_t seed) {
-  common::Rng rng(seed);
-  return {geometry::uniform_deployment(n, side, rng), 1.0};
-}
-
-graph::TopologyKey key_for(std::size_t n, std::uint64_t seed) {
-  graph::TopologyKey key;
-  key.kind = "stress-uniform";
-  key.n = n;
-  key.side = 5.0;
-  key.radius = 1.0;
-  key.seed = seed;
-  return key;
-}
-
-TEST(TopologyCacheStressTest, CollidingKeyBuildsOnceAcrossManyThreads) {
-  graph::TopologyCache cache;
-  constexpr std::size_t kThreads = 16;
-  std::atomic<int> builds{0};
-  std::vector<std::shared_ptr<const graph::UnitDiskGraph>> got(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &builds, &got, t] {
-      got[t] = cache.get_or_build(key_for(60, 9), [&builds] {
-        builds.fetch_add(1, std::memory_order_relaxed);
-        return build_graph(60, 5.0, 9);
-      });
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(builds.load(), 1) << "colliding key must build exactly once";
-  for (std::size_t t = 1; t < kThreads; ++t) {
-    EXPECT_EQ(got[t].get(), got[0].get());
-  }
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(cache.hits(), kThreads - 1);
-}
-
-TEST(TopologyCacheStressTest, MixedCollidingAndDistinctKeys) {
-  graph::TopologyCache cache;
-  constexpr std::size_t kThreads = 12;
-  constexpr std::size_t kKeys = 3;  // every key contended by 4 threads
-  std::atomic<int> builds{0};
-  std::vector<std::shared_ptr<const graph::UnitDiskGraph>> got(kThreads);
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &builds, &got, t] {
-      const std::uint64_t seed = t % kKeys;
-      got[t] = cache.get_or_build(key_for(40, seed), [&builds, seed] {
-        builds.fetch_add(1, std::memory_order_relaxed);
-        return build_graph(40, 5.0, seed);
-      });
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(builds.load(), static_cast<int>(kKeys));
-  EXPECT_EQ(cache.size(), kKeys);
-  EXPECT_EQ(cache.hits() + cache.misses(), kThreads);
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(got[t].get(), got[t % kKeys].get());
-    if (t % kKeys != 0) {
-      EXPECT_NE(got[t].get(), got[0].get());
-    }
+TEST(SharedGraphStressTest, ConcurrentTrialsReadOneGraph) {
+  // `sinrcolor_cli sweep --shared-topology` builds one graph per size before
+  // the sweep and lets every trial thread read it. A UnitDiskGraph is never
+  // mutated after construction, so 4-wide trials must report exactly what
+  // serial trials report.
+  common::Rng rng(9);
+  const graph::UnitDiskGraph g(geometry::uniform_deployment(60, 5.0, rng),
+                               1.0);
+  const auto sweep = [&g](std::size_t threads) {
+    common::SweepEngine engine(threads);
+    return engine.run(8, /*base_seed=*/42,
+                      [&g](const common::TrialContext& ctx) {
+                        core::MwRunConfig cfg;
+                        cfg.seed = ctx.seed;
+                        return core::to_json(core::run_mw_coloring(g, cfg));
+                      });
+  };
+  const auto serial = sweep(1);
+  const auto threaded = sweep(4);
+  ASSERT_EQ(serial.size(), threaded.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(serial[i], threaded[i]) << "trial " << i;
   }
 }
 

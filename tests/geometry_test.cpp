@@ -75,25 +75,6 @@ TEST(Deployment, LineSpacing) {
   }
 }
 
-TEST(Deployment, PoissonDiskRespectsMinSpacing) {
-  common::Rng rng(8);
-  const auto d = poisson_disk_deployment(150, 12.0, 1.0, rng);
-  EXPECT_GT(d.size(), 50u);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    for (std::size_t j = i + 1; j < d.size(); ++j) {
-      ASSERT_GT(distance(d.points[i], d.points[j]), 1.0);
-    }
-  }
-}
-
-TEST(Deployment, PoissonDiskSaturatesGracefully) {
-  common::Rng rng(9);
-  // A 2x2 square cannot hold 1000 points 1 apart; must terminate short.
-  const auto d = poisson_disk_deployment(1000, 2.0, 1.0, rng);
-  EXPECT_LT(d.size(), 1000u);
-  EXPECT_GE(d.size(), 1u);
-}
-
 class GridIndexRandomTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridIndexRandomTest, MatchesBruteForce) {

@@ -125,14 +125,8 @@ TEST(Coloring, DistanceDValidation) {
   EXPECT_TRUE(is_valid_coloring(g, diff, 2.0));
 }
 
-TEST(Coloring, HistogramAndClasses) {
+TEST(Coloring, PaletteSizeIgnoresUncolored) {
   Coloring c{{0, 2, 0, 2, 2, kUncolored}};
-  const auto hist = color_histogram(c);
-  ASSERT_EQ(hist.size(), 3u);
-  EXPECT_EQ(hist[0], 2u);
-  EXPECT_EQ(hist[1], 0u);
-  EXPECT_EQ(hist[2], 3u);
-  EXPECT_EQ(color_class(c, 2), (std::vector<NodeId>{1, 3, 4}));
   EXPECT_EQ(c.palette_size(), 2u);
 }
 
@@ -212,13 +206,6 @@ TEST(GraphAlgos, ComponentsAndUnreachable) {
   EXPECT_FALSE(is_connected(g));
   const auto dist = bfs_distances(g, 0);
   EXPECT_EQ(dist[2], kUnreachable);
-}
-
-TEST(GraphAlgos, KHopNeighborhood) {
-  UnitDiskGraph g(geometry::line_deployment(7, 0.9), 1.0);
-  EXPECT_EQ(k_hop_neighborhood(g, 3, 1), (std::vector<NodeId>{2, 4}));
-  EXPECT_EQ(k_hop_neighborhood(g, 3, 2), (std::vector<NodeId>{1, 2, 4, 5}));
-  EXPECT_EQ(k_hop_neighborhood(g, 0, 0).size(), 0u);
 }
 
 }  // namespace

@@ -38,8 +38,6 @@ TEST(Wakeup, Schedules) {
     EXPECT_GE(s, 0);
     EXPECT_LE(s, 50);
   }
-  EXPECT_EQ(last_wakeup(WakeupSchedule{3, 9, 2}), 9);
-  EXPECT_EQ(last_wakeup({}), 0);
 }
 
 TEST(GraphModel, DeliversIffExactlyOneNeighborTransmits) {

@@ -215,8 +215,8 @@ class PruneCheckTest(unittest.TestCase):
 
     def test_entry_matching_any_raw_finding_is_live_even_if_rule_differs_elsewhere(self):
         entry = sinrlint.AllowEntry("R8", "src/graph/*", "singleton")
-        raw = [sinrlint.Finding("src/graph/topology_cache.cpp", 55, "R8", "m"),
-               sinrlint.Finding("src/graph/topology_cache.cpp", 55, "R6", "m")]
+        raw = [sinrlint.Finding("src/graph/registry.cpp", 55, "R8", "m"),
+               sinrlint.Finding("src/graph/registry.cpp", 55, "R6", "m")]
         self.assertEqual(sinrlint.stale_entries([entry], raw), [])
 
 

@@ -48,7 +48,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
+#include <optional>
 
 #include "baseline/greedy_coloring.h"
 #include "common/alloc_counter.h"
@@ -66,7 +68,6 @@
 #include "faults/invariant_monitor.h"
 #include "geometry/deployment.h"
 #include "graph/graph_algos.h"
-#include "graph/topology_cache.h"
 #include "mac/algorithms.h"
 #include "mac/distance_d.h"
 #include "mac/simulation.h"
@@ -113,26 +114,27 @@ sinr::SinrParams phys_for(const graph::UnitDiskGraph& g) {
   return sinr::SinrParams{}.with_r_t(g.radius());
 }
 
-// --resolve=field|simd|naive picks the SINR reception path (default: the
-// library's, core::MwRunConfig::resolve; simd the SoA batch kernel —
-// docs/KERNELS.md; naive the A/B oracle — docs/PERFORMANCE.md). Exits 2 on
-// an unknown kind.
-sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
-  sinr::ResolveKind kind = core::MwRunConfig{}.resolve;
-  const std::string resolve = cli.get("resolve", sinr::to_string(kind));
-  if (!sinr::resolve_kind_from_string(resolve, kind)) {
-    std::fprintf(stderr, "unknown --resolve=%s (field|simd|naive)\n",
-                 resolve.c_str());
-    std::exit(2);
+/// Crash-stop failures (--fail-fraction, --fail-window) and dynamic joins
+/// (--join-fraction, --join-at, --join-window). Only the self-healing driver
+/// (robust::RecoveryInstance) schedules joins, so with `joins` false a join
+/// flag is a usage error rather than silently ignored.
+void read_churn_flags(const common::Cli& cli, core::MwRunConfig& cfg,
+                      bool joins) {
+  cfg.failure_fraction = cli.get_fraction("fail-fraction", 0.0);
+  cfg.failure_window = cli.get_int_at_least("fail-window", 0, 0);
+  if (!joins) {
+    for (const char* flag : {"join-fraction", "join-at", "join-window"}) {
+      if (cli.has(flag)) {
+        cli.usage_error(std::string("--") + flag +
+                        " needs --scenario=recover (MwInstance schedules no "
+                        "joins)");
+      }
+    }
+    return;
   }
-  return kind;
-}
-
-// --resolve (above) and --threads=N, the worker count of the field/simd
-// paths. Every value is byte-identical.
-void apply_resolve_flags(const common::Cli& cli, core::MwRunConfig& cfg) {
-  cfg.resolve = resolve_kind_flag(cli);
-  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+  cfg.recovery.join_fraction = cli.get_fraction("join-fraction", 0.0);
+  cfg.recovery.join_at = cli.get_int_at_least("join-at", 0, 0);
+  cfg.recovery.join_window = cli.get_int_at_least("join-window", 0, 0);
 }
 
 /// Loads --faults=<plan.json> when present; exits 2 with the parse /
@@ -327,7 +329,7 @@ int cmd_color(const common::Cli& cli) {
     cfg.wakeup = core::WakeupKind::kUniform;
     cfg.wakeup_window = cli.get_int_at_least("wakeup-window", 2000, 0);
   }
-  apply_resolve_flags(cli, cfg);
+  core::apply_resolve_flags(cli, cfg);
   const auto trials = cli.get_int_at_least("trials", 1, 1);
   const auto plan = load_fault_plan(cli, g);
   if (trials > 1) {
@@ -408,10 +410,11 @@ int cmd_color(const common::Cli& cli) {
 // front door to the same machinery the bench harnesses use. One
 // deterministic row per size (byte-identical for every --threads value);
 // wall times print separately. --shared-topology runs every trial of a size
-// on ONE cache-built graph (protocol-variance view) instead of a fresh
-// graph per trial (topology-variance view, the default).
+// on ONE graph built before the sweep (protocol-variance view) instead of a
+// fresh graph per trial (topology-variance view, the default).
 int cmd_sweep(const common::Cli& cli) {
-  const std::string n_list = cli.get("n-list", "64,128,256");
+  const auto sizes = cli.get_count_list(
+      "n-list", "64,128,256", std::numeric_limits<graph::NodeId>::max());
   const auto trials =
       static_cast<std::size_t>(cli.get_int_at_least("trials", 4, 1));
   const auto threads =
@@ -422,27 +425,8 @@ int cmd_sweep(const common::Cli& cli) {
   const std::string csv_path = cli.get("csv", "");
   const bool quiet = cli.get_bool("quiet", false);
   core::MwRunConfig base_cfg;
-  base_cfg.resolve = resolve_kind_flag(cli);
+  base_cfg.resolve = core::resolve_kind_flag(cli);
   cli.reject_unknown();
-
-  // Parse "64,128,256" into sizes.
-  std::vector<std::size_t> sizes;
-  std::size_t pos = 0;
-  while (pos < n_list.size()) {
-    const std::size_t comma = n_list.find(',', pos);
-    const std::string tok =
-        n_list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                      : comma - pos);
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
-    if (end == tok.c_str() || *end != '\0' || v == 0) {
-      std::fprintf(stderr, "bad --n-list entry '%s'\n", tok.c_str());
-      return 2;
-    }
-    sizes.push_back(static_cast<std::size_t>(v));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
 
   struct Trial {
     double colors = 0.0;
@@ -450,21 +434,11 @@ int cmd_sweep(const common::Cli& cli) {
     double delta = 0.0;
     bool valid = false;
   };
-  const auto graph_for = [&](std::size_t n, std::uint64_t graph_seed) {
-    const double side =
-        std::sqrt(static_cast<double>(n) * M_PI / avg);
-    graph::TopologyKey key;
-    key.kind = "uniform-density";
-    key.n = n;
-    key.side = side;
-    key.radius = 1.0;
-    key.seed = graph_seed;
-    key.param1 = avg;
-    return graph::global_topology_cache().get_or_build(key, [&] {
-      common::Rng rng(graph_seed);
-      return graph::UnitDiskGraph(geometry::uniform_deployment(n, side, rng),
-                                  1.0);
-    });
+  const auto uniform_graph = [avg](std::size_t n, std::uint64_t graph_seed) {
+    const double side = std::sqrt(static_cast<double>(n) * M_PI / avg);
+    common::Rng rng(graph_seed);
+    return graph::UnitDiskGraph(geometry::uniform_deployment(n, side, rng),
+                                1.0);
   };
 
   common::SweepEngine engine(threads);
@@ -473,24 +447,30 @@ int cmd_sweep(const common::Cli& cli) {
   bool all_valid = true;
   for (std::size_t n : sizes) {
     const std::uint64_t size_seed = common::derive_seed(base_seed, n);
+    // Shared topology: one graph per size (seed from the size, not the
+    // trial), built before the sweep and read by every trial. Default: a
+    // fresh graph per trial from the trial's own stream.
+    std::optional<graph::UnitDiskGraph> shared;
+    if (shared_topology) {
+      shared.emplace(uniform_graph(n, common::derive_seed(size_seed, 0x67)));
+    }
     common::SweepTiming timing;
     const auto results = engine.run(
         trials, size_seed,
         [&](const common::TrialContext& ctx) {
-          // Shared topology: one graph per size (seed from the size, not the
-          // trial) reused read-only by every trial. Default: fresh graph per
-          // trial from the trial's own stream.
-          const auto g = graph_for(
-              n, shared_topology ? common::derive_seed(size_seed, 0x67)
-                                 : common::derive_seed(ctx.seed, 0x67));
+          std::optional<graph::UnitDiskGraph> fresh;
+          if (!shared) {
+            fresh.emplace(uniform_graph(n, common::derive_seed(ctx.seed, 0x67)));
+          }
+          const graph::UnitDiskGraph& g = shared ? *shared : *fresh;
           core::MwRunConfig cfg = base_cfg;
           cfg.seed = ctx.seed;
-          const auto r = core::run_mw_coloring(*g, cfg);
+          const auto r = core::run_mw_coloring(g, cfg);
           Trial t;
           t.colors = static_cast<double>(r.palette);
           t.max_latency =
               static_cast<double>(r.metrics.max_decision_latency());
-          t.delta = static_cast<double>(g->max_degree());
+          t.delta = static_cast<double>(g.max_degree());
           t.valid = r.coloring_valid && r.metrics.all_decided;
           return t;
         },
@@ -517,12 +497,6 @@ int cmd_sweep(const common::Cli& cli) {
     }
   }
   table.print(std::cout);
-  if (shared_topology && !quiet) {
-    std::printf("topology cache: %zu built, %llu reused\n",
-                graph::global_topology_cache().size(),
-                static_cast<unsigned long long>(
-                    graph::global_topology_cache().hits()));
-  }
   if (!csv_path.empty() && table.write_csv(csv_path)) {
     if (!quiet) std::printf("rows written to %s\n", csv_path.c_str());
   }
@@ -593,17 +567,8 @@ int cmd_recover(const common::Cli& cli) {
   const auto g = build_graph(cli);
   core::MwRunConfig cfg;
   cfg.seed = cli.get_seed("seed", 1);
-  cfg.failure_fraction = cli.get_double_at_least("fail-fraction", 0.0, 0.0);
-  cfg.failure_window = cli.get_int_at_least("fail-window", 0, 0);
   cfg.recovery.enabled = true;
-  cfg.recovery.join_fraction =
-      cli.get_double_at_least("join-fraction", 0.0, 0.0);
-  cfg.recovery.join_at = cli.get_int_at_least("join-at", 0, 0);
-  cfg.recovery.join_window = cli.get_int_at_least("join-window", 0, 0);
-  if (cfg.failure_fraction > 1.0 || cfg.recovery.join_fraction > 1.0) {
-    std::fprintf(stderr, "fractions must be in [0, 1]\n");
-    std::exit(2);
-  }
+  read_churn_flags(cli, cfg, /*joins=*/true);
   // Robustness hardening knobs (docs/ROBUSTNESS.md): bounded request
   // retransmission and graceful degradation to a provisional color.
   cfg.recovery.retransmit.initial_wait =
@@ -611,7 +576,7 @@ int cmd_recover(const common::Cli& cli) {
   cfg.recovery.retransmit.max_retries = static_cast<std::size_t>(
       cli.get_int_at_least("retransmit-retries", 6, 0));
   cfg.recovery.degrade_to_provisional = cli.get_bool("degrade", false);
-  apply_resolve_flags(cli, cfg);
+  core::apply_resolve_flags(cli, cfg);
   const auto plan = load_fault_plan(cli, g);
   const std::string json_path = cli.get("json", "");
   const bool quiet = cli.get_bool("quiet", false);
@@ -667,14 +632,12 @@ int trace_record(const common::Cli& cli) {
     cfg.wakeup = core::WakeupKind::kUniform;
     cfg.wakeup_window = cli.get_int_at_least("wakeup-window", 2000, 0);
   }
-  cfg.failure_fraction = cli.get_double_at_least("fail-fraction", 0.0, 0.0);
-  cfg.failure_window = cli.get_int_at_least("fail-window", 0, 0);
-  cfg.recovery.join_fraction =
-      cli.get_double_at_least("join-fraction", 0.0, 0.0);
-  cfg.recovery.join_at = cli.get_int_at_least("join-at", 0, 0);
-  cfg.recovery.join_window = cli.get_int_at_least("join-window", 0, 0);
-  apply_resolve_flags(cli, cfg);
   const std::string scenario = cli.get("scenario", "color");
+  if (scenario != "color" && scenario != "recover") {
+    cli.usage_error("unknown --scenario=" + scenario + " (color|recover)");
+  }
+  read_churn_flags(cli, cfg, /*joins=*/scenario == "recover");
+  core::apply_resolve_flags(cli, cfg);
   const std::string out_path = cli.get("out", "trace.jsonl");
   const std::string chrome_path = cli.get("chrome", "");
   const std::string json_path = cli.get("json", "");
@@ -690,11 +653,6 @@ int trace_record(const common::Cli& cli) {
       robust::RecoveryInstance instance(g, cfg);
       instance.attach_observation(&observation);
       return instance.run();
-    }
-    if (scenario != "color") {
-      std::fprintf(stderr, "unknown --scenario=%s (color|recover)\n",
-                   scenario.c_str());
-      std::exit(2);
     }
     core::MwInstance instance(g, cfg);
     instance.attach_observation(&observation);
