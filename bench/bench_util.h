@@ -127,12 +127,12 @@ inline graph::UnitDiskGraph uniform_graph_with_density(std::size_t n,
   return {geometry::uniform_deployment(n, side, rng), 1.0};
 }
 
-/// Parses `--sweep-threads=N` (default 1): how many trials the harness runs
-/// concurrently through common::SweepEngine. Results are byte-identical for
-/// every value; only wall time changes. Distinct from `--threads`, which is
-/// the per-run resolve worker count.
+/// Parses `--threads=N` (default 1): how many trials the harness runs
+/// concurrently through common::SweepEngine, the only parallelism there is
+/// (each run resolves its slots on its own thread). Results are
+/// byte-identical for every value; only wall time changes.
 inline std::size_t sweep_threads(const common::Cli& cli) {
-  return static_cast<std::size_t>(cli.get_int_at_least("sweep-threads", 1, 1));
+  return static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
 }
 
 inline void print_experiment_header(const char* id, const char* claim) {

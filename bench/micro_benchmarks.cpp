@@ -81,8 +81,7 @@ void BM_UdgConstruction(benchmark::State& state) {
 }
 BENCHMARK(BM_UdgConstruction)->Arg(256)->Arg(1024)->Arg(4096);
 
-void medium_resolve_slot(benchmark::State& state,
-                         radio::ResolveOptions options) {
+void medium_resolve_slot(benchmark::State& state, sinr::ResolveKind kind) {
   // A representative protocol slot: n nodes, ~n*q transmitters. The naive
   // and field variants resolve the identical workload, so their ratio is the
   // shared-field speedup (bench/x18_resolve_field measures it end to end).
@@ -90,7 +89,7 @@ void medium_resolve_slot(benchmark::State& state,
   const auto n = static_cast<std::size_t>(state.range(0));
   const double side = std::sqrt(static_cast<double>(n) * M_PI / 14.0);
   graph::UnitDiskGraph g(geometry::uniform_deployment(n, side, rng), 1.0);
-  radio::SinrInterferenceModel model(g, phys_for_radius(1.0), options);
+  radio::SinrInterferenceModel model(g, phys_for_radius(1.0), kind);
 
   std::vector<radio::TxRecord> txs;
   std::vector<std::uint8_t> listening(n, 1);
@@ -115,29 +114,19 @@ void medium_resolve_slot(benchmark::State& state,
 }
 
 void BM_MediumResolveSlotNaive(benchmark::State& state) {
-  medium_resolve_slot(state, {sinr::ResolveKind::kNaive, 1});
+  medium_resolve_slot(state, sinr::ResolveKind::kNaive);
 }
 BENCHMARK(BM_MediumResolveSlotNaive)->Arg(256)->Arg(1024);
 
 void BM_MediumResolveSlotField(benchmark::State& state) {
-  medium_resolve_slot(state, {sinr::ResolveKind::kField, 1});
+  medium_resolve_slot(state, sinr::ResolveKind::kField);
 }
 BENCHMARK(BM_MediumResolveSlotField)->Arg(256)->Arg(1024);
 
-void BM_MediumResolveSlotField4T(benchmark::State& state) {
-  medium_resolve_slot(state, {sinr::ResolveKind::kField, 4});
-}
-BENCHMARK(BM_MediumResolveSlotField4T)->Arg(1024)->Arg(4096);
-
 void BM_MediumResolveSlotSimd(benchmark::State& state) {
-  medium_resolve_slot(state, {sinr::ResolveKind::kSimd, 1});
+  medium_resolve_slot(state, sinr::ResolveKind::kSimd);
 }
 BENCHMARK(BM_MediumResolveSlotSimd)->Arg(256)->Arg(1024);
-
-void BM_MediumResolveSlotSimd4T(benchmark::State& state) {
-  medium_resolve_slot(state, {sinr::ResolveKind::kSimd, 4});
-}
-BENCHMARK(BM_MediumResolveSlotSimd4T)->Arg(1024)->Arg(4096);
 
 void BM_DeploymentGeneration(benchmark::State& state) {
   common::Rng rng(47);

@@ -11,8 +11,8 @@
 // All four configurations run over the SAME topologies: trial s of every
 // configuration deploys its graph from the same seed, and the builder is a
 // pure function of its seed, so the ablation comparison is paired by
-// construction. Trials run through common::SweepEngine
-// (`--sweep-threads=N`); results are byte-identical for every thread count.
+// construction. Trials run through common::SweepEngine (`--threads=N`);
+// results are byte-identical for every thread count.
 #include <cstdio>
 #include <iostream>
 

@@ -10,13 +10,14 @@
 // is not faster than naive, or the simd path is not faster than field.
 //
 // Every pass calls the sparse resolve the simulator runs (a reception list,
-// no dense per-node delivery array). The timing reps run through
-// common::SweepEngine (`--sweep-threads=N`, per-rep p50/p95 in the sidecar):
-// each rep owns its model instances (their resolve scratch is reusable but
-// not shareable) while the topology comes from the shared cache. The rep
-// loop also audits the zero-allocation contract: after the first slot sizes
-// the scratch, resolves allocate nothing — for the simd path that includes
-// the SoA arrays and the coverage candidate CSR.
+// no dense per-node delivery array) on the pass's own thread. The timing
+// reps run through common::SweepEngine (`--threads=N` reps at a time,
+// per-rep p50/p95 in the sidecar): each rep owns its model instances (their
+// resolve scratch is reusable but not shareable) and reads the one graph
+// the harness built. The rep loop also audits the zero-allocation contract:
+// after the first slot sizes the scratch, resolves allocate nothing — for
+// the simd path that includes the SoA arrays and the coverage candidate
+// CSR.
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -43,9 +44,7 @@ int main(int argc, char** argv) {
   const auto reps =
       static_cast<std::size_t>(cli.get_int_at_least("reps", 3, 1));
   const auto seed = cli.get_seed("seed", 1);
-  const auto threads =
-      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
-  const std::size_t sweep_threads = bench::sweep_threads(cli);
+  const std::size_t threads = bench::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);
   sidecar.set_threads(threads);
   cli.reject_unknown();
@@ -76,20 +75,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto model_threads = [&](sinr::ResolveKind kind) {
-    return kind == sinr::ResolveKind::kNaive ? std::size_t{1} : threads;
-  };
-
-  // One timed pass over the replayed workload with a fresh model (`kind`,
-  // resolve thread count as configured). Returns the allocations the resolve
-  // loop performed after its first slot — the steady-state number, which the
-  // scratch reserves must hold at zero.
+  // One timed pass over the replayed workload with a fresh `kind` model.
+  // Returns the allocations the resolve loop performed after its first slot
+  // — the steady-state number, which the scratch reserves must hold at zero.
   struct PassResult {
     std::uint64_t steady_allocs = 0;
   };
   const auto timed_pass = [&](sinr::ResolveKind kind) -> PassResult {
-    const radio::SinrInterferenceModel model(g, phys,
-                                             {kind, model_threads(kind)});
+    const radio::SinrInterferenceModel model(g, phys, kind);
     std::vector<radio::Reception> receptions;
     receptions.reserve(n);
     PassResult out;
@@ -106,8 +99,7 @@ int main(int argc, char** argv) {
   // pairs in every slot. Naive is the oracle both fast paths compare to.
   // got[t][u] = the sender u decoded in slot t (kInvalidNode = none).
   const auto capture_pass = [&](sinr::ResolveKind kind) {
-    const radio::SinrInterferenceModel model(g, phys,
-                                             {kind, model_threads(kind)});
+    const radio::SinrInterferenceModel model(g, phys, kind);
     std::vector<std::vector<graph::NodeId>> got(
         slots, std::vector<graph::NodeId>(n, graph::kInvalidNode));
     std::vector<radio::Reception> receptions;
@@ -145,7 +137,7 @@ int main(int argc, char** argv) {
   // Then timing: `reps` independent passes per path through the sweep
   // engine. Per-rep wall times feed the sidecar's p50/p95; the printed
   // wall_us is the per-rep p50 (robust against a noisy neighbor rep).
-  common::SweepEngine engine(sweep_threads);
+  common::SweepEngine engine(threads);
   struct PathTiming {
     common::SweepTiming timing;
     std::uint64_t steady_allocs = 0;
@@ -177,25 +169,23 @@ int main(int argc, char** argv) {
   const double speedup_simd_naive = ratio(naive_us, simd_us);   // simd/naive
 
   common::Table table(
-      {"path", "threads", "slots/rep", "p50_wall_us", "us/slot", "deliveries"});
+      {"path", "slots/rep", "p50_wall_us", "us/slot", "deliveries"});
   const auto slots_d = static_cast<double>(slots);
-  const auto add_path_row = [&](const char* name, std::size_t t_count,
-                                std::uint64_t us) {
-    table.add_row({name, common::Table::integer(static_cast<long long>(t_count)),
-                   common::Table::integer(static_cast<long long>(slots)),
+  const auto add_path_row = [&](const char* name, std::uint64_t us) {
+    table.add_row({name, common::Table::integer(static_cast<long long>(slots)),
                    common::Table::integer(static_cast<long long>(us)),
                    common::Table::num(static_cast<double>(us) / slots_d, 1),
                    common::Table::integer(
                        static_cast<long long>(deliveries_total))});
   };
-  add_path_row("naive", 1, naive_us);
-  add_path_row("field", threads, field_us);
-  add_path_row("simd", threads, simd_us);
+  add_path_row("naive", naive_us);
+  add_path_row("field", field_us);
+  add_path_row("simd", simd_us);
   table.print(std::cout);
   std::printf("n=%zu Delta=%zu avg_deg=%.1f tx_prob=%.2f reps=%zu "
-              "sweep_threads=%zu\n",
+              "threads=%zu\n",
               g.size(), g.max_degree(), g.average_degree(), tx_prob, reps,
-              sweep_threads);
+              threads);
   std::printf("delivery mismatches: field=%zu simd=%zu / %zu deliveries\n",
               field_mismatches, simd_mismatches, deliveries_total);
   std::printf("speedup: field %.2fx over naive, simd %.2fx over field "
@@ -229,7 +219,6 @@ int main(int argc, char** argv) {
     m.counter("x18.deliveries").add(deliveries_total);
     m.counter("x18.mismatches").add(mismatches);
     m.counter("x18.simd_mismatches").add(simd_mismatches);
-    m.counter("x18.threads").add(threads);
     m.counter("x18.n").add(n);
     m.counter("x18.steady_allocs")
         .add(naive_pt.steady_allocs + field_pt.steady_allocs +

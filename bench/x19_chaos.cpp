@@ -17,12 +17,13 @@
 //     before the run ends (no open episodes), the live coloring is valid,
 //     nobody stalls, and the measured drop rate grows with x.
 //
-// Trials run through common::SweepEngine and all fault randomness is a pure
-// hash of (plan, seed, slot, link), so the table, the CSV and the payload of
-// the BENCH_chaos.json baseline (--chaos-out=PATH) are identical for every
-// --threads / --sweep-threads value — CI compares the envelope payloads of
-// --sweep-threads=1 vs =4 (the envelope's `threads` field legitimately
-// differs). Wall time never reaches any compared artifact.
+// Trials run through common::SweepEngine (`--threads=N` trials at a time)
+// and all fault randomness is a pure hash of (plan, seed, slot, link), so
+// the table, the CSV and the payload of the BENCH_chaos.json baseline
+// (--chaos-out=PATH) are identical for every --threads value — CI compares
+// the envelope payloads of --threads=1 vs =4 (the envelope's `threads`
+// field, the trial width, legitimately differs). Wall time never reaches
+// any compared artifact.
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
   const std::string chaos_path = cli.get("chaos-out", "");
   const std::size_t sweep = bench::sweep_threads(cli);
   core::MwRunConfig base_cfg;
-  core::apply_resolve_flags(cli, base_cfg);
+  base_cfg.resolve = core::resolve_kind_flag(cli);
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
                                  ? sweep
                                  : 1);
   if (engine.thread_count() != sweep) {
-    std::printf("note: --metrics-out forces --sweep-threads=1 (shared "
+    std::printf("note: --metrics-out forces --threads=1 (shared "
                 "observation is single-threaded)\n");
   }
   sidecar.set_threads(engine.thread_count());

@@ -54,13 +54,11 @@ int main(int argc, char** argv) {
   const auto base_seed = cli.get_seed("seed", 2);
   const std::string csv_path = cli.get("csv", "");
   const std::string bench_path = cli.get("sweep-bench-out", "");
-  // --resolve picks each trial's reception path; --threads belongs to the
-  // sweep (trial-level parallelism), so every trial resolves single-threaded
-  // — nested pools would oversubscribe the host.
+  // --resolve picks each trial's reception path; --threads is the trial
+  // width of the sweep.
   core::MwRunConfig base_cfg;
   base_cfg.resolve = core::resolve_kind_flag(cli);
-  auto threads =
-      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+  std::size_t threads = bench::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 

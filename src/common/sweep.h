@@ -20,8 +20,11 @@
 //
 // Wall-clock timing is the ONLY nondeterministic output (SweepTiming); keep
 // it out of byte-compared files — CSV/JSON artifacts must carry only trial
-// results. This is the same determinism contract the per-slot resolve shards
-// established (docs/PERFORMANCE.md), lifted to the trial level.
+// results.
+//
+// This is the repo's one thread pool: a run resolves every slot on its own
+// thread, so parallelism lives between trials (docs/PERFORMANCE.md, "One
+// thread pool"). Every harness takes the trial width from `--threads`.
 #pragma once
 
 #include <chrono>

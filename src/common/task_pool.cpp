@@ -22,15 +22,6 @@ TaskPool::~TaskPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::pair<std::size_t, std::size_t> TaskPool::shard_range(std::size_t total,
-                                                          std::size_t shards,
-                                                          std::size_t s) {
-  const std::size_t base = total / shards;
-  const std::size_t extra = total % shards;
-  const std::size_t begin = s * base + std::min(s, extra);
-  return {begin, begin + base + (s < extra ? 1 : 0)};
-}
-
 // Lock-passing dance: the caller's scoped guard is released around each
 // fn(s) call and reacquired after. The analysis cannot associate a MutexLock
 // received by reference with mutex_, so the body is exempted; the REQUIRES

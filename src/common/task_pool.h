@@ -1,24 +1,18 @@
-// Deterministic fork-join worker pool for the per-slot parallel resolves
-// (radio::SinrInterferenceModel's field/simd shards) and the sweep engine's
-// trials (common::SweepEngine).
+// Deterministic fork-join worker pool behind the sweep engine's trials
+// (common::SweepEngine, its only user). A run resolves every slot on its own
+// thread; parallelism lives between runs, never inside one.
 //
 // A job is a fixed number of independent shards. Work is never stolen or
-// re-partitioned: callers split their data into contiguous shards themselves
-// and shard s is fully processed by exactly one fn(s) call, so a 1-thread
-// and an N-thread run perform identical per-shard arithmetic, and any merge
-// done in shard order afterwards is byte-identical. Workers claim shard
-// indices from a shared counter — only the ASSIGNMENT of shard to worker
-// varies between runs, never the work or the merged result
-// (tests/determinism_test.cpp holds the simulator to this).
+// re-partitioned: shard s is fully processed by exactly one fn(s) call, so a
+// 1-thread and an N-thread run perform identical per-shard arithmetic, and
+// any merge done in shard order afterwards is byte-identical. Workers claim
+// shard indices from a shared counter — only the ASSIGNMENT of shard to
+// worker varies between runs, never the work or the merged result
+// (tests/sweep_test.cpp holds the sweep engine to this).
 //
 // run_shards takes the job by const reference and stores only a pointer for
-// the workers, so a steady-state caller should keep ONE persistent
-// std::function alive and pass it every time: rebuilding a capturing lambda
-// into a std::function per call can heap-allocate past the small-buffer
-// optimization and break zero-allocation loops. The pool is not reentrant —
-// a shard function must never call run_shards on the same pool; nested
-// parallelism uses separate pools (a sweep's trial pool and each trial's
-// resolve pool are distinct objects).
+// the workers. The pool is not reentrant — a shard function must never call
+// run_shards on the same pool.
 //
 // Lock discipline (checked by clang -Wthread-safety via the annotations
 // below, and hammered under TSan by tests/concurrency_stress_test.cpp):
@@ -31,7 +25,6 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -59,13 +52,6 @@ class TaskPool {
   void run_shards(std::size_t shards,
                   const std::function<void(std::size_t)>& fn)
       SINRCOLOR_EXCLUDES(mutex_);
-
-  /// Contiguous [begin, end) range of shard `s` when `total` items are split
-  /// into `shards` near-equal chunks (the remainder spreads over the first
-  /// chunks). Pure function — the partition never depends on timing.
-  static std::pair<std::size_t, std::size_t> shard_range(std::size_t total,
-                                                         std::size_t shards,
-                                                         std::size_t s);
 
  private:
   void worker_loop() SINRCOLOR_EXCLUDES(mutex_);

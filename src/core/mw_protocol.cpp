@@ -19,11 +19,6 @@ sinr::ResolveKind resolve_kind_flag(const common::Cli& cli) {
   return kind;
 }
 
-void apply_resolve_flags(const common::Cli& cli, MwRunConfig& cfg) {
-  cfg.resolve = resolve_kind_flag(cli);
-  cfg.threads = static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
-}
-
 sinr::SinrParams resolve_phys(const graph::UnitDiskGraph& g,
                               const MwRunConfig& config) {
   const double r_t = g.radius();
@@ -51,8 +46,7 @@ std::unique_ptr<radio::InterferenceModel> make_interference_model(
     return std::make_unique<radio::GraphInterferenceModel>(g);
   }
   return std::make_unique<radio::SinrInterferenceModel>(
-      g, resolve_phys(g, config), config.fading,
-      radio::ResolveOptions{config.resolve, config.threads});
+      g, resolve_phys(g, config), config.fading, config.resolve);
 }
 
 radio::WakeupSchedule make_wakeup_schedule(std::size_t n, WakeupKind kind,

@@ -43,16 +43,15 @@ struct MwRunConfig {
   /// Run under the graph-based collision medium instead of SINR (baseline X9).
   bool graph_model = false;
   /// Reception-resolution path of the SINR media (ignored under the graph
-  /// medium). The default, radio::ResolveOptions{}'s kind, is kNaive: it
+  /// medium). The default, radio::kDefaultResolveKind, is kNaive: it
   /// re-sums per (sender, listener) pair and is the fastest kind at the
   /// protocol's few transmitters per slot (docs/PERFORMANCE.md). kField and
   /// kSimd share one interference-field sum per covered listener, summed in
   /// one Kahan chain or in the 8-lane SoA kernel (docs/KERNELS.md); both win
   /// on dense slots. Deliveries are identical across all three.
-  sinr::ResolveKind resolve = radio::ResolveOptions{}.kind;
-  /// Worker threads for the field/simd paths' per-listener shards (1 =
-  /// serial). Any count produces byte-identical results (deterministic
-  /// sharding).
+  sinr::ResolveKind resolve = radio::kDefaultResolveKind;
+  /// Read by nothing: a slot always resolves on the simulator's thread. Kept
+  /// only because the end-to-end benchmark (mwbench/mwbench.cpp) assigns it.
   std::size_t threads = 1;
   /// Read by nothing: the simulator has one sequential slot loop. Kept only
   /// because the end-to-end benchmark (mwbench/mwbench.cpp) assigns it.
@@ -89,12 +88,9 @@ struct MwRunConfig {
 };
 
 /// Reads `--resolve=field|simd|naive` for MwRunConfig::resolve (default: the
-/// library's kind). An unknown kind exits 2 with the usage error.
+/// library's kind). An unknown kind exits 2 with the usage error. The kind
+/// changes wall time only, never results.
 sinr::ResolveKind resolve_kind_flag(const common::Cli& cli);
-
-/// Reads `--resolve` and `--threads=N` (at least 1) into `cfg`'s resolve
-/// kind and resolve worker count. Both change wall time only, never results.
-void apply_resolve_flags(const common::Cli& cli, MwRunConfig& cfg);
 
 struct MwRunResult {
   MwParams params;

@@ -9,8 +9,10 @@
 // Determinism contract: every answer is a pure function of (plan, seed,
 // slot, node ids) — per-link drops hash (seed, salt, slot, sender, listener,
 // window) through SplitMix64 instead of drawing from any node's RNG stream.
-// Consequences: a plan's fault pattern is byte-identical at any --threads,
-// and enabling faults never perturbs the protocol's own coin flips (a node
+// Consequences: a plan's fault pattern is byte-identical under every resolve
+// kind and at any trial width (x19's --threads runs trials, never slots, in
+// parallel), and enabling faults never perturbs the protocol's own coin
+// flips (a node
 // that survives untouched behaves exactly as in the clean run up to the
 // first fault it observes).
 #pragma once
@@ -56,14 +58,11 @@ class FaultEngine final : public radio::FaultInjector {
 
  private:
   // Thread contract: the engine is thread-COMPATIBLE, not thread-safe — it
-  // needs no mutex because the simulator calls every mutating entry point
-  // (channel_disturbance, drop_delivery's stats bump) from the slot loop
-  // thread, strictly between the TaskPool resolve phases. The resolve shards
-  // see only the immutable plan_/drop_seed_ and the per-slot disturbance_
-  // snapshot, which is written before the shards fork and read-only while
-  // they run. Do NOT call the FaultInjector interface from inside a shard;
-  // tests/concurrency_stress_test.cpp and the tsan-smoke CI job hold the
-  // threaded chaos path to zero TSan reports under this contract.
+  // needs no mutex because one engine serves one run, and that run's slot
+  // loop thread makes every call (channel_disturbance, drop_delivery's stats
+  // bump) and every read of the per-slot disturbance_ snapshot, resolve
+  // included. A sweep gives each trial its own engine; the tsan-smoke CI job
+  // holds x19's 4-wide trial sweep to zero TSan reports.
   const FaultPlan plan_;
   const std::uint64_t drop_seed_;
   radio::ChannelDisturbance disturbance_;     ///< slot-loop thread only

@@ -26,12 +26,13 @@
 // stdout — the steady_clock use is allowlisted under sinrlint R7.
 //
 // Thread contract (PR 7 regime, checked by clang -Wthread-safety):
-//   * record() is internally synchronized (mutex_) — FieldEngine shards call
-//     it concurrently from TaskPool workers;
+//   * record() is internally synchronized (mutex_). Nothing inside a run
+//     calls it concurrently: every scope of a run, kFieldAccum included,
+//     opens on the simulator's thread, so a lock-free per-phase accumulator
+//     would serve a single run (ROADMAP 1(b));
 //   * the frame stack is thread_local, so nesting is tracked per thread: a
-//     worker-thread scope roots its own stack and its time is NOT subtracted
-//     from the main thread's enclosing scope (documented, not a bug — the
-//     enclosing kResolve total still covers the wall time of its shards);
+//     scope opened on another thread roots its own stack and its time is NOT
+//     subtracted from any other thread's enclosing scope;
 //   * snapshot accessors (stats(), write_json()) lock the same mutex and may
 //     run concurrently with record(), but the usual call site is quiescent
 //     (after the run).
@@ -60,7 +61,7 @@ enum class Phase : std::uint8_t {
   kFaultInject,   ///< FaultEngine work: disturbance query + delivery drops
   kTxDecide,      ///< failures/joins/wakes + every protocol begin_slot
   kResolve,       ///< InterferenceModel::resolve (any kind)
-  kFieldAccum,    ///< one FieldEngine shard: F(u) sums + candidate resolve
+  kFieldAccum,    ///< one FieldEngine resolve: F(u) sums + candidate pass
   kNaiveResolve,  ///< the naive per-(sender, listener) oracle loops
   kDeliver,       ///< listener-ordered delivery: one on_receive per decode
   kProtocolStep,  ///< one MwNode::begin_slot (inside kTxDecide)

@@ -10,8 +10,9 @@
 //
 // Determinism contract: every query is a pure function of (slot, ids) and
 // the injector's own construction-time state. Injectors must not consume
-// the per-node RNG streams and must not depend on thread count — the same
-// plan + seed is byte-identical at any --threads (tests/faults_test.cpp).
+// the per-node RNG streams, and the simulator queries them from its own
+// thread only — the same plan + seed is byte-identical under every resolve
+// kind (tests/faults_test.cpp, tests/field_equivalence_test.cpp).
 #pragma once
 
 #include <span>

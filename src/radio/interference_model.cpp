@@ -9,13 +9,6 @@ namespace sinrcolor::radio {
 
 namespace {
 
-std::unique_ptr<common::TaskPool> make_pool(const ResolveOptions& options) {
-  if (options.threads <= 1 || options.kind == sinr::ResolveKind::kNaive) {
-    return nullptr;
-  }
-  return std::make_unique<common::TaskPool>(options.threads);
-}
-
 /// The per-link power gain g(u, j) at listener u in one slot: the one
 /// expression every resolve path applies per term. A real transmitter's gain
 /// is its (seed, slot, link)-keyed fade, exactly 1 without fading; an
@@ -88,20 +81,15 @@ void check_radius_matches_phys(const graph::UnitDiskGraph& graph,
 SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
                                              sinr::SinrParams params,
                                              sinr::FadingSpec fading,
-                                             ResolveOptions options)
-    : graph_(graph),
-      params_(params),
-      fading_(fading),
-      options_(options),
-      pool_(make_pool(options)) {
+                                             sinr::ResolveKind kind)
+    : graph_(graph), params_(params), fading_(fading), kind_(kind) {
   params_.validate();
   check_radius_matches_phys(graph_, params_);
   // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
   // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency). The naive
   // path never touches the engine.
-  if (options_.kind != sinr::ResolveKind::kNaive) {
-    engine_.reserve(graph_.size(), options_.threads,
-                    graph_.size() * (graph_.max_degree() + 1));
+  if (kind_ != sinr::ResolveKind::kNaive) {
+    engine_.reserve(graph_.size(), graph_.size() * (graph_.max_degree() + 1));
   }
   decodes_.reserve(graph_.size());
   txs_.reserve(graph_.size());
@@ -161,7 +149,7 @@ void SinrInterferenceModel::resolve(Slot slot,
   };
   const auto decode_with = [&](const auto& gain_for,
                                bool gain_listener_invariant) {
-    if (options_.kind == sinr::ResolveKind::kNaive) {
+    if (kind_ == sinr::ResolveKind::kNaive) {
       SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
       naive_decodes(graph_, phys, txs_, transmissions, listening, gain_for,
                     decodes_);
@@ -169,7 +157,7 @@ void SinrInterferenceModel::resolve(Slot slot,
       engine_.resolve_slot(phys, txs_, graph_.index(),
                            graph_.deployment().points, listening,
                            graph_.radius(), gain_for, gain_listener_invariant,
-                           coverage_for, options_.kind, pool_.get(), decodes_);
+                           coverage_for, kind_, decodes_);
     }
   };
   if (!fading_.enabled() && jammers.empty()) {

@@ -11,28 +11,27 @@
 // Both honour half-duplex: only nodes in `listening` can receive. A resolve
 // reports the slot's decodes as a sparse (listener, tx-index) list.
 //
-// The SINR medium runs one of three resolve paths (ResolveOptions::kind):
-//   kNaive — the per-(sender, listener) loop, the default: the fastest kind
-//            at the protocol's few transmitters per slot
-//            (docs/PERFORMANCE.md), and the A/B oracle the engine paths must
-//            match exactly (tests/field_equivalence_test.cpp).
+// The SINR medium runs one of three resolve paths (a sinr::ResolveKind),
+// always on the calling thread:
+//   kNaive — the per-(sender, listener) loop, the default
+//            (kDefaultResolveKind): the fastest kind at the protocol's few
+//            transmitters per slot (docs/PERFORMANCE.md), and the A/B oracle
+//            the engine paths must match exactly
+//            (tests/field_equivalence_test.cpp).
 //   kField, kSimd — the shared interference-field engine
 //            (sinr/field_engine.h): F(u) is summed once per covered
-//            listener, every candidate resolves in O(1) against F − signal,
-//            and listeners shard over a deterministic common::TaskPool
-//            (ResolveOptions::threads). The two kinds share coverage,
-//            candidates and the decode pass and differ only in how F(u) is
-//            summed: one Kahan chain (kField) or the 8-lane SoA kernel
-//            (kSimd, docs/KERNELS.md). They win on dense slots.
+//            listener and every candidate resolves in O(1) against
+//            F − signal. The two kinds share coverage, candidates and the
+//            decode pass and differ only in how F(u) is summed: one Kahan
+//            chain (kField) or the 8-lane SoA kernel (kSimd,
+//            docs/KERNELS.md). They win on dense slots.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/task_pool.h"
 #include "graph/unit_disk_graph.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -44,14 +43,10 @@
 
 namespace sinrcolor::radio {
 
-/// How a SINR medium resolves receptions. Defaults run the naive path, the
-/// fastest at the protocol's density; `threads` > 1 shards the field/simd
-/// paths' covered listeners over a deterministic pool (byte-identical
-/// results for any count).
-struct ResolveOptions {
-  sinr::ResolveKind kind = sinr::ResolveKind::kNaive;
-  std::size_t threads = 1;
-};
+/// The resolve path a SINR medium runs unless told otherwise: the naive
+/// path, the fastest at the protocol's density.
+inline constexpr sinr::ResolveKind kDefaultResolveKind =
+    sinr::ResolveKind::kNaive;
 
 /// One decode of a slot: `listener` decodes the message of
 /// transmissions[tx].
@@ -107,7 +102,7 @@ class InterferenceModel {
 
   /// Attaches the slot-phase profiler (null detaches — the default). The
   /// simulator latches this at run() start; the SINR medium forwards it to
-  /// its field engine so per-shard kFieldAccum scopes land in the same sink.
+  /// its field engine so its kFieldAccum scopes land in the same sink.
   virtual void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Bytes of model-owned scratch (engine buffers, per-slot arrays), measured
@@ -137,10 +132,11 @@ class SinrInterferenceModel final : public InterferenceModel {
   /// adapter check that no listener appears twice in the reception list.
   SinrInterferenceModel(const graph::UnitDiskGraph& graph,
                         sinr::SinrParams params, sinr::FadingSpec fading,
-                        ResolveOptions options = {});
+                        sinr::ResolveKind kind = kDefaultResolveKind);
   SinrInterferenceModel(const graph::UnitDiskGraph& graph,
-                        sinr::SinrParams params, ResolveOptions options = {})
-      : SinrInterferenceModel(graph, params, sinr::FadingSpec{}, options) {}
+                        sinr::SinrParams params,
+                        sinr::ResolveKind kind = kDefaultResolveKind)
+      : SinrInterferenceModel(graph, params, sinr::FadingSpec{}, kind) {}
 
   using InterferenceModel::resolve;
   void resolve(Slot slot, std::span<const TxRecord> transmissions,
@@ -149,7 +145,6 @@ class SinrInterferenceModel final : public InterferenceModel {
 
   const sinr::SinrParams& params() const { return params_; }
   const sinr::FadingSpec& fading() const { return fading_; }
-  const ResolveOptions& options() const { return options_; }
 
   void set_profiler(obs::Profiler* profiler) override {
     InterferenceModel::set_profiler(profiler);
@@ -166,8 +161,7 @@ class SinrInterferenceModel final : public InterferenceModel {
   const graph::UnitDiskGraph& graph_;
   sinr::SinrParams params_;
   sinr::FadingSpec fading_;
-  ResolveOptions options_;
-  std::unique_ptr<common::TaskPool> pool_;
+  sinr::ResolveKind kind_;
   mutable sinr::FieldEngine engine_;
   /// Slot scratch: the decodes of whichever resolve path ran, and the
   /// positions of this slot's transmitters (real ones, then jammers). Both

@@ -53,8 +53,8 @@ struct RunMetrics {
   /// scratch, RNG streams, protocol state, interference-model engine scratch,
   /// graph, plus these per-node metric arrays), measured from container
   /// capacities by Simulator::memory_bytes(). NOT serialized into run JSON:
-  /// engine scratch varies with the resolve kind and thread count while
-  /// results do not, and run JSON must stay byte-identical across them.
+  /// engine scratch varies with the resolve kind while results do not, and
+  /// run JSON must stay byte-identical across kinds.
   std::size_t state_bytes = 0;
   /// Protocol::begin_slot calls the simulator made; the rest of the awake
   /// node-slots were quiet (radio/protocol.h). Like state_bytes, never

@@ -36,12 +36,10 @@
 // exactly that.
 //
 // Determinism: F(u) is a pure function of (params, listener, transmitter
-// sequence) under either accumulator — independent of thread count, shard
-// boundaries, attached observation sinks and the target ISA (the lane count
-// is fixed). Batch resolves shard the sorted covered-listener list into
-// contiguous ranges over a common::TaskPool and merge per-shard results in
-// shard order, so 1-thread and N-thread runs are byte-identical
-// (tests/determinism_test.cpp).
+// sequence) under either accumulator — independent of attached observation
+// sinks and the target ISA (the lane count is fixed). A resolve walks the
+// sorted covered-listener list on the caller's thread, so decodes come out
+// listener-ascending (tests/determinism_test.cpp).
 #pragma once
 
 #include <algorithm>
@@ -54,7 +52,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/task_pool.h"
 #include "geometry/grid_index.h"
 #include "geometry/point.h"
 #include "obs/profiler.h"
@@ -159,7 +156,7 @@ inline double contribution_at(const double* x, const double* y,
 /// elements — so the compiler vectorizes it (`#pragma omp simd`; see
 /// docs/KERNELS.md for the -fopt-info-vec recipe). Returns the lane partials
 /// combined in fixed order: Kahan over s₀..s₇ then -c₀..-c₇ — a pure
-/// function of the element sequence, independent of thread count and ISA.
+/// function of the element sequence, independent of the ISA.
 template <AlphaProfile P>
 double field_accumulate_lanes(const double* x, const double* y,
                               const double* w, std::size_t count, double ux,
@@ -257,10 +254,7 @@ struct UnitGain {
 
 /// Batch per-slot resolver with reusable scratch. Enumerates the listeners
 /// covered by any transmitter, evaluates F(u) once per covered listener, and
-/// reports every successful decode sorted by listener id. Listeners shard
-/// contiguously over `pool` (null or 1 thread ⇒ inline); per-listener work
-/// is independent and merged in shard order, so the output never depends on
-/// the thread count.
+/// reports every successful decode sorted by listener id.
 class FieldEngine {
  public:
   struct Decode {
@@ -270,16 +264,14 @@ class FieldEngine {
   };
 
   /// Pre-sizes every scratch buffer to its structural bound (`nodes`
-  /// listeners / transmitters, `shard_count` pool shards) so resolve_slot
-  /// never allocates afterwards — amortized growth would otherwise spike on
-  /// whichever late slot happens to set a coverage record, breaking the
-  /// zero-allocation steady-state contract. About 52 bytes per node plus 24
-  /// per node per shard, and 12 per candidate pair.
+  /// listeners / transmitters) so resolve_slot never allocates afterwards —
+  /// amortized growth would otherwise spike on whichever late slot happens
+  /// to set a coverage record, breaking the zero-allocation steady-state
+  /// contract. About 52 bytes per node and 12 per candidate pair.
   /// `candidate_pairs` bounds the (listener, tx) pair arena: every pair has
   /// δ ≤ R_T, so Σ_tx |coverage(tx)| ≤ n·(Δ+1) when every node transmits —
   /// callers pass n·(max_degree+1).
-  void reserve(std::size_t nodes, std::size_t shard_count,
-               std::size_t candidate_pairs = 0) {
+  void reserve(std::size_t nodes, std::size_t candidate_pairs = 0) {
     if (touched_.size() < nodes) touched_.resize(nodes, 0);
     covered_.reserve(nodes);
     soa_x_.reserve(nodes);
@@ -291,11 +283,7 @@ class FieldEngine {
     }
     pairs_.reserve(candidate_pairs);
     cand_idx_.reserve(candidate_pairs);
-    shards_.resize(std::max({shards_.size(), shard_count, std::size_t{1}}));
-    for (Shard& shard : shards_) {
-      shard.decodes.reserve(nodes);
-      shard.weights.reserve(nodes);
-    }
+    weights_.reserve(nodes);
   }
 
   /// `positions[u]` is listener u's location; `listening[u]` gates
@@ -311,7 +299,7 @@ class FieldEngine {
   /// structural fact the naive path iterates); nullopt falls back to a grid
   /// query (jammers). `kind` selects the F(u) accumulator (kField or kSimd;
   /// kNaive is handled by the medium, not here). Results land in `decodes`,
-  /// cleared first.
+  /// cleared first, in ascending listener order.
   template <typename GainForListener, typename CoverageFor>
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
                     const geometry::GridIndex& index,
@@ -320,21 +308,16 @@ class FieldEngine {
                     double candidate_radius,
                     GainForListener&& gain_for, bool gain_listener_invariant,
                     CoverageFor&& coverage_for, ResolveKind kind,
-                    common::TaskPool* pool, std::vector<Decode>& decodes) {
+                    std::vector<Decode>& decodes) {
     decodes.clear();
     if (txs.empty()) return;
     collect_covered(txs, index, listening, candidate_radius, coverage_for);
 
-    const std::size_t shard_count = std::max<std::size_t>(
-        1, std::min(pool != nullptr ? pool->thread_count() : 1,
-                    covered_.size()));
-    shards_.resize(std::max(shards_.size(), shard_count));
     if (!covered_.empty()) {
       build_candidate_csr();
       // SoA snapshot of the transmitter batch. Weights fold power·gain so the
       // accumulator body is a single divide; with listener-invariant gains
-      // they are computed once here, otherwise per listener into shard
-      // scratch.
+      // they are computed once here, otherwise per listener into weights_.
       soa_x_.clear();
       soa_y_.clear();
       for (const Transmitter& t : txs) {
@@ -353,25 +336,18 @@ class FieldEngine {
     const FieldKernelFn accumulate = field_kernel_for(kind, profile);
     const FieldContribFn contrib = field_contrib_for(profile);
     const double half_alpha = params.alpha / 2.0;
-    const auto shard_body = [&](std::size_t s) {
-      Shard& shard = shards_[s];
-      shard.decodes.clear();
-      const auto [begin, end] =
-          common::TaskPool::shard_range(covered_.size(), shard_count, s);
+    const auto decode_covered = [&] {
       const double* x = soa_x_.data();
       const double* y = soa_y_.data();
-      for (std::size_t k = begin; k < end; ++k) {
-        const std::uint32_t u = covered_[k];
+      for (const std::uint32_t u : covered_) {
         const double* w = soa_w_.data();
         if (!gain_listener_invariant) {
           auto gain = gain_for(u);
-          if (shard.weights.size() < txs.size()) {
-            shard.weights.resize(txs.size());
-          }
+          if (weights_.size() < txs.size()) weights_.resize(txs.size());
           for (std::size_t j = 0; j < txs.size(); ++j) {
-            shard.weights[j] = params.power * gain(j);
+            weights_[j] = params.power * gain(j);
           }
-          w = shard.weights.data();
+          w = weights_.data();
         }
         const double ux = positions[u].x;
         const double uy = positions[u].y;
@@ -401,60 +377,37 @@ class FieldEngine {
             margin = signal / threshold;
           }
         }
-        if (winner.has_value()) {
-          shard.decodes.push_back({u, *winner, margin});
-        }
+        if (winner.has_value()) decodes.push_back({u, *winner, margin});
       }
     };
-    // One kFieldAccum scope per shard when profiling. The scope lives in this
-    // wrapper — NOT inside shard_body — so the unprofiled path runs the hot
+    // One kFieldAccum scope per resolve when profiling. The scope lives out
+    // here — NOT inside decode_covered — so the unprofiled path runs the hot
     // loop with no scope object bracketing it (a live non-trivial destructor
-    // around the loop measurably pessimizes its codegen). Profiler::record is
-    // internally synchronized, and a worker-thread scope roots its own
-    // thread-local stack — it never perturbs the caller's nesting.
-    const auto run_shard = [&](std::size_t s) {
-      if (profiler_ == nullptr) {
-        shard_body(s);
-      } else {
-        SINRCOLOR_PROFILE(profiler_, obs::Phase::kFieldAccum);
-        shard_body(s);
-      }
-    };
-    if (shard_count == 1) {
-      run_shard(0);
+    // around the loop measurably pessimizes its codegen).
+    if (profiler_ == nullptr) {
+      decode_covered();
     } else {
-      pool->run_shards(shard_count, run_shard);
-    }
-    // Shards are contiguous ranges of the ascending covered list, so a
-    // shard-order merge yields listener-ascending decodes for ANY count.
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      decodes.insert(decodes.end(), shards_[s].decodes.begin(),
-                     shards_[s].decodes.end());
+      SINRCOLOR_PROFILE(profiler_, obs::Phase::kFieldAccum);
+      decode_covered();
     }
   }
 
   /// Attaches the slot-phase profiler (null = off); one kFieldAccum scope is
-  /// recorded per shard per resolve. Timing only — decodes are unaffected.
+  /// recorded per resolve. Timing only — decodes are unaffected.
   void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Heap footprint of the engine's scratch (capacities, all buffers),
   /// feeding the simulator's bytes/node accounting.
   std::size_t memory_bytes() const {
-    std::size_t bytes =
-        touched_.capacity() * sizeof(std::uint64_t) +
-        covered_.capacity() * sizeof(std::uint32_t) +
-        (soa_x_.capacity() + soa_y_.capacity() + soa_w_.capacity()) *
-            sizeof(double) +
-        pairs_.capacity() * sizeof(CandidatePair) +
-        (cand_begin_.capacity() + cand_count_.capacity() +
-         cand_idx_.capacity()) *
-            sizeof(std::uint32_t) +
-        shards_.capacity() * sizeof(Shard);
-    for (const Shard& shard : shards_) {
-      bytes += shard.decodes.capacity() * sizeof(Decode) +
-               shard.weights.capacity() * sizeof(double);
-    }
-    return bytes;
+    return touched_.capacity() * sizeof(std::uint64_t) +
+           covered_.capacity() * sizeof(std::uint32_t) +
+           (soa_x_.capacity() + soa_y_.capacity() + soa_w_.capacity() +
+            weights_.capacity()) *
+               sizeof(double) +
+           pairs_.capacity() * sizeof(CandidatePair) +
+           (cand_begin_.capacity() + cand_count_.capacity() +
+            cand_idx_.capacity()) *
+               sizeof(std::uint32_t);
   }
 
  private:
@@ -536,11 +489,6 @@ class FieldEngine {
     std::uint32_t tx;
   };
 
-  struct Shard {
-    std::vector<Decode> decodes;
-    std::vector<double> weights;  ///< per-listener P·g(j) (fading only)
-  };
-
   std::uint64_t epoch_ = 0;
   std::vector<std::uint64_t> touched_;
   std::vector<std::uint32_t> covered_;
@@ -552,7 +500,7 @@ class FieldEngine {
   std::vector<std::uint32_t> cand_begin_;
   std::vector<std::uint32_t> cand_count_;
   std::vector<std::uint32_t> cand_idx_;
-  std::vector<Shard> shards_;
+  std::vector<double> weights_;  ///< per-listener P·g(j) (fading only)
   obs::Profiler* profiler_ = nullptr;
 };
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cmath>
 #include <fstream>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -17,75 +16,6 @@
 
 namespace sinrcolor::common {
 namespace {
-
-TEST(TaskPool, ShardRangesPartitionExactly) {
-  // Every (total, shards) split must cover [0, total) contiguously with
-  // sizes differing by at most one — the contract the deterministic merge
-  // of sinr::FieldEngine rests on.
-  for (std::size_t total : {0u, 1u, 5u, 16u, 17u, 1000u}) {
-    for (std::size_t shards : {1u, 2u, 3u, 7u, 16u}) {
-      std::size_t expected_begin = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const auto [begin, end] = TaskPool::shard_range(total, shards, s);
-        EXPECT_EQ(begin, expected_begin);
-        EXPECT_LE(begin, end);
-        EXPECT_LE(end - begin, total / shards + 1);
-        expected_begin = end;
-      }
-      EXPECT_EQ(expected_begin, total);
-    }
-  }
-}
-
-TEST(TaskPool, ShardRangeEdgeCases) {
-  // total == 0: every shard is empty but well-formed.
-  for (std::size_t s = 0; s < 4; ++s) {
-    const auto [begin, end] = TaskPool::shard_range(0, 4, s);
-    EXPECT_EQ(begin, 0u);
-    EXPECT_EQ(end, 0u);
-  }
-  // shards == 1: the single shard is the whole range.
-  EXPECT_EQ(TaskPool::shard_range(17, 1, 0),
-            (std::pair<std::size_t, std::size_t>{0, 17}));
-  // total < shards: the first `total` shards hold one element each and the
-  // rest are empty — a caller with more shards than items relies on empty
-  // shards being no-ops rather than out-of-range.
-  std::size_t nonempty = 0;
-  for (std::size_t s = 0; s < 8; ++s) {
-    const auto [begin, end] = TaskPool::shard_range(3, 8, s);
-    EXPECT_LE(end - begin, 1u);
-    nonempty += (end > begin);
-  }
-  EXPECT_EQ(nonempty, 3u);
-  // total == shards: exactly one element per shard, in order.
-  for (std::size_t s = 0; s < 5; ++s) {
-    EXPECT_EQ(TaskPool::shard_range(5, 5, s),
-              (std::pair<std::size_t, std::size_t>{s, s + 1}));
-  }
-}
-
-TEST(TaskPool, ShardOrderMergeIsScheduleInvariant) {
-  // The sharded resolve's determinism contract: workers fill disjoint
-  // per-shard buffers in any schedule, the owner concatenates them in shard
-  // order — the merged sequence must be identical at every thread count,
-  // including exact floating-point accumulation order downstream.
-  const std::size_t total = 1013, shards = 7;
-  std::vector<double> serial;
-  for (std::size_t i = 0; i < total; ++i) {
-    serial.push_back(static_cast<double>(i) * 0.37 + 1.0);
-  }
-  for (std::size_t threads : {1u, 2u, 4u}) {
-    TaskPool pool(threads);
-    std::vector<std::vector<double>> buf(shards);
-    pool.run_shards(shards, [&](std::size_t s) {
-      const auto [begin, end] = TaskPool::shard_range(total, shards, s);
-      for (std::size_t i = begin; i < end; ++i) buf[s].push_back(serial[i]);
-    });
-    std::vector<double> merged;
-    for (const auto& b : buf) merged.insert(merged.end(), b.begin(), b.end());
-    EXPECT_EQ(merged, serial) << "threads=" << threads;
-  }
-}
 
 TEST(TaskPool, RunsEveryShardExactlyOnce) {
   TaskPool pool(4);
@@ -110,25 +40,6 @@ TEST(TaskPool, ReusableAcrossJobs) {
     pool.run_shards(8, [&](std::size_t s) { sum += s; });
   }
   EXPECT_EQ(sum.load(), 50u * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
-}
-
-TEST(TaskPool, ShardedSumMatchesSerialSum) {
-  // The canonical use: partition an array into contiguous shards, combine
-  // per-shard results in shard order — the total must be exactly the serial
-  // one (each element touched once, no overlap).
-  std::vector<std::uint64_t> data(10007);
-  std::iota(data.begin(), data.end(), 1);
-  const std::uint64_t serial =
-      std::accumulate(data.begin(), data.end(), std::uint64_t{0});
-  TaskPool pool(4);
-  const std::size_t shards = 4;
-  std::vector<std::uint64_t> partial(shards, 0);
-  pool.run_shards(shards, [&](std::size_t s) {
-    const auto [begin, end] = TaskPool::shard_range(data.size(), shards, s);
-    for (std::size_t i = begin; i < end; ++i) partial[s] += data[i];
-  });
-  EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), std::uint64_t{0}),
-            serial);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

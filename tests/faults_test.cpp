@@ -1,8 +1,8 @@
 // Fault-injection subsystem (src/faults): FaultPlan parsing + validation,
-// FaultEngine's injection semantics on every medium, the thread-count
-// independence of an injected run, and the InvariantMonitor's episode
-// bookkeeping. The determinism tests here are the dynamic check of the
-// contract stated in radio/fault_injection.h.
+// FaultEngine's injection semantics on every medium, and the
+// InvariantMonitor's episode bookkeeping. The determinism tests here (with
+// the faulted field-vs-simd run in tests/field_equivalence_test.cpp) are the
+// dynamic check of the contract stated in radio/fault_injection.h.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -353,42 +353,6 @@ TEST(FaultEngine, FadingMediumHonoursTheJammerToo) {
   // Fading may additionally kill post-window slots, but nothing decodes
   // while the jammer sits on the listener.
   EXPECT_GE(metrics.decision_slot[1], 25);
-}
-
-TEST(FaultEngine, FaultedRunIsThreadCountIndependent) {
-  // The headline determinism claim: a faulted field-path run is
-  // byte-identical at any worker count, because every fault answer is a
-  // pure function of (plan, seed, slot, ids) — never of scheduling.
-  const auto g = scenario_graph(91);
-  faults::FaultPlan plan;
-  plan.crashes.push_back({5, 1500, -1});
-  plan.deafness.push_back({2, 0, 2000});
-  faults::JammerSpec j;
-  j.position = {0.05, 0.05};
-  j.from = 0;
-  j.to = 20000;
-  j.power = 0.2;
-  j.period = 3;
-  j.duty = 1;
-  plan.jammers.push_back(j);
-  plan.noise.push_back({1000, 3000, 1.3});
-  plan.drops.push_back({0, 20000, 0.05});
-
-  core::MwRunConfig cfg;
-  cfg.seed = 515;
-  cfg.resolve = sinr::ResolveKind::kField;
-  const auto faulted_run = [&](std::size_t threads) {
-    cfg.threads = threads;
-    core::MwInstance instance(g, cfg);
-    faults::FaultEngine engine(plan, cfg.seed);
-    engine.install(instance.simulator());
-    const auto result = instance.run();
-    EXPECT_GT(engine.stats().dropped_deliveries, 0u);
-    return core::to_json(result);
-  };
-  const std::string serial = faulted_run(1);
-  EXPECT_EQ(serial, faulted_run(4));
-  EXPECT_FALSE(serial.empty());
 }
 
 TEST(InvariantMonitor, CleanRunIsCleanAndUnperturbed) {

@@ -2,14 +2,13 @@
 // (sinr/field_engine.h) must deliver EXACTLY the same messages as the naive
 // per-(sender, listener) resolution it replaced — across random deployments,
 // random transmitter sets, the SINR medium with and without fading or
-// jammers, the per-listener oracle sinr::resolve_reception, and any thread
-// count. The naive forms are kept in the tree purely as the A/B oracles
-// exercised here.
+// jammers, and the per-listener oracle sinr::resolve_reception. The naive
+// forms are kept in the tree purely as the A/B oracles exercised here.
 //
 // The simd kernel path (ResolveKind::kSimd, docs/KERNELS.md) is held to the
 // same bar against the scalar field path: identical deliveries and
 // byte-identical run JSON across all three media — plain SINR, fading SINR
-// and the graph medium — thread counts, and faulted runs with drop windows.
+// and the graph medium — and faulted runs with drop windows.
 //
 // Both entry points of every medium agree too: the sparse reception list the
 // simulator consumes and the dense per-node adapter.
@@ -75,7 +74,7 @@ std::optional<std::size_t> medium_winner(
   for (const sinr::Transmitter& t : txs) dep.points.push_back(t.position);
   dep.points.push_back(at);
   const graph::UnitDiskGraph g(std::move(dep), 1.0);
-  const radio::SinrInterferenceModel medium(g, phys, {kind, 1});
+  const radio::SinrInterferenceModel medium(g, phys, kind);
   std::vector<radio::TxRecord> transmissions;
   for (graph::NodeId v = 0; v < txs.size(); ++v) {
     radio::Message m;
@@ -207,9 +206,9 @@ TEST(SparseResolve, ReceptionListMatchesTheDenseAdapterOnEveryMedium) {
   for (const sinr::ResolveKind kind :
        {sinr::ResolveKind::kNaive, sinr::ResolveKind::kField,
         sinr::ResolveKind::kSimd}) {
-    const radio::SinrInterferenceModel plain(g, phys, {kind, 1});
-    const radio::SinrInterferenceModel faded(g, phys, log_normal, {kind, 1});
-    radio::SinrInterferenceModel jammed_sinr(g, phys, {kind, 1});
+    const radio::SinrInterferenceModel plain(g, phys, kind);
+    const radio::SinrInterferenceModel faded(g, phys, log_normal, kind);
+    radio::SinrInterferenceModel jammed_sinr(g, phys, kind);
     jammed_sinr.set_disturbance(&jammed);
     EXPECT_GT(expect_sparse_matches_dense(plain, g, 24, 500), 0u)
         << "plain " << sinr::to_string(kind);
@@ -230,9 +229,9 @@ TEST(FieldEquivalence, PlainSinrModelMatchesNaiveAcrossSeeds) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
     const radio::SinrInterferenceModel naive(
-        g, phys, {sinr::ResolveKind::kNaive, 1});
+        g, phys, sinr::ResolveKind::kNaive);
     const radio::SinrInterferenceModel field(
-        g, phys, {sinr::ResolveKind::kField, 1});
+        g, phys, sinr::ResolveKind::kField);
     EXPECT_GT(expect_identical_deliveries(naive, field, g, 24, 100 + seed), 0u)
         << "seed " << seed;
   }
@@ -245,22 +244,12 @@ TEST(FieldEquivalence, FadingSinrModelMatchesNaiveAcrossSeeds) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
     const radio::SinrInterferenceModel naive(
-        g, phys, fading, {sinr::ResolveKind::kNaive, 1});
+        g, phys, fading, sinr::ResolveKind::kNaive);
     const radio::SinrInterferenceModel field(
-        g, phys, fading, {sinr::ResolveKind::kField, 1});
+        g, phys, fading, sinr::ResolveKind::kField);
     EXPECT_GT(expect_identical_deliveries(naive, field, g, 24, 200 + seed), 0u)
         << "seed " << seed;
   }
-}
-
-TEST(FieldEquivalence, ThreadedFieldMatchesSerialField) {
-  const auto g = random_graph(200, 4.5, 31);
-  const auto phys = phys_for_radius(g.radius());
-  const radio::SinrInterferenceModel serial(
-      g, phys, {sinr::ResolveKind::kField, 1});
-  const radio::SinrInterferenceModel threaded(
-      g, phys, {sinr::ResolveKind::kField, 4});
-  EXPECT_GT(expect_identical_deliveries(serial, threaded, g, 24, 300), 0u);
 }
 
 TEST(FieldEquivalence, ResolveReceptionMatchesNaiveOracle) {
@@ -287,8 +276,8 @@ TEST(FieldEquivalence, ZeroSigmaFadingMatchesThePlainMedium) {
         sinr::ResolveKind::kSimd}) {
     for (const radio::ChannelDisturbance* disturbance :
          {static_cast<const radio::ChannelDisturbance*>(nullptr), &jammed}) {
-      radio::SinrInterferenceModel plain(g, phys, {kind, 1});
-      radio::SinrInterferenceModel faded(g, phys, unit_fade, {kind, 1});
+      radio::SinrInterferenceModel plain(g, phys, kind);
+      radio::SinrInterferenceModel faded(g, phys, unit_fade, kind);
       plain.set_disturbance(disturbance);
       faded.set_disturbance(disturbance);
       EXPECT_GT(expect_identical_deliveries(plain, faded, g, 24, 400), 0u)
@@ -333,11 +322,11 @@ TEST(SimdEquivalence, PlainSinrModelMatchesFieldAndNaiveAcrossSeeds) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
     const radio::SinrInterferenceModel naive(
-        g, phys, {sinr::ResolveKind::kNaive, 1});
+        g, phys, sinr::ResolveKind::kNaive);
     const radio::SinrInterferenceModel field(
-        g, phys, {sinr::ResolveKind::kField, 1});
+        g, phys, sinr::ResolveKind::kField);
     const radio::SinrInterferenceModel simd(
-        g, phys, {sinr::ResolveKind::kSimd, 1});
+        g, phys, sinr::ResolveKind::kSimd);
     EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 100 + seed), 0u)
         << "seed " << seed;
     EXPECT_GT(expect_identical_deliveries(naive, simd, g, 24, 100 + seed), 0u)
@@ -347,31 +336,19 @@ TEST(SimdEquivalence, PlainSinrModelMatchesFieldAndNaiveAcrossSeeds) {
 
 TEST(SimdEquivalence, FadingSinrModelMatchesFieldAcrossSeeds) {
   // Per-listener fade gains exercise the kernel's non-invariant weight path
-  // (weights rebuilt per listener in shard scratch).
+  // (weights rebuilt per listener).
   sinr::FadingSpec fading;
   fading.kind = sinr::FadingKind::kRayleigh;
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     const auto g = random_graph(150, 4.0, seed);
     const auto phys = phys_for_radius(g.radius());
     const radio::SinrInterferenceModel field(
-        g, phys, fading, {sinr::ResolveKind::kField, 1});
+        g, phys, fading, sinr::ResolveKind::kField);
     const radio::SinrInterferenceModel simd(
-        g, phys, fading, {sinr::ResolveKind::kSimd, 1});
+        g, phys, fading, sinr::ResolveKind::kSimd);
     EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 200 + seed), 0u)
         << "seed " << seed;
   }
-}
-
-TEST(SimdEquivalence, ThreadedSimdMatchesSerialSimd) {
-  // The batched Kahan reduction is a fixed 8-lane spec, so F(u) — and with
-  // it every decode — is independent of the shard layout.
-  const auto g = random_graph(200, 4.5, 31);
-  const auto phys = phys_for_radius(g.radius());
-  const radio::SinrInterferenceModel serial(
-      g, phys, {sinr::ResolveKind::kSimd, 1});
-  const radio::SinrInterferenceModel threaded(
-      g, phys, {sinr::ResolveKind::kSimd, 4});
-  EXPECT_GT(expect_identical_deliveries(serial, threaded, g, 24, 300), 0u);
 }
 
 TEST(SimdEquivalence, ResolveReceptionMatchesNaiveOracle) {
@@ -380,22 +357,19 @@ TEST(SimdEquivalence, ResolveReceptionMatchesNaiveOracle) {
   EXPECT_GT(expect_oracle_winners(sinr::ResolveKind::kSimd, 43), 0u);
 }
 
-TEST(SimdEquivalence, FullProtocolReportsMatchAtThreads1And4) {
+TEST(SimdEquivalence, FullProtocolReportsMatch) {
   // End to end at the acceptance bar: byte-identical run JSON for simd vs
-  // field at --threads ∈ {1, 4}.
+  // field.
   for (std::uint64_t seed : {1u, 7u}) {
     const auto g = random_graph(60, 3.5, 50 + seed);
     core::MwRunConfig cfg;
     cfg.seed = seed;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      cfg.threads = threads;
-      cfg.resolve = sinr::ResolveKind::kField;
-      const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
-      cfg.resolve = sinr::ResolveKind::kSimd;
-      const std::string simd = core::to_json(core::run_mw_coloring(g, cfg));
-      EXPECT_EQ(field, simd) << "seed " << seed << " threads " << threads;
-      EXPECT_FALSE(simd.empty());
-    }
+    cfg.resolve = sinr::ResolveKind::kField;
+    const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
+    cfg.resolve = sinr::ResolveKind::kSimd;
+    const std::string simd = core::to_json(core::run_mw_coloring(g, cfg));
+    EXPECT_EQ(field, simd) << "seed " << seed;
+    EXPECT_FALSE(simd.empty());
   }
 }
 

@@ -191,7 +191,7 @@ core::MwRunResult run_once(
     EXPECT_GT(observation.profiler->stats(obs::Phase::kRun).count, 0u);
     if (expect_resolve.has_value()) {
       // The SINR media's resolve kernel opens its own scope — kNaiveResolve
-      // for the naive oracle, one kFieldAccum per FieldEngine shard — and it
+      // for the naive oracle, one kFieldAccum per engine resolve — and it
       // must still fire when a profiler is attached.
       EXPECT_GT(observation.profiler->stats(*expect_resolve).count, 0u)
           << obs::to_string(*expect_resolve);

@@ -4,7 +4,7 @@
 //                          [--rho=..]
 //   sinrcolor_cli color    [--n=..] [--side=..] [--seed=..] [--deployment=..]
 //                          [--wakeup=sync|uniform] [--resolve=field|simd|naive]
-//                          [--threads=..] [--trials=..]
+//                          [--trials=.. [--threads=..]]
 //                          [--faults=plan.json] [--json=out.json] [--quiet]
 //   sinrcolor_cli sweep    [--n-list=64,128,..] [--trials=..] [--threads=..]
 //                          [--avg-degree=..] [--seed=..] [--resolve=..]
@@ -16,7 +16,7 @@
 //                          [--join-fraction=..] [--join-at=..] [--join-window=..]
 //                          [--retransmit-wait=..] [--retransmit-retries=..]
 //                          [--degrade] [--faults=plan.json]
-//                          [--resolve=field|simd|naive] [--threads=..]
+//                          [--resolve=field|simd|naive]
 //                          [--json=out.json] [--quiet]
 //   sinrcolor_cli trace record   [--scenario=color|recover] [graph flags]
 //                                [--out=trace.jsonl] [--chrome=trace.json]
@@ -224,17 +224,17 @@ int cmd_params(const common::Cli& cli) {
 
 // `color --trials=N`: N independent protocol runs over ONE graph, each with
 // its own splitmix-derived seed stream (common::trial_seed), executed
-// through the sweep engine. `--threads` then parallelizes trials (each trial
-// resolves single-threaded); the aggregate table and `--json` report are
-// byte-identical for every thread count — wall time goes to stdout only.
+// through the sweep engine. `--threads` runs that many trials at a time; the
+// aggregate table and `--json` report are byte-identical for every thread
+// count — wall time goes to stdout only.
 int cmd_color_trials(const common::Cli& cli, const graph::UnitDiskGraph& g,
-                     core::MwRunConfig base_cfg, std::size_t trials) {
+                     const core::MwRunConfig& base_cfg, std::size_t trials) {
+  const auto threads =
+      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
   const std::string json_path = cli.get("json", "");
   const bool quiet = cli.get_bool("quiet", false);
   cli.reject_unknown();
 
-  const std::size_t threads = base_cfg.threads;
-  base_cfg.threads = 1;  // trial-level parallelism; no nested resolve pools
   const std::uint64_t base_seed = base_cfg.seed;
 
   struct Trial {
@@ -329,7 +329,7 @@ int cmd_color(const common::Cli& cli) {
     cfg.wakeup = core::WakeupKind::kUniform;
     cfg.wakeup_window = cli.get_int_at_least("wakeup-window", 2000, 0);
   }
-  core::apply_resolve_flags(cli, cfg);
+  cfg.resolve = core::resolve_kind_flag(cli);
   const auto trials = cli.get_int_at_least("trials", 1, 1);
   const auto plan = load_fault_plan(cli, g);
   if (trials > 1) {
@@ -576,7 +576,7 @@ int cmd_recover(const common::Cli& cli) {
   cfg.recovery.retransmit.max_retries = static_cast<std::size_t>(
       cli.get_int_at_least("retransmit-retries", 6, 0));
   cfg.recovery.degrade_to_provisional = cli.get_bool("degrade", false);
-  core::apply_resolve_flags(cli, cfg);
+  cfg.resolve = core::resolve_kind_flag(cli);
   const auto plan = load_fault_plan(cli, g);
   const std::string json_path = cli.get("json", "");
   const bool quiet = cli.get_bool("quiet", false);
@@ -637,7 +637,7 @@ int trace_record(const common::Cli& cli) {
     cli.usage_error("unknown --scenario=" + scenario + " (color|recover)");
   }
   read_churn_flags(cli, cfg, /*joins=*/scenario == "recover");
-  core::apply_resolve_flags(cli, cfg);
+  cfg.resolve = core::resolve_kind_flag(cli);
   const std::string out_path = cli.get("out", "trace.jsonl");
   const std::string chrome_path = cli.get("chrome", "");
   const std::string json_path = cli.get("json", "");
