@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator:
-// SINR field evaluation, per-slot reception resolution, spatial-index radius
-// queries, UDG construction and deployment generation.
+// SINR field evaluation, per-slot reception resolution, link fades,
+// spatial-index radius queries, UDG construction and deployment generation.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "baseline/greedy_coloring.h"
 #include "common/rng.h"
@@ -11,6 +13,7 @@
 #include "geometry/grid_index.h"
 #include "graph/unit_disk_graph.h"
 #include "radio/interference_model.h"
+#include "sinr/fading.h"
 #include "sinr/medium_field.h"
 #include "sinr/reception.h"
 
@@ -127,6 +130,47 @@ void BM_MediumResolveSlotSimd(benchmark::State& state) {
   medium_resolve_slot(state, sinr::ResolveKind::kSimd);
 }
 BENCHMARK(BM_MediumResolveSlotSimd)->Arg(256)->Arg(1024);
+
+// The fade of one link (log-normal, σ = 6 dB, the fading_sync channel):
+// the scalar reference per call, and the batch per link at a few batch
+// sizes (46 is fading_sync's Δ). Links and slots vary every iteration.
+sinr::FadingSpec bench_log_normal() {
+  sinr::FadingSpec spec;
+  spec.kind = sinr::FadingKind::kLogNormal;
+  spec.sigma_db = 6.0;
+  return spec;
+}
+
+void BM_FadeFactor(benchmark::State& state) {
+  const auto spec = bench_log_normal();
+  std::int64_t slot = 0;
+  for (auto _ : state) {
+    ++slot;
+    benchmark::DoNotOptimize(sinr::fade_factor(
+        spec, slot, 70, static_cast<std::uint32_t>(slot & 63)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FadeFactor);
+
+void BM_FadeFactors(benchmark::State& state) {
+  const auto spec = bench_log_normal();
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint32_t> others(size);
+  for (std::size_t k = 0; k < size; ++k) {
+    others[k] = static_cast<std::uint32_t>(3 * k + 1);
+  }
+  std::vector<double> out(size);
+  std::int64_t slot = 0;
+  for (auto _ : state) {
+    sinr::fade_factors(spec, ++slot, 70, others, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_FadeFactors)->Arg(1)->Arg(4)->Arg(46);
 
 void BM_DeploymentGeneration(benchmark::State& state) {
   common::Rng rng(47);

@@ -90,7 +90,8 @@ bool read_section(const JsonValue& doc, const char* key,
 
 }  // namespace
 
-std::string FaultPlan::validate(std::size_t n) const {
+std::string FaultPlan::validate(
+    std::size_t n, std::span<const geometry::Point> positions) const {
   char buf[160];
   const auto bad = [&](const char* fmt, auto... args) {
     std::snprintf(buf, sizeof buf, fmt, args...);
@@ -127,6 +128,10 @@ std::string FaultPlan::validate(std::size_t n) const {
       return bad("jammers[%zu]: radius must be finite and >= 0", i);
     if (!std::isfinite(j.position.x) || !std::isfinite(j.position.y))
       return bad("jammers[%zu]: non-finite position", i);
+    for (std::size_t v = 0; v < positions.size(); ++v) {
+      if (geometry::distance_sq(j.position, positions[v]) == 0.0)
+        return bad("jammers[%zu]: coincides with node %zu", i, v);
+    }
   }
   for (std::size_t i = 0; i < noise.size(); ++i) {
     const NoiseWindow& w = noise[i];

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,8 +104,13 @@ struct FaultPlan {
 
   /// Semantic validation against an instance of n nodes: node ids in range,
   /// windows ordered, probabilities in [0,1], factors/powers positive,
-  /// duty ≤ period. Returns "" when valid, else a human-readable reason.
-  std::string validate(std::size_t n) const;
+  /// duty ≤ period. Given the deployment's node `positions` (n of them), a
+  /// jammer on a node's position is rejected too ("jammers[i]: coincides
+  /// with node v"): the SINR field would divide by a zero distance, and
+  /// FaultEngine::install CHECKs it. Returns "" when valid, else a
+  /// human-readable reason.
+  std::string validate(std::size_t n,
+                       std::span<const geometry::Point> positions = {}) const;
 
   /// Parses a "sinrcolor.faults.v1" document. Unknown top-level or entry
   /// keys are rejected (typos must not silently disable a fault). On

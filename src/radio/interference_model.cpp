@@ -1,6 +1,8 @@
 #include "radio/interference_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "sinr/medium_field.h"
@@ -9,61 +11,144 @@ namespace sinrcolor::radio {
 
 namespace {
 
-/// The per-link power gain g(u, j) at listener u in one slot: the one
-/// expression every resolve path applies per term. A real transmitter's gain
-/// is its (seed, slot, link)-keyed fade, exactly 1 without fading; an
-/// injected jammer's is its power over the medium's base power (P·g = jammer
-/// power). Jammers carry no node id to key a fade draw, so they ride unfaded
-/// (docs/ROBUSTNESS.md).
-struct LinkGain {
-  const sinr::FadingSpec* fading;
-  Slot slot;
-  graph::NodeId listener;
-  std::span<const TxRecord> transmissions;
-  std::span<const Jammer> jammers;
-  double base_power;
+using Row = SinrInterferenceModel::Row;
 
-  double operator()(std::size_t j) const {
-    if (j >= transmissions.size()) {
-      return jammers[j - transmissions.size()].power / base_power;
-    }
-    if (!fading->enabled()) return 1.0;
-    return sinr::fade_factor(*fading, slot, listener, transmissions[j].sender);
+/// One pass of the row kernel: adds a transmitter's received power at every
+/// listener of the row into `acc`, acc[k] += w / δ(listener k, tx)^α, with
+/// w = `weight`, or `weight`·g[k] with the row's fades g when kFaded. Each
+/// acc[k] gains exactly the term the per-pair loop adds for its listener,
+/// with the same expression (`distance_sq(listener, tx)`, then δ^α through
+/// the profile's pow_alpha_from_sq twin). The body is branch-free, so the
+/// loop vectorizes across the row. Returns the pass's smallest δ²: a zero
+/// is a transmitter sitting on a listener.
+template <sinr::AlphaProfile P, bool kFaded>
+double add_row_pass(const Row& row, std::size_t count,
+                    const geometry::Point& tx, double weight,
+                    double half_alpha, double* acc) {
+  const double* x = row.x.data();
+  const double* y = row.y.data();
+  const double* gain = row.gain.data();
+  double nearest = std::numeric_limits<double>::infinity();
+#pragma omp simd reduction(min : nearest)
+  for (std::size_t k = 0; k < count; ++k) {
+    const double dx = x[k] - tx.x;
+    const double dy = y[k] - tx.y;
+    const double d_sq = dx * dx + dy * dy;
+    nearest = std::min(nearest, d_sq);
+    const double w = kFaded ? weight * gain[k] : weight;
+    acc[k] += w / sinr::pow_alpha_profiled<P>(d_sq, half_alpha);
   }
-};
+  return nearest;
+}
 
-/// The naive oracle: for every (real transmitter i, listening UDG neighbor u)
-/// pair — only neighbors can pass the δ ≤ R_T gate — re-sums the gained
-/// power of every transmitter at u, jammers included, and applies the decode
-/// test s ≥ β·(N + I) the field engine applies. O(T²·Δ) per slot; decodes
-/// land in sender-major order.
-template <typename GainFor>
+/// The decode threshold β·(N + I) of one listener, the one expression the
+/// early rejection, the decode test and the margin share.
+double threshold_of(const sinr::SinrParams& phys, double interference) {
+  return phys.beta * (phys.noise + interference);
+}
+
+/// Drops the row's listeners whose signal already fails the decode test
+/// against their partial interference sum, keeping the rest in order;
+/// returns the new row length. Exact: the remaining terms are non-negative,
+/// a floating-point sum of non-negative terms never decreases, and
+/// fl(β·(N + x)) is monotone in x, so a listener dropped here fails the
+/// final test too.
+std::size_t keep_decodable(Row& row, std::size_t count,
+                           const sinr::SinrParams& phys) {
+  const auto passes = [&](std::size_t k) {
+    return row.signal[k] >= threshold_of(phys, row.interference[k]);
+  };
+  // Most passes drop nobody: scan before moving anything.
+  std::size_t kept = 0;
+  while (kept < count && passes(kept)) ++kept;
+  for (std::size_t k = kept; k < count; ++k) {
+    if (!passes(k)) continue;
+    row.id[kept] = row.id[k];
+    row.x[kept] = row.x[k];
+    row.y[kept] = row.y[k];
+    row.signal[kept] = row.signal[k];
+    row.interference[kept] = row.interference[k];
+    ++kept;
+  }
+  return kept;
+}
+
+/// The naive kernel, one row per real transmitter i: its listening UDG
+/// neighbours u (only they can pass the δ ≤ R_T gate) gather in ascending
+/// id order, a signal pass adds transmitter i's power, then one
+/// interference pass per transmitter j ≠ i, ascending, jammers last, adds
+/// the rest. Every (i, u) pair therefore sums the same terms in the same
+/// order, from 0.0, as the per-pair loop, and the s ≥ β·(N + I) test the
+/// field engine applies decides it. O(T²·Δ) terms per slot; decodes land in
+/// sender-major order. Under fading each real pass draws the row's fades
+/// in one batch, and a listener leaves the row as soon as its signal fails
+/// the test against its partial sum (keep_decodable).
+template <sinr::AlphaProfile P>
 void naive_decodes(const graph::UnitDiskGraph& graph,
-                   const sinr::SinrParams& phys,
-                   std::span<const sinr::Transmitter> txs,
+                   const sinr::SinrParams& phys, double base_power,
+                   const sinr::FadingSpec& fading, Slot slot,
                    std::span<const TxRecord> transmissions,
-                   std::span<const std::uint8_t> listening,
-                   const GainFor& gain_for,
+                   std::span<const Jammer> jammers,
+                   std::span<const std::uint8_t> listening, Row& row,
                    std::vector<sinr::FieldEngine::Decode>& decodes) {
   decodes.clear();
+  const double half_alpha = phys.alpha / 2.0;
+  const bool faded = fading.enabled();
   for (std::size_t i = 0; i < transmissions.size(); ++i) {
+    std::size_t count = 0;
     for (graph::NodeId u : graph.neighbors(transmissions[i].sender)) {
       if (!listening[u]) continue;
-      const auto gain = gain_for(u);
-      double signal = 0.0;
-      double interference = 0.0;
-      for (std::size_t j = 0; j < txs.size(); ++j) {
-        const double d_sq =
-            geometry::distance_sq(graph.position(u), txs[j].position);
-        SINRCOLOR_CHECK_MSG(d_sq > 0.0, "transmitter coincides with listener");
-        const double power =
-            phys.power * gain(j) / sinr::pow_alpha_from_sq(d_sq, phys.alpha);
-        (j == i ? signal : interference) += power;
+      row.id[count] = u;
+      row.x[count] = graph.position(u).x;
+      row.y[count] = graph.position(u).y;
+      ++count;
+    }
+    if (count == 0) continue;
+    std::fill_n(row.signal.data(), count, 0.0);
+    std::fill_n(row.interference.data(), count, 0.0);
+    // One pass of transmitter j (real ones first, then jammers) into `acc`.
+    // A real transmitter's gain is its fade, drawn for the whole row in one
+    // batch, and exactly 1 without fading (P·1 = P). A jammer's gain is its
+    // power over the medium's base power (P·g = jammer power); it rides
+    // unfaded, having no node id to key a draw (docs/ROBUSTNESS.md).
+    // Every pass checks that no transmitter sits on a listener, as the
+    // per-pair loop checks every term. A listener that left its row early
+    // skips that check for its remaining terms. A real transmitter on a
+    // listening node still aborts, since that node is in its own row, and
+    // jammers are kept off node positions before any run
+    // (FaultPlan::validate, FaultEngine::install).
+    const auto pass = [&](std::size_t j, double* acc) {
+      double nearest;
+      if (j >= transmissions.size()) {
+        const Jammer& jam = jammers[j - transmissions.size()];
+        nearest = add_row_pass<P, false>(row, count, jam.position,
+                                         phys.power * (jam.power / base_power),
+                                         half_alpha, acc);
+      } else if (!faded) {
+        nearest = add_row_pass<P, false>(
+            row, count, graph.position(transmissions[j].sender), phys.power,
+            half_alpha, acc);
+      } else {
+        const graph::NodeId sender = transmissions[j].sender;
+        sinr::fade_factors(fading, slot, sender,
+                           std::span<const std::uint32_t>(row.id.data(), count),
+                           row.gain.data());
+        nearest = add_row_pass<P, true>(row, count, graph.position(sender),
+                                        phys.power, half_alpha, acc);
       }
-      const double threshold = phys.beta * (phys.noise + interference);
-      if (signal >= threshold) {
-        decodes.push_back(
-            {u, static_cast<std::uint32_t>(i), signal / threshold});
+      SINRCOLOR_CHECK_MSG(nearest > 0.0, "transmitter coincides with listener");
+      if (faded) count = keep_decodable(row, count, phys);
+    };
+    pass(i, row.signal.data());
+    const std::size_t passes = transmissions.size() + jammers.size();
+    for (std::size_t j = 0; j < passes && count > 0; ++j) {
+      if (j != i) pass(j, row.interference.data());
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      const double threshold = threshold_of(phys, row.interference[k]);
+      if (row.signal[k] >= threshold) {
+        decodes.push_back({row.id[k], static_cast<std::uint32_t>(i),
+                           row.signal[k] / threshold});
       }
     }
   }
@@ -84,15 +169,34 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
                                              sinr::ResolveKind kind)
     : graph_(graph), params_(params), fading_(fading), kind_(kind) {
   params_.validate();
+  const std::string fading_problem = fading_.violation();
+  SINRCOLOR_CHECK_MSG(fading_problem.empty(), fading_problem.c_str());
   check_radius_matches_phys(graph_, params_);
-  // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
-  // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency). The naive
-  // path never touches the engine.
-  if (kind_ != sinr::ResolveKind::kNaive) {
+  if (kind_ == sinr::ResolveKind::kNaive) {
+    // A row holds one transmitter's listening neighbours: at most Δ.
+    row_.resize(graph_.max_degree());
+  } else {
+    // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
+    // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency).
     engine_.reserve(graph_.size(), graph_.size() * (graph_.max_degree() + 1));
+    txs_.reserve(graph_.size());
+    if (fading_.enabled()) tx_ids_.reserve(graph_.size());
   }
   decodes_.reserve(graph_.size());
-  txs_.reserve(graph_.size());
+}
+
+void SinrInterferenceModel::Row::resize(std::size_t capacity) {
+  for (auto* column : {&x, &y, &signal, &interference, &gain}) {
+    column->resize(capacity);
+  }
+  id.resize(capacity);
+}
+
+std::size_t SinrInterferenceModel::Row::memory_bytes() const {
+  return id.capacity() * sizeof(std::uint32_t) +
+         (x.capacity() + y.capacity() + signal.capacity() +
+          interference.capacity() + gain.capacity()) *
+             sizeof(double);
 }
 
 void InterferenceModel::resolve(
@@ -124,55 +228,71 @@ void SinrInterferenceModel::resolve(Slot slot,
   receptions.clear();
   if (transmissions.empty()) return;
 
-  // Real transmitters first, then any jammers; a disturbance also scales the
-  // noise floor.
-  txs_.clear();
-  for (const auto& t : transmissions) {
-    txs_.push_back({graph_.position(t.sender)});
-  }
+  // A disturbance scales the noise floor and adds its jammers after the
+  // real transmitters.
   sinr::SinrParams phys = params_;
   std::span<const Jammer> jammers;
   if (disturbance_ != nullptr) {
     phys.noise *= disturbance_->noise_factor;
     jammers = disturbance_->jammers;
-    for (const Jammer& jam : jammers) txs_.push_back({jam.position});
   }
-  // Engine coverage: a node transmitter's δ ≤ R_T listeners are exactly its
-  // UDG neighbors (check_radius_matches_phys pins radius == R_T); injected
-  // jammers carry no node id and fall back to the grid query.
-  const auto coverage_for =
-      [&](std::size_t j) -> std::optional<std::span<const graph::NodeId>> {
-    if (j < transmissions.size()) {
-      return graph_.neighbors(transmissions[j].sender);
-    }
-    return std::nullopt;
-  };
-  const auto decode_with = [&](const auto& gain_for,
-                               bool gain_listener_invariant) {
-    if (kind_ == sinr::ResolveKind::kNaive) {
-      SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
-      naive_decodes(graph_, phys, txs_, transmissions, listening, gain_for,
-                    decodes_);
-    } else {
-      engine_.resolve_slot(phys, txs_, graph_.index(),
-                           graph_.deployment().points, listening,
-                           graph_.radius(), gain_for, gain_listener_invariant,
-                           coverage_for, kind_, decodes_);
-    }
-  };
-  if (!fading_.enabled() && jammers.empty()) {
-    // The paper's channel keeps a compile-time unit gain, so every path's
-    // per-term arithmetic is exactly P/δ^α.
-    decode_with([](graph::NodeId /*listener*/) { return sinr::UnitGain{}; },
-                /*gain_listener_invariant=*/true);
+  if (kind_ == sinr::ResolveKind::kNaive) {
+    SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
+    // One instantiation per α profile, picked once per resolve (the
+    // engine's field_kernel_for idiom).
+    using sinr::AlphaProfile;
+    static constexpr decltype(&naive_decodes<AlphaProfile::kCube>) kKernels[] =
+        {&naive_decodes<AlphaProfile::kCube>,
+         &naive_decodes<AlphaProfile::kQuartic>,
+         &naive_decodes<AlphaProfile::kSextic>,
+         &naive_decodes<AlphaProfile::kGeneral>};
+    kKernels[static_cast<std::size_t>(sinr::classify_alpha(phys.alpha))](
+        graph_, phys, params_.power, fading_, slot, transmissions, jammers,
+        listening, row_, decodes_);
   } else {
+    txs_.clear();
+    for (const auto& t : transmissions) {
+      txs_.push_back({graph_.position(t.sender)});
+    }
+    for (const Jammer& jam : jammers) txs_.push_back({jam.position});
+    if (fading_.enabled()) {
+      tx_ids_.clear();
+      for (const auto& t : transmissions) tx_ids_.push_back(t.sender);
+    }
+    // Engine coverage: a node transmitter's δ ≤ R_T listeners are exactly
+    // its UDG neighbors (check_radius_matches_phys pins radius == R_T);
+    // injected jammers carry no node id and fall back to the grid query.
+    const auto coverage_for =
+        [&](std::size_t j) -> std::optional<std::span<const graph::NodeId>> {
+      if (j < transmissions.size()) {
+        return graph_.neighbors(transmissions[j].sender);
+      }
+      return std::nullopt;
+    };
+    // Listener u's weights P·g(u, j): a real transmitter's gain is its
+    // fade, drawn in one batch, and exactly 1 without fading; a jammer's is
+    // its power over the medium's base power (P·g = jammer power), unfaded
+    // as in the row kernel.
+    const auto fill_weights = [&](graph::NodeId listener, double* w) {
+      if (fading_.enabled()) {
+        sinr::fade_factors(fading_, slot, listener, tx_ids_, w);
+        for (std::size_t j = 0; j < transmissions.size(); ++j) {
+          w[j] = phys.power * w[j];
+        }
+      } else {
+        std::fill_n(w, transmissions.size(), phys.power);
+      }
+      for (std::size_t m = 0; m < jammers.size(); ++m) {
+        w[transmissions.size() + m] =
+            phys.power * (jammers[m].power / params_.power);
+      }
+    };
     // Fades differ per listener; jammer gains alone do not.
-    decode_with(
-        [&](graph::NodeId listener) {
-          return LinkGain{&fading_,      slot,    listener,
-                          transmissions, jammers, params_.power};
-        },
-        /*gain_listener_invariant=*/!fading_.enabled());
+    engine_.resolve_slot(phys, txs_, graph_.index(),
+                         graph_.deployment().points, listening,
+                         graph_.radius(), fill_weights,
+                         /*weights_listener_invariant=*/!fading_.enabled(),
+                         coverage_for, kind_, decodes_);
   }
   for (const auto& d : decodes_) {
     // A "decodable" jammer carries no message — the listener hears only

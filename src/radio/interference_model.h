@@ -13,11 +13,19 @@
 //
 // The SINR medium runs one of three resolve paths (a sinr::ResolveKind),
 // always on the calling thread:
-//   kNaive — the per-(sender, listener) loop, the default
-//            (kDefaultResolveKind): the fastest kind at the protocol's few
-//            transmitters per slot (docs/PERFORMANCE.md), and the A/B oracle
-//            the engine paths must match exactly
-//            (tests/field_equivalence_test.cpp).
+//   kNaive — the row kernel, the default (kDefaultResolveKind): the fastest
+//            kind at the protocol's few transmitters per slot
+//            (docs/PERFORMANCE.md), and still the A/B oracle the engine
+//            paths must match exactly (tests/field_equivalence_test.cpp).
+//            Per transmitter it gathers the listening UDG neighbours into
+//            an SoA row and adds each transmitter's power to the whole row
+//            in one branch-free pass, so every (sender, listener) pair sums
+//            the same terms in the same order as the textbook per-pair loop
+//            (kept as the test oracle in tests/row_kernel_test.cpp). Under
+//            fading a pass draws the row's fades in one sinr::fade_factors
+//            batch and drops the listeners whose signal already fails the
+//            test; that is exact, because the interference sum never
+//            decreases (docs/KERNELS.md "Row kernel").
 //   kField, kSimd — the shared interference-field engine
 //            (sinr/field_engine.h): F(u) is summed once per covered
 //            listener and every candidate resolves in O(1) against
@@ -154,8 +162,25 @@ class SinrInterferenceModel final : public InterferenceModel {
   std::size_t memory_bytes() const override {
     return sizeof(*this) + engine_.memory_bytes() +
            decodes_.capacity() * sizeof(sinr::FieldEngine::Decode) +
-           txs_.capacity() * sizeof(sinr::Transmitter);
+           txs_.capacity() * sizeof(sinr::Transmitter) +
+           tx_ids_.capacity() * sizeof(std::uint32_t) + row_.memory_bytes();
   }
+
+  /// The naive kernel's row: one transmitter's listening UDG neighbours in
+  /// ascending id order (SoA), each with its signal and running
+  /// interference, plus the fades of the current pass. Sized to Δ at
+  /// construction, since a row never outgrows its transmitter's degree.
+  struct Row {
+    std::vector<std::uint32_t> id;
+    std::vector<double> x;
+    std::vector<double> y;
+    std::vector<double> signal;
+    std::vector<double> interference;
+    std::vector<double> gain;
+
+    void resize(std::size_t capacity);
+    std::size_t memory_bytes() const;
+  };
 
  private:
   const graph::UnitDiskGraph& graph_;
@@ -163,12 +188,15 @@ class SinrInterferenceModel final : public InterferenceModel {
   sinr::FadingSpec fading_;
   sinr::ResolveKind kind_;
   mutable sinr::FieldEngine engine_;
-  /// Slot scratch: the decodes of whichever resolve path ran, and the
-  /// positions of this slot's transmitters (real ones, then jammers). Both
-  /// grow to their per-slot maximum within the first few slots, then stay
-  /// put — resolve is allocation-free in steady state.
+  /// Slot scratch: the decodes of whichever resolve path ran, the positions
+  /// of this slot's transmitters (real ones, then jammers; engine kinds),
+  /// their sender ids (the engine's fade batch) and the naive kernel's row.
+  /// Each is sized at construction for the kind that reads it, so resolve
+  /// is allocation-free in steady state.
   mutable std::vector<sinr::FieldEngine::Decode> decodes_;
   mutable std::vector<sinr::Transmitter> txs_;
+  mutable std::vector<std::uint32_t> tx_ids_;
+  mutable Row row_;
 };
 
 class GraphInterferenceModel final : public InterferenceModel {

@@ -13,7 +13,10 @@
 // half of the total received power, which at most one sender can do.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
 
 namespace sinrcolor::sinr {
 
@@ -30,12 +33,38 @@ struct FadingSpec {
   std::uint64_t seed = 0x5eedfade;
 
   bool enabled() const { return kind != FadingKind::kNone; }
+
+  /// The spec's rule list, like SinrParams::violation(): returns the first
+  /// violated rule as a one-line diagnostic, or an empty string when the
+  /// spec is valid. σ must be finite and ≥ 0 (σ = +∞ would draw gains of 0
+  /// or ∞). The SINR medium checks it once at construction, so the batched
+  /// fades below need no per-element check.
+  std::string violation() const;
 };
 
 /// Multiplicative power gain for the (a, b) link in `slot` (ignored when
 /// static_per_link). Symmetric in (a, b); strictly positive; equal to 1 when
-/// fading is disabled.
+/// fading is disabled. The scalar reference: it checks σ ≥ 0 on every call.
 double fade_factor(const FadingSpec& spec, std::int64_t slot, std::uint32_t a,
                    std::uint32_t b);
+
+/// The batched fades of one endpoint's links: out[k] = the gain of the link
+/// (fixed, others[k]) in `slot`, equal to fade_factor(spec, slot, fixed,
+/// others[k]) bit for bit (tests/fading_test.cpp). `out` must hold
+/// others.size() elements; `others` may sit on either side of `fixed`.
+/// The hash chains run ahead of the transcendental calls, since the
+/// integer hashing of independent links overlaps and a libm call between
+/// two hashes would serialize them (docs/PERFORMANCE.md "Row kernel"). A
+/// Rayleigh batch hashes every link before its first `log`. A log-normal
+/// batch needs two uniforms per link and stages them on the stack, so it
+/// hashes in chunks of kFadeChunk links. The caller guarantees that `spec`
+/// passes violation().
+void fade_factors(const FadingSpec& spec, std::int64_t slot,
+                  std::uint32_t fixed, std::span<const std::uint32_t> others,
+                  double* out);
+
+/// Links a log-normal fade_factors call hashes ahead of its transcendental
+/// calls; larger than any medium row at the benchmark densities (Δ ≤ 82).
+inline constexpr std::size_t kFadeChunk = 128;
 
 }  // namespace sinrcolor::sinr

@@ -244,14 +244,6 @@ inline FieldContribFn field_contrib_for(AlphaProfile profile) {
   return kTable[static_cast<std::size_t>(profile)];
 }
 
-/// Gain functor for the paper's channel (no fading, no jammers): every link
-/// has unit power gain.
-/// (P · 1.0 is bitwise P, so the engine matches the naive path's per-term
-/// arithmetic exactly.)
-struct UnitGain {
-  double operator()(std::size_t /*tx*/) const { return 1.0; }
-};
-
 /// Batch per-slot resolver with reusable scratch. Enumerates the listeners
 /// covered by any transmitter, evaluates F(u) once per covered listener, and
 /// reports every successful decode sorted by listener id.
@@ -288,25 +280,26 @@ class FieldEngine {
 
   /// `positions[u]` is listener u's location; `listening[u]` gates
   /// eligibility (transmitting or asleep nodes are skipped). `index` must be
-  /// built over the same positions with the same ids. `gain_for(u)` returns
-  /// the per-transmitter gain functor for listener u (UnitGain factory for
-  /// the paper's channel); `gain_listener_invariant` declares that every
-  /// listener's functor returns the same gains (true without fading, jammers
-  /// included), letting the weight array be built once per slot instead of
-  /// once per listener. `coverage_for(j)` returns transmitter j's
+  /// built over the same positions with the same ids. `fill_weights(u, w)`
+  /// writes listener u's weight w[j] = P·g(u, j) for every transmitter j
+  /// (P itself on the paper's channel, where P·1 is bitwise P);
+  /// `weights_listener_invariant` declares that every listener gets the
+  /// same weights (true without fading, jammers included), letting the
+  /// weight array be filled once per slot instead of once per listener.
+  /// `coverage_for(j)` returns transmitter j's
   /// candidate-listener span (the UDG neighborhood of a node transmitter —
   /// δ ≤ R_T is exactly adjacency when the graph radius equals R_T, the same
   /// structural fact the naive path iterates); nullopt falls back to a grid
   /// query (jammers). `kind` selects the F(u) accumulator (kField or kSimd;
   /// kNaive is handled by the medium, not here). Results land in `decodes`,
   /// cleared first, in ascending listener order.
-  template <typename GainForListener, typename CoverageFor>
+  template <typename FillWeights, typename CoverageFor>
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
                     const geometry::GridIndex& index,
                     std::span<const geometry::Point> positions,
                     std::span<const std::uint8_t> listening,
-                    double candidate_radius,
-                    GainForListener&& gain_for, bool gain_listener_invariant,
+                    double candidate_radius, FillWeights&& fill_weights,
+                    bool weights_listener_invariant,
                     CoverageFor&& coverage_for, ResolveKind kind,
                     std::vector<Decode>& decodes) {
     decodes.clear();
@@ -324,12 +317,9 @@ class FieldEngine {
         soa_x_.push_back(t.position.x);
         soa_y_.push_back(t.position.y);
       }
-      if (gain_listener_invariant) {
-        auto gain = gain_for(covered_.front());
-        soa_w_.clear();
-        for (std::size_t j = 0; j < txs.size(); ++j) {
-          soa_w_.push_back(params.power * gain(j));
-        }
+      if (weights_listener_invariant) {
+        soa_w_.resize(txs.size());
+        fill_weights(covered_.front(), soa_w_.data());
       }
     }
     const AlphaProfile profile = classify_alpha(params.alpha);
@@ -341,12 +331,9 @@ class FieldEngine {
       const double* y = soa_y_.data();
       for (const std::uint32_t u : covered_) {
         const double* w = soa_w_.data();
-        if (!gain_listener_invariant) {
-          auto gain = gain_for(u);
+        if (!weights_listener_invariant) {
           if (weights_.size() < txs.size()) weights_.resize(txs.size());
-          for (std::size_t j = 0; j < txs.size(); ++j) {
-            weights_[j] = params.power * gain(j);
-          }
+          fill_weights(u, weights_.data());
           w = weights_.data();
         }
         const double ux = positions[u].x;

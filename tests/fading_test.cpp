@@ -2,7 +2,12 @@
 // medium, the TDMA audit, and the coloring protocol.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "baseline/greedy_coloring.h"
 #include "common/rng.h"
@@ -80,6 +85,82 @@ TEST(Fading, ZeroSigmaLogNormalIsDeterministicUnity) {
   spec.sigma_db = 0.0;
   for (std::int64_t slot = 0; slot < 50; ++slot) {
     EXPECT_DOUBLE_EQ(sinr::fade_factor(spec, slot, 0, 1), 1.0);
+  }
+}
+
+TEST(Fading, ViolationNamesTheBadSigma) {
+  sinr::FadingSpec spec;
+  spec.kind = sinr::FadingKind::kLogNormal;
+  for (const double sigma : {0.0, 6.0, 12.0}) {
+    spec.sigma_db = sigma;
+    EXPECT_EQ(spec.violation(), "") << sigma;
+  }
+  for (const double sigma : {-1.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    spec.sigma_db = sigma;
+    EXPECT_NE(spec.violation().find("sigma_db must be finite and >= 0"),
+              std::string::npos)
+        << sigma;
+  }
+}
+
+TEST(FadingDeathTest, MediumRejectsAnInfiniteSigmaOnce) {
+  // σ = +∞ passes fade_factor's per-call σ ≥ 0 check and would draw gains
+  // of 0 or ∞; the medium refuses the spec at construction instead.
+  const graph::UnitDiskGraph g(geometry::line_deployment(2, 0.5), 1.0);
+  sinr::FadingSpec spec;
+  spec.kind = sinr::FadingKind::kLogNormal;
+  spec.sigma_db = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(radio::SinrInterferenceModel(g, phys_for_radius(1.0), spec),
+               "sigma_db must be finite");
+}
+
+/// The batch against the scalar reference, bit for bit, for one spec: every
+/// batch size 0–9, one Δ-sized batch and one that spans several log-normal
+/// chunks, with endpoint ids below, equal to and above the fixed endpoint.
+void expect_batch_matches_scalar(const sinr::FadingSpec& spec) {
+  common::Rng rng(spec.seed ^ static_cast<std::uint64_t>(spec.kind));
+  const std::uint32_t fixed = 500;
+  std::vector<std::size_t> sizes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 46,
+                                    2 * sinr::kFadeChunk + 3};
+  for (const std::size_t size : sizes) {
+    for (const std::int64_t slot : {std::int64_t{0}, std::int64_t{7},
+                                    std::int64_t{123456}}) {
+      std::vector<std::uint32_t> others(size);
+      for (std::uint32_t& id : others) {
+        id = static_cast<std::uint32_t>(rng.uniform_int(0, 1000));
+      }
+      if (size > 2) {
+        others[0] = fixed - 1;
+        others[1] = fixed + 1;
+      }
+      std::vector<double> batch(size + 1, -1.0);
+      sinr::fade_factors(spec, slot, fixed, others, batch.data());
+      for (std::size_t k = 0; k < size; ++k) {
+        const double scalar = sinr::fade_factor(spec, slot, fixed, others[k]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k]),
+                  std::bit_cast<std::uint64_t>(scalar))
+            << "size " << size << " slot " << slot << " k " << k << ": "
+            << batch[k] << " vs " << scalar;
+      }
+      EXPECT_EQ(batch[size], -1.0) << "wrote past the batch, size " << size;
+    }
+  }
+}
+
+TEST(FadeBatch, MatchesTheScalarReferenceBitForBit) {
+  for (const bool frozen : {false, true}) {
+    sinr::FadingSpec spec;
+    spec.static_per_link = frozen;
+    spec.kind = sinr::FadingKind::kNone;
+    expect_batch_matches_scalar(spec);
+    spec.kind = sinr::FadingKind::kRayleigh;
+    expect_batch_matches_scalar(spec);
+    spec.kind = sinr::FadingKind::kLogNormal;
+    for (const double sigma : {0.0, 6.0, 12.0}) {
+      spec.sigma_db = sigma;
+      expect_batch_matches_scalar(spec);
+    }
   }
 }
 

@@ -192,6 +192,21 @@ TEST(FaultPlan, ValidateCatchesSemanticErrors) {
   EXPECT_TRUE(plan.validate(4).empty());
 }
 
+TEST(FaultPlan, ValidateRejectsAJammerOnANodeGivenPositions) {
+  // Without positions the plan cannot know the deployment; with them, a
+  // jammer on a node is named by index, and a near miss is fine.
+  const std::vector<geometry::Point> positions = {
+      {0.0, 0.0}, {0.8, 0.0}, {1.6, 0.0}};
+  faults::FaultPlan plan;
+  faults::JammerSpec j;
+  j.position = {0.8, 0.0};
+  plan.jammers.push_back(j);
+  EXPECT_TRUE(plan.validate(3).empty());
+  EXPECT_EQ(plan.validate(3, positions), "jammers[0]: coincides with node 1");
+  plan.jammers[0].position = {0.8, 1e-9};
+  EXPECT_TRUE(plan.validate(3, positions).empty());
+}
+
 TEST(FaultPlan, JammerDutyCycle) {
   faults::JammerSpec j;
   j.from = 100;

@@ -10,6 +10,8 @@
 // byte-identical run JSON across all three media — plain SINR, fading SINR
 // and the graph medium — and faulted runs with drop windows.
 //
+// The fading tests run Rayleigh and log-normal, the benchmark's channel.
+//
 // Both entry points of every medium agree too: the sparse reception list the
 // simulator consumes and the dense per-node adapter.
 #include <gtest/gtest.h>
@@ -224,6 +226,17 @@ TEST(SparseResolve, ReceptionListMatchesTheDenseAdapterOnEveryMedium) {
   EXPECT_GT(expect_sparse_matches_dense(jammed_graph, g, 24, 504), 0u);
 }
 
+/// The fading channels the fading equivalence tests run: Rayleigh, and
+/// log-normal at σ = 6 dB, the benchmark's channel.
+std::vector<sinr::FadingSpec> fading_channels() {
+  sinr::FadingSpec rayleigh;
+  rayleigh.kind = sinr::FadingKind::kRayleigh;
+  sinr::FadingSpec log_normal;
+  log_normal.kind = sinr::FadingKind::kLogNormal;
+  log_normal.sigma_db = 6.0;
+  return {rayleigh, log_normal};
+}
+
 TEST(FieldEquivalence, PlainSinrModelMatchesNaiveAcrossSeeds) {
   for (std::uint64_t seed : {11u, 12u, 13u}) {
     const auto g = random_graph(150, 4.0, seed);
@@ -238,17 +251,18 @@ TEST(FieldEquivalence, PlainSinrModelMatchesNaiveAcrossSeeds) {
 }
 
 TEST(FieldEquivalence, FadingSinrModelMatchesNaiveAcrossSeeds) {
-  sinr::FadingSpec fading;
-  fading.kind = sinr::FadingKind::kRayleigh;
-  for (std::uint64_t seed : {21u, 22u, 23u}) {
-    const auto g = random_graph(150, 4.0, seed);
-    const auto phys = phys_for_radius(g.radius());
-    const radio::SinrInterferenceModel naive(
-        g, phys, fading, sinr::ResolveKind::kNaive);
-    const radio::SinrInterferenceModel field(
-        g, phys, fading, sinr::ResolveKind::kField);
-    EXPECT_GT(expect_identical_deliveries(naive, field, g, 24, 200 + seed), 0u)
-        << "seed " << seed;
+  for (const sinr::FadingSpec& fading : fading_channels()) {
+    for (std::uint64_t seed : {21u, 22u, 23u}) {
+      const auto g = random_graph(150, 4.0, seed);
+      const auto phys = phys_for_radius(g.radius());
+      const radio::SinrInterferenceModel naive(
+          g, phys, fading, sinr::ResolveKind::kNaive);
+      const radio::SinrInterferenceModel field(
+          g, phys, fading, sinr::ResolveKind::kField);
+      EXPECT_GT(expect_identical_deliveries(naive, field, g, 24, 200 + seed),
+                0u)
+          << "fading " << static_cast<int>(fading.kind) << " seed " << seed;
+    }
   }
 }
 
@@ -305,14 +319,16 @@ TEST(FieldEquivalence, FullProtocolReportsMatch) {
 
 TEST(FieldEquivalence, FullFadingProtocolReportsMatch) {
   const auto g = random_graph(60, 3.5, 61);
-  core::MwRunConfig cfg;
-  cfg.seed = 5;
-  cfg.fading.kind = sinr::FadingKind::kRayleigh;
-  cfg.resolve = sinr::ResolveKind::kNaive;
-  const std::string naive = core::to_json(core::run_mw_coloring(g, cfg));
-  cfg.resolve = sinr::ResolveKind::kField;
-  const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
-  EXPECT_EQ(naive, field);
+  for (const sinr::FadingSpec& fading : fading_channels()) {
+    core::MwRunConfig cfg;
+    cfg.seed = 5;
+    cfg.fading = fading;
+    cfg.resolve = sinr::ResolveKind::kNaive;
+    const std::string naive = core::to_json(core::run_mw_coloring(g, cfg));
+    cfg.resolve = sinr::ResolveKind::kField;
+    const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
+    EXPECT_EQ(naive, field) << "fading " << static_cast<int>(fading.kind);
+  }
 }
 
 // --- simd kernel path (ResolveKind::kSimd) ---
@@ -336,18 +352,19 @@ TEST(SimdEquivalence, PlainSinrModelMatchesFieldAndNaiveAcrossSeeds) {
 
 TEST(SimdEquivalence, FadingSinrModelMatchesFieldAcrossSeeds) {
   // Per-listener fade gains exercise the kernel's non-invariant weight path
-  // (weights rebuilt per listener).
-  sinr::FadingSpec fading;
-  fading.kind = sinr::FadingKind::kRayleigh;
-  for (std::uint64_t seed : {21u, 22u, 23u}) {
-    const auto g = random_graph(150, 4.0, seed);
-    const auto phys = phys_for_radius(g.radius());
-    const radio::SinrInterferenceModel field(
-        g, phys, fading, sinr::ResolveKind::kField);
-    const radio::SinrInterferenceModel simd(
-        g, phys, fading, sinr::ResolveKind::kSimd);
-    EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 200 + seed), 0u)
-        << "seed " << seed;
+  // (weights refilled per listener from one fade batch).
+  for (const sinr::FadingSpec& fading : fading_channels()) {
+    for (std::uint64_t seed : {21u, 22u, 23u}) {
+      const auto g = random_graph(150, 4.0, seed);
+      const auto phys = phys_for_radius(g.radius());
+      const radio::SinrInterferenceModel field(
+          g, phys, fading, sinr::ResolveKind::kField);
+      const radio::SinrInterferenceModel simd(
+          g, phys, fading, sinr::ResolveKind::kSimd);
+      EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 200 + seed),
+                0u)
+          << "fading " << static_cast<int>(fading.kind) << " seed " << seed;
+    }
   }
 }
 
@@ -375,14 +392,16 @@ TEST(SimdEquivalence, FullProtocolReportsMatch) {
 
 TEST(SimdEquivalence, FullFadingProtocolReportsMatch) {
   const auto g = random_graph(60, 3.5, 61);
-  core::MwRunConfig cfg;
-  cfg.seed = 5;
-  cfg.fading.kind = sinr::FadingKind::kRayleigh;
-  cfg.resolve = sinr::ResolveKind::kField;
-  const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
-  cfg.resolve = sinr::ResolveKind::kSimd;
-  const std::string simd = core::to_json(core::run_mw_coloring(g, cfg));
-  EXPECT_EQ(field, simd);
+  for (const sinr::FadingSpec& fading : fading_channels()) {
+    core::MwRunConfig cfg;
+    cfg.seed = 5;
+    cfg.fading = fading;
+    cfg.resolve = sinr::ResolveKind::kField;
+    const std::string field = core::to_json(core::run_mw_coloring(g, cfg));
+    cfg.resolve = sinr::ResolveKind::kSimd;
+    const std::string simd = core::to_json(core::run_mw_coloring(g, cfg));
+    EXPECT_EQ(field, simd) << "fading " << static_cast<int>(fading.kind);
+  }
 }
 
 TEST(SimdEquivalence, GraphMediumIgnoresResolveKind) {
@@ -401,7 +420,7 @@ TEST(SimdEquivalence, GraphMediumIgnoresResolveKind) {
 
 TEST(SimdEquivalence, FaultedRunWithDropWindowsMatchesField) {
   // Full fault plan — crashes, deafness, a periodic jammer (exercising the
-  // kernel's grid-coverage fallback and JammerGain weights), a noise window
+  // kernel's grid-coverage fallback and jammer weights), a noise window
   // and delivery drop windows. Field and simd runs must serialize to the
   // same bytes: every fault answer is keyed on (plan, seed, slot, ids) and
   // every decode set is identical.

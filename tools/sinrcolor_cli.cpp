@@ -149,7 +149,7 @@ std::optional<faults::FaultPlan> load_fault_plan(const common::Cli& cli,
     std::fprintf(stderr, "--faults: %s\n", error.c_str());
     std::exit(2);
   }
-  const std::string problem = plan.validate(g.size());
+  const std::string problem = plan.validate(g.size(), g.deployment().points);
   if (!problem.empty()) {
     std::fprintf(stderr, "--faults: %s\n", problem.c_str());
     std::exit(2);
