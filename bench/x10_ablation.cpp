@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto seeds =
       static_cast<std::size_t>(cli.get_int_at_least("seeds", 4, 1));
   const auto base_seed = cli.get_seed("seed", 10);
-  const std::size_t threads = bench::sweep_threads(cli);
+  const std::size_t threads = common::sweep_threads(cli);
   cli.reject_unknown();
 
   bench::print_experiment_header(

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   const auto reps =
       static_cast<std::size_t>(cli.get_int_at_least("reps", 3, 1));
   const auto seed = cli.get_seed("seed", 1);
-  const std::size_t threads = bench::sweep_threads(cli);
+  const std::size_t threads = common::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);
   sidecar.set_threads(threads);
   cli.reject_unknown();

@@ -177,7 +177,7 @@ int main(int argc, char** argv) {
   const auto base_seed = cli.get_seed("seed", 19);
   const std::string csv_path = cli.get("csv", "");
   const std::string chaos_path = cli.get("chaos-out", "");
-  const std::size_t sweep = bench::sweep_threads(cli);
+  const std::size_t sweep = common::sweep_threads(cli);
   core::MwRunConfig base_cfg;
   base_cfg.resolve = core::resolve_kind_flag(cli);
   bench::MetricsSidecar sidecar(cli);

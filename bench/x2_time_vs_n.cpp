@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   // width of the sweep.
   core::MwRunConfig base_cfg;
   base_cfg.resolve = core::resolve_kind_flag(cli);
-  std::size_t threads = bench::sweep_threads(cli);
+  std::size_t threads = common::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);
   cli.reject_unknown();
 

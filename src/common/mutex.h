@@ -6,25 +6,16 @@
 // the locks are taken. These thin wrappers restore visibility:
 //
 //   Mutex      std::mutex with the capability attribute and annotated
-//              lock()/unlock()/try_lock().
-//   MutexLock  scoped guard (SCOPED_CAPABILITY) with annotated re-lockable
-//              unlock()/lock(), which the analysis tracks across the body —
-//              the ONLY sanctioned way to lock a Mutex (sinrlint R6 bans
-//              bare .lock()/.unlock() outside this file).
-//   CondVar    condition variable waitable on a Mutex. wait() adopts the
-//              Mutex's native handle for the duration of the wait, so the
-//              caller keeps using MutexLock and the analysis keeps treating
-//              the capability as held across the wait (the standard modeling
-//              compromise: the transient unlock inside wait() is invisible,
-//              which is sound as long as callers re-check their predicate —
-//              enforced here by only exposing predicate-free wait() meant
-//              for while-loops).
+//              lock()/unlock().
+//   MutexLock  scoped guard (SCOPED_CAPABILITY): locks in its constructor,
+//              unlocks in its destructor — the ONLY sanctioned way to lock a
+//              Mutex (sinrlint R6 bans bare .lock()/.unlock() outside this
+//              file).
 //
 // These wrappers add no state and no branches over the std types; a
 // non-Clang build compiles to exactly the std::mutex code it replaced.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_safety.h"
@@ -39,69 +30,24 @@ class SINRCOLOR_CAPABILITY("mutex") Mutex {
 
   void lock() SINRCOLOR_ACQUIRE() { m_.lock(); }
   void unlock() SINRCOLOR_RELEASE() { m_.unlock(); }
-  bool try_lock() SINRCOLOR_TRY_ACQUIRE(true) { return m_.try_lock(); }
-
-  /// The wrapped handle, for CondVar's adopt-wait only.
-  std::mutex& native_handle() { return m_; }
 
  private:
   std::mutex m_;
 };
 
-/// RAII lock for Mutex. Supports the TaskPool lock-passing pattern: unlock()
-/// releases mid-scope, lock() reacquires, and the destructor releases only
-/// if currently held. The thread-safety analysis tracks all three.
+/// RAII lock for Mutex, held for the guard's whole scope.
 class SINRCOLOR_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& mutex) SINRCOLOR_ACQUIRE(mutex) : mutex_(mutex) {
     mutex_.lock();
   }
-  ~MutexLock() SINRCOLOR_RELEASE() {
-    if (held_) mutex_.unlock();
-  }
+  ~MutexLock() SINRCOLOR_RELEASE() { mutex_.unlock(); }
 
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
 
-  void unlock() SINRCOLOR_RELEASE() {
-    held_ = false;
-    mutex_.unlock();
-  }
-  void lock() SINRCOLOR_ACQUIRE() {
-    mutex_.lock();
-    held_ = true;
-  }
-
  private:
   Mutex& mutex_;
-  bool held_ = true;
-};
-
-/// Condition variable for Mutex-guarded state. No predicate overloads on
-/// purpose: a lambda predicate is a separate function to the thread-safety
-/// analysis and would be diagnosed for reading guarded members, so callers
-/// write the standard `while (!predicate) cv.wait(mutex);` loop inline,
-/// where the reads are visibly under the lock.
-class CondVar {
- public:
-  /// Atomically releases `mutex` (which the caller must hold), blocks until
-  /// notified, and reacquires before returning. Spurious wakeups happen;
-  /// always re-check the predicate in a loop.
-  void wait(Mutex& mutex) SINRCOLOR_REQUIRES(mutex) {
-    // Adopt the already-held native mutex for the duration of the wait;
-    // release() hands ownership back without unlocking, so the annotated
-    // Mutex stays held from the caller's (and the analysis') view.
-    std::unique_lock<std::mutex> native(mutex.native_handle(),
-                                        std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace sinrcolor::common

@@ -1,9 +1,12 @@
 #include "common/sweep.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <thread>
 
 #include "common/check.h"
+#include "common/cli.h"
 #include "common/rng.h"
 
 namespace sinrcolor::common {
@@ -43,19 +46,31 @@ std::uint64_t SweepTiming::max_us() const {
   return *std::max_element(trial_us.begin(), trial_us.end());
 }
 
-SweepEngine::SweepEngine(std::size_t threads)
-    : threads_(std::max<std::size_t>(threads, 1)) {
-  if (threads_ > 1) pool_ = std::make_unique<TaskPool>(threads_);
+std::size_t sweep_threads(const Cli& cli) {
+  return static_cast<std::size_t>(
+      cli.get_int_in_range("threads", 1, 1, kMaxSweepThreads));
 }
 
+SweepEngine::SweepEngine(std::size_t threads)
+    : threads_(std::max<std::size_t>(threads, 1)) {}
+
 void SweepEngine::run_trials(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (pool_ == nullptr) {
+                             const std::function<void(std::size_t)>& fn) const {
+  const std::size_t width = std::min(threads_, count);
+  if (width <= 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  pool_->run_shards(count, fn);
+  std::atomic<std::size_t> next{0};
+  const auto claim_trials = [&] {
+    for (std::size_t i = next++; i < count; i = next++) fn(i);
+  };
+  // A jthread joins when destroyed, so every worker is joined before this
+  // returns, on every path.
+  std::vector<std::jthread> workers;
+  workers.reserve(width - 1);
+  for (std::size_t t = 1; t < width; ++t) workers.emplace_back(claim_trials);
+  claim_trials();
 }
 
 }  // namespace sinrcolor::common

@@ -5,8 +5,8 @@
 // aggregate, and every experiment harness (bench/x*) runs dozens of
 // independent (topology, protocol, seed) trials. Trials are embarrassingly
 // parallel; what makes naive parallelism unacceptable here is
-// nondeterminism. The engine runs trials concurrently on a common::TaskPool
-// while keeping results BYTE-IDENTICAL for every thread count:
+// nondeterminism. The engine runs trials concurrently while keeping results
+// BYTE-IDENTICAL for every thread count:
 //
 //   1. Trial i's randomness derives from (base_seed, i) alone — trial_seed()
 //      is a splitmix-style derivation, so the stream is independent of how
@@ -22,23 +22,35 @@
 // it out of byte-compared files — CSV/JSON artifacts must carry only trial
 // results.
 //
-// This is the repo's one thread pool: a run resolves every slot on its own
-// thread, so parallelism lives between trials (docs/PERFORMANCE.md, "One
-// thread pool"). Every harness takes the trial width from `--threads`.
+// This is the repo's only parallelism: a run resolves every slot on its own
+// thread, so parallelism lives between trials. Each run() is a scoped
+// fork-join — its threads start with the sweep and are joined before it
+// returns, so no worker outlives a sweep (docs/PERFORMANCE.md, "One thread
+// pool"). Every harness takes the trial width from `--threads`, read by
+// sweep_threads().
 #pragma once
 
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/task_pool.h"
-
 namespace sinrcolor::common {
+
+class Cli;
+
+/// The widest trial sweep a front end accepts: `--threads` above it is a
+/// usage error, so a typo never asks the OS for thousands of threads.
+inline constexpr std::int64_t kMaxSweepThreads = 256;
+
+/// Reads `--threads=N` (default 1), the trial width of a SweepEngine, and
+/// exits with a usage error unless 1 ≤ N ≤ kMaxSweepThreads. The one
+/// `--threads` reader of every front end. Results are byte-identical for
+/// every value; only wall time changes.
+std::size_t sweep_threads(const Cli& cli);
 
 /// Independent child seed for trial `trial_index` of a sweep rooted at
 /// `base_seed`. Domain-separated from derive_seed(seed, node) — a trial
@@ -69,21 +81,24 @@ struct SweepTiming {
 };
 
 /// Runs independent trials concurrently and merges in trial order.
-/// `threads` = 1 (the default everywhere) executes inline with no pool and
-/// no synchronization, so serial sweeps cost nothing extra.
+/// A sweep of `count` trials at width `threads` forks min(threads, count) − 1
+/// std::jthreads; they and the calling thread claim trial indices from one
+/// atomic counter, and all are joined before run() returns. Width 1 (the
+/// default everywhere) and one-trial sweeps run inline on the caller's
+/// thread with no synchronization, so serial sweeps cost nothing extra.
 ///
-/// Thread contract: the engine itself holds no lock-guarded state — both
-/// members are set in the constructor and immutable afterwards; all
-/// synchronization lives in the owned TaskPool (annotated in task_pool.h).
-/// Trials write only to their pre-sized result slot (`results[i]`), which is
-/// race-free by construction: slots are disjoint and the pool's job join
-/// provides the happens-before edge back to the caller. What the trial
-/// callback does is the caller's obligation — share nothing mutable except
-/// internally-synchronized sinks (obs::Tracer, obs::Counter), and read
-/// shared inputs such as a graph only; tests/concurrency_stress_test.cpp
-/// runs both patterns under TSan.
+/// Thread contract: the engine holds no state beyond its width, so
+/// distinct engines (or distinct sweeps) never interact. Thread start orders
+/// everything the caller did before run() — e.g. building a shared graph —
+/// ahead of every trial's reads, and the join orders every trial's writes to
+/// its pre-sized result slot (`results[i]`, disjoint by construction) ahead
+/// of the caller's reads. What the trial callback does is the caller's
+/// obligation — share nothing mutable except internally-synchronized sinks
+/// (obs::Tracer, obs::Counter), and read shared inputs such as a graph only;
+/// tests/concurrency_stress_test.cpp runs both patterns under TSan.
 class SweepEngine {
  public:
+  /// `threads` is clamped to ≥ 1 and counts the calling thread.
   explicit SweepEngine(std::size_t threads);
 
   std::size_t thread_count() const { return threads_; }
@@ -95,9 +110,12 @@ class SweepEngine {
   /// and total wall microseconds.
   template <typename Fn>
   auto run(std::size_t count, std::uint64_t base_seed, Fn&& fn,
-           SweepTiming* timing = nullptr)
+           SweepTiming* timing = nullptr) const
       -> std::vector<std::decay_t<std::invoke_result_t<Fn&, const TrialContext&>>> {
     using R = std::decay_t<std::invoke_result_t<Fn&, const TrialContext&>>;
+    static_assert(!std::is_same_v<R, bool>,
+                  "std::vector<bool> packs results into shared words, so "
+                  "concurrent trials would race; return an integer instead");
     std::vector<R> results(count);
     if (timing != nullptr) timing->trial_us.assign(count, 0);
     const auto sweep_start = std::chrono::steady_clock::now();
@@ -122,13 +140,12 @@ class SweepEngine {
   }
 
  private:
-  /// One TaskPool shard per trial (fn runs exactly once per index; only the
-  /// trial-to-worker assignment varies between runs, never any result).
+  /// The fork-join: fn(i) runs exactly once per index in [0, count); only
+  /// the trial-to-thread assignment varies between runs, never any result.
   void run_trials(std::size_t count,
-                  const std::function<void(std::size_t)>& fn);
+                  const std::function<void(std::size_t)>& fn) const;
 
   std::size_t threads_;
-  std::unique_ptr<TaskPool> pool_;  ///< null when threads_ == 1
 };
 
 }  // namespace sinrcolor::common

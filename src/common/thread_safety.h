@@ -1,8 +1,9 @@
 // Clang thread-safety-analysis capability macros (no-ops elsewhere).
 //
 // The parallel engine's byte-identity claim rests on a small, explicit
-// concurrency surface: common::TaskPool, common::SweepEngine, the obs sinks
-// and faults::FaultEngine. These macros
+// concurrency surface: common::SweepEngine's per-sweep fork-join (an atomic
+// trial counter, no lock) and the lock-guarded obs sinks every trial may
+// share (obs::Tracer, obs::Profiler, obs::MetricsRegistry). These macros
 // let each class declare its lock discipline in the type system —
 // which mutex guards which field, which private helpers require the lock —
 // so `clang++ -Wthread-safety -Wthread-safety-beta` (the CI thread-safety
@@ -11,7 +12,7 @@
 // and compile the identical code.
 //
 // Use the annotated primitives in common/mutex.h (common::Mutex,
-// common::MutexLock, common::CondVar) rather than std::mutex directly:
+// common::MutexLock) rather than std::mutex directly:
 // libstdc++'s std::mutex/std::lock_guard carry no capability attributes, so
 // the analysis cannot see them (sinrlint R6 enforces this tree-wide).
 //
@@ -52,11 +53,6 @@
 #define SINRCOLOR_RELEASE(...) \
   SINRCOLOR_THREAD_ANNOTATION_(release_capability(__VA_ARGS__))
 
-/// On a function returning bool: acquires the capability iff the return
-/// value equals the first argument.
-#define SINRCOLOR_TRY_ACQUIRE(...) \
-  SINRCOLOR_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
-
 /// On a function: callers must NOT hold the listed capabilities (deadlock
 /// guard for functions that acquire them internally).
 #define SINRCOLOR_EXCLUDES(...) \
@@ -68,6 +64,7 @@
 
 /// Escape hatch: disables analysis inside one function body. Every use must
 /// carry a comment explaining why the pattern is beyond the analysis (e.g.
-/// TaskPool::drain_job's lock-passing dance around job execution).
+/// obs::MetricsRegistry's quiescent-state accessors, whose returned
+/// references outlive any lock scope).
 #define SINRCOLOR_NO_THREAD_SAFETY_ANALYSIS \
   SINRCOLOR_THREAD_ANNOTATION_(no_thread_safety_analysis)

@@ -198,10 +198,7 @@ std::optional<radio::Message> MwNode::begin_slot(radio::Slot slot,
         if (retries_used_ < retransmit_->max_retries &&
             slot - retransmit_anchor_ >= retransmit_wait_) {
           retransmit_anchor_ = slot;
-          retransmit_wait_ = std::max<radio::Slot>(
-              retransmit_wait_ + 1,
-              static_cast<radio::Slot>(static_cast<double>(retransmit_wait_) *
-                                       retransmit_->backoff));
+          retransmit_wait_ *= 2;  // initial_wait ≥ 1, so the wait grows
           ++retries_used_;
           ++forced_retransmissions_;
           radio::Message m;

@@ -7,11 +7,10 @@ namespace sinrcolor::core {
 std::string RecoveryOptions::to_string() const {
   char buf[256];
   std::snprintf(buf, sizeof buf,
-                "RecoveryOptions{enabled=%s, timeout=%lld, backoff=%.2g, "
-                "max_failovers=%zu, join_frac=%.3g, join_at=%lld, "
-                "join_window=%lld, retransmit=%lld, degrade=%s, settle=%lld}",
-                enabled ? "yes" : "no",
-                static_cast<long long>(suspect_timeout), backoff, max_failovers,
+                "RecoveryOptions{enabled=%s, max_failovers=%zu, "
+                "join_frac=%.3g, join_at=%lld, join_window=%lld, "
+                "retransmit=%lld, degrade=%s, settle=%lld}",
+                enabled ? "yes" : "no", max_failovers,
                 join_fraction, static_cast<long long>(join_at),
                 static_cast<long long>(join_window),
                 static_cast<long long>(retransmit.initial_wait),

@@ -21,12 +21,11 @@ namespace sinrcolor::core {
 /// heavy injected message loss the request/grant exchange can starve. When
 /// enabled, a requester that has waited `initial_wait` slots since entering
 /// R (or since its last forced send) transmits M_R deterministically, then
-/// doubles its wait (× `backoff`) up to `max_retries` forced sends; the
-/// plain q_s-randomized sending continues in between. Disabled (the paper's
+/// doubles its wait, up to `max_retries` forced sends; the plain
+/// q_s-randomized sending continues in between. Disabled (the paper's
 /// protocol, byte-identical RNG stream) when initial_wait == 0.
 struct RetransmitPolicy {
   radio::Slot initial_wait = 0;  ///< slots before the first forced resend; 0 off
-  double backoff = 2.0;          ///< wait multiplier per forced resend (≥ 1)
   std::size_t max_retries = 6;   ///< forced resends per R episode
 
   bool enabled() const { return initial_wait > 0; }
@@ -34,17 +33,14 @@ struct RetransmitPolicy {
 
 struct RecoveryOptions {
   /// Master switch for the failure detector + leader failover. Joins are
-  /// scheduled independently via join_fraction.
+  /// scheduled independently via join_fraction. A requester suspects its
+  /// leader dead after (Δ+1)·assign_slots + 2·window⁺ slots of silence —
+  /// above the worst legitimate wait (a leader serving every other cluster
+  /// member first) w.h.p. — and re-enters leader election; the timeout
+  /// doubles after every failover, so repeated suspicion under heavy
+  /// contention self-throttles (robust::SelfHealingNode).
   bool enabled = false;
 
-  /// Slots of leader silence a requester tolerates before suspecting its
-  /// leader dead and re-entering leader election. 0 ⇒ derived from the run's
-  /// MwParams as (Δ+1)·assign_slots + 2·window⁺ — above the worst legitimate
-  /// wait (a leader serving every other cluster member first) w.h.p.
-  radio::Slot suspect_timeout = 0;
-  /// The timeout multiplies by this after every failover (exponential
-  /// backoff), so repeated suspicion under heavy contention self-throttles.
-  double backoff = 2.0;
   /// A node stops failing over after this many attempts (it then stalls and
   /// is reported like an unrecovered orphan).
   std::size_t max_failovers = 10;
@@ -54,12 +50,6 @@ struct RecoveryOptions {
   double join_fraction = 0.0;
   radio::Slot join_at = 0;
   radio::Slot join_window = 0;
-  /// Slots a joiner listens for color beacons before picking a locally free
-  /// color. 0 ⇒ 2·window⁺ (long enough to hear every q_s-beaconing neighbor
-  /// w.h.p.). If the listen phase overhears competition or request traffic,
-  /// the neighborhood has not converged and the joiner falls back to the
-  /// full MW protocol instead.
-  radio::Slot join_listen_slots = 0;
   /// Slots a joiner beacons its tentative color while watching for
   /// collisions before confirming it. 0 ⇒ window⁺.
   radio::Slot join_confirm_slots = 0;

@@ -259,15 +259,11 @@ void SinrInterferenceModel::resolve(Slot slot,
       tx_ids_.clear();
       for (const auto& t : transmissions) tx_ids_.push_back(t.sender);
     }
-    // Engine coverage: a node transmitter's δ ≤ R_T listeners are exactly
-    // its UDG neighbors (check_radius_matches_phys pins radius == R_T);
-    // injected jammers carry no node id and fall back to the grid query.
-    const auto coverage_for =
-        [&](std::size_t j) -> std::optional<std::span<const graph::NodeId>> {
-      if (j < transmissions.size()) {
-        return graph_.neighbors(transmissions[j].sender);
-      }
-      return std::nullopt;
+    // Engine coverage: a sender's δ ≤ R_T listeners are exactly its UDG
+    // neighbors (check_radius_matches_phys pins radius == R_T). Jammers are
+    // never decode candidates; they reach F(u) through txs_ alone.
+    const auto coverage_for = [&](std::size_t j) {
+      return graph_.neighbors(transmissions[j].sender);
     };
     // Listener u's weights P·g(u, j): a real transmitter's gain is its
     // fade, drawn in one batch, and exactly 1 without fading; a jammer's is
@@ -288,16 +284,15 @@ void SinrInterferenceModel::resolve(Slot slot,
       }
     };
     // Fades differ per listener; jammer gains alone do not.
-    engine_.resolve_slot(phys, txs_, graph_.index(),
-                         graph_.deployment().points, listening,
-                         graph_.radius(), fill_weights,
+    engine_.resolve_slot(phys, txs_, transmissions.size(),
+                         graph_.deployment().points, listening, fill_weights,
                          /*weights_listener_invariant=*/!fading_.enabled(),
                          coverage_for, kind_, decodes_);
   }
   for (const auto& d : decodes_) {
-    // A "decodable" jammer carries no message — the listener hears only
-    // noise (and the jammer's field already drowned every real sender).
-    if (d.tx >= transmissions.size()) continue;
+    // Both kernels decode real senders only: the naive rows and the
+    // engine's coverage come from the senders' UDG neighborhoods.
+    SINRCOLOR_DCHECK(d.tx < transmissions.size());
     receptions.push_back({d.listener, d.tx});
     if (margin_histogram_ != nullptr) {
       margin_histogram_->record(d.margin);

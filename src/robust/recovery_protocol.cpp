@@ -66,10 +66,7 @@ core::MwRunResult RecoveryInstance::run() {
   if (!joiners_.empty()) {
     // Late arrivals need room to listen, pick and confirm after the last
     // join slot, whatever the base horizon was sized for.
-    const radio::Slot listen =
-        rec.join_listen_slots > 0
-            ? rec.join_listen_slots
-            : 2 * static_cast<radio::Slot>(params_.window_positive);
+    const radio::Slot listen = join_listen_slots(params_);
     const radio::Slot confirm =
         rec.join_confirm_slots > 0
             ? rec.join_confirm_slots

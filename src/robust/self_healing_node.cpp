@@ -17,14 +17,16 @@ radio::Slot default_suspect_timeout(const core::MwParams& p) {
 
 }  // namespace
 
+radio::Slot join_listen_slots(const core::MwParams& params) {
+  return 2 * static_cast<radio::Slot>(params.window_positive);
+}
+
 SelfHealingNode::SelfHealingNode(graph::NodeId id, const core::MwParams& params,
                                  const core::RecoveryOptions& options,
                                  bool joiner)
     : id_(id), params_(params), options_(options), joiner_(joiner) {
-  suspect_timeout_ = options_.suspect_timeout > 0 ? options_.suspect_timeout
-                                                  : default_suspect_timeout(params_);
+  suspect_timeout_ = default_suspect_timeout(params_);
   SINRCOLOR_CHECK(suspect_timeout_ > 0);
-  SINRCOLOR_CHECK(options_.backoff >= 1.0);
 }
 
 void SelfHealingNode::set_observation(obs::RunObservation* observation) {
@@ -73,10 +75,7 @@ void SelfHealingNode::on_wake(radio::Slot slot) {
   inner_.reset();
   if (joiner_) {
     transition_to(JoinPhase::kListening);
-    join_listen_remaining_ =
-        options_.join_listen_slots > 0
-            ? options_.join_listen_slots
-            : 2 * static_cast<radio::Slot>(params_.window_positive);
+    join_listen_remaining_ = join_listen_slots(params_);
   } else {
     start_inner(slot);
   }
@@ -91,8 +90,7 @@ void SelfHealingNode::fail_over(radio::Slot slot) {
                                static_cast<std::int32_t>(failovers_));
     observation_->metrics.counter("robust.failovers").add();
   }
-  suspect_timeout_ = static_cast<radio::Slot>(
-      static_cast<double>(suspect_timeout_) * options_.backoff);
+  suspect_timeout_ *= 2;
   inner_->restart_election();
   requesting_since_ = -1;
   last_leader_heard_ = -1;

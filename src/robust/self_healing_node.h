@@ -33,6 +33,13 @@
 
 namespace sinrcolor::robust {
 
+/// Slots a joiner listens for color beacons before picking a locally free
+/// color: 2·window⁺, long enough to hear every q_s-beaconing neighbor w.h.p.
+/// If the listen phase overhears competition or request traffic, the
+/// neighborhood has not converged and the joiner falls back to the full MW
+/// protocol instead.
+radio::Slot join_listen_slots(const core::MwParams& params);
+
 class SelfHealingNode final : public radio::Protocol {
  public:
   /// `params` must outlive the node; `options` is copied. `joiner` selects

@@ -17,11 +17,14 @@
 // globally bounded total to F(u) and never need to be enumerated per sender.
 //
 // One per-listener path serves both engine kinds. Coverage comes from the
-// transmitters' UDG neighbour spans (jammers fall back to a grid query) and
-// is scattered into a per-listener candidate CSR; the transmitter batch is
-// staged as contiguous x/y/weight arrays; each covered listener sums F(u)
-// over them, then tests its candidates, in ascending transmitter order,
-// against F − signal. The only kind-dependent choice is the F accumulator:
+// real senders' UDG neighbour spans and is scattered into a per-listener
+// candidate CSR; the whole transmitter batch, jammers included, is staged
+// as contiguous x/y/weight arrays; each covered listener sums F(u) over
+// them, then tests its candidates, in ascending transmitter order, against
+// F − signal. A jammer adds to F(u) but is never a candidate: with β ≥ 1 a
+// listener that could "decode" a jammer decodes no real sender, and a
+// listener only a jammer reaches hears nothing, so neither needs covering.
+// The only kind-dependent choice is the F accumulator:
 //   kField — field_accumulate_serial: one Kahan chain in ascending
 //            transmitter order;
 //   kSimd  — field_accumulate_lanes: a fused, branch-free loop the compiler
@@ -52,7 +55,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "geometry/grid_index.h"
 #include "geometry/point.h"
 #include "obs/profiler.h"
 #include "sinr/medium_field.h"
@@ -278,33 +280,34 @@ class FieldEngine {
     weights_.reserve(nodes);
   }
 
+  /// `txs` holds the slot's `senders` real transmitters, the only decode
+  /// candidates, followed by any jammers, which only add to F(u).
   /// `positions[u]` is listener u's location; `listening[u]` gates
-  /// eligibility (transmitting or asleep nodes are skipped). `index` must be
-  /// built over the same positions with the same ids. `fill_weights(u, w)`
-  /// writes listener u's weight w[j] = P·g(u, j) for every transmitter j
-  /// (P itself on the paper's channel, where P·1 is bitwise P);
-  /// `weights_listener_invariant` declares that every listener gets the
-  /// same weights (true without fading, jammers included), letting the
-  /// weight array be filled once per slot instead of once per listener.
-  /// `coverage_for(j)` returns transmitter j's
-  /// candidate-listener span (the UDG neighborhood of a node transmitter —
-  /// δ ≤ R_T is exactly adjacency when the graph radius equals R_T, the same
-  /// structural fact the naive path iterates); nullopt falls back to a grid
-  /// query (jammers). `kind` selects the F(u) accumulator (kField or kSimd;
-  /// kNaive is handled by the medium, not here). Results land in `decodes`,
-  /// cleared first, in ascending listener order.
+  /// eligibility (transmitting or asleep nodes are skipped).
+  /// `fill_weights(u, w)` writes listener u's weight w[j] = P·g(u, j) for
+  /// every transmitter j (P itself on the paper's channel, where P·1 is
+  /// bitwise P); `weights_listener_invariant` declares that every listener
+  /// gets the same weights (true without fading, jammers included), letting
+  /// the weight array be filled once per slot instead of once per listener.
+  /// `coverage_for(j)` returns sender j's candidate-listener span, its UDG
+  /// neighborhood (δ ≤ R_T is exactly adjacency when the graph radius
+  /// equals R_T, the same structural fact the naive path iterates). `kind`
+  /// selects the F(u) accumulator (kField or kSimd; kNaive is handled by
+  /// the medium, not here). Results land in `decodes`, cleared first, in
+  /// ascending listener order, each with tx < `senders`.
   template <typename FillWeights, typename CoverageFor>
   void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
-                    const geometry::GridIndex& index,
+                    std::size_t senders,
                     std::span<const geometry::Point> positions,
                     std::span<const std::uint8_t> listening,
-                    double candidate_radius, FillWeights&& fill_weights,
+                    FillWeights&& fill_weights,
                     bool weights_listener_invariant,
                     CoverageFor&& coverage_for, ResolveKind kind,
                     std::vector<Decode>& decodes) {
     decodes.clear();
-    if (txs.empty()) return;
-    collect_covered(txs, index, listening, candidate_radius, coverage_for);
+    SINRCOLOR_DCHECK(senders <= txs.size());
+    if (senders == 0) return;
+    collect_covered(senders, listening, coverage_for);
 
     if (!covered_.empty()) {
       build_candidate_csr();
@@ -399,49 +402,26 @@ class FieldEngine {
 
  private:
   /// Gathers the slot's covered listeners (ascending) and every
-  /// (listener, tx) candidate pair, transmitter-outer.
+  /// (listener, sender) candidate pair, sender-outer. A sender's candidate
+  /// listeners are exactly its UDG neighbors (same δ ≤ R_T gate, same d²
+  /// bits at graph-build time), already materialized as a sorted CSR span —
+  /// no cell scan, no distance recomputation.
   template <typename CoverageFor>
-  void collect_covered(std::span<const Transmitter> txs,
-                       const geometry::GridIndex& index,
+  void collect_covered(std::size_t senders,
                        std::span<const std::uint8_t> listening,
-                       double candidate_radius, CoverageFor&& coverage_for) {
+                       CoverageFor&& coverage_for) {
     if (touched_.size() < listening.size()) touched_.resize(listening.size(), 0);
     ++epoch_;
     covered_.clear();
     pairs_.clear();
-    for (std::uint32_t tx_id = 0; tx_id < txs.size(); ++tx_id) {
-      // A node transmitter's candidate listeners are exactly its UDG
-      // neighbors (same δ ≤ R_T gate, same d² bits at graph-build time),
-      // already materialized as a sorted CSR span — no cell scan, no
-      // distance recomputation.
-      const auto span = coverage_for(std::size_t{tx_id});
-      if (span.has_value()) {
-        for (const std::uint32_t u : *span) {
-          if (!listening[u]) continue;
-          pairs_.push_back({u, tx_id});
-          if (touched_[u] == epoch_) continue;
-          touched_[u] = epoch_;
-          covered_.push_back(u);
-        }
-        continue;
+    for (std::uint32_t tx_id = 0; tx_id < senders; ++tx_id) {
+      for (const std::uint32_t u : coverage_for(std::size_t{tx_id})) {
+        if (!listening[u]) continue;
+        pairs_.push_back({u, tx_id});
+        if (touched_[u] == epoch_) continue;
+        touched_[u] = epoch_;
+        covered_.push_back(u);
       }
-      const Transmitter& t = txs[tx_id];
-      index.for_each_within(
-          t.position, candidate_radius,
-          [&](std::size_t u, const geometry::Point& p) {
-            // Half-duplex: the node at the transmitter's own position is the
-            // transmitter itself and cannot hear its own slot (the naive path
-            // excludes self by iterating UDG neighborhoods).
-            if (geometry::distance_sq(t.position, p) == 0.0) return;
-            if (!listening[u]) return;
-            // The grid gate is the δ ≤ R_T candidate gate (same d² bits:
-            // distance_sq is symmetric under IEEE negation), recorded per
-            // (listener, tx) BEFORE the first-coverage dedup below.
-            pairs_.push_back({static_cast<std::uint32_t>(u), tx_id});
-            if (touched_[u] == epoch_) return;
-            touched_[u] = epoch_;
-            covered_.push_back(static_cast<std::uint32_t>(u));
-          });
     }
     std::sort(covered_.begin(), covered_.end());
   }

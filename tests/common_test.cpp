@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <set>
@@ -12,35 +11,9 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
-#include "common/task_pool.h"
 
 namespace sinrcolor::common {
 namespace {
-
-TEST(TaskPool, RunsEveryShardExactlyOnce) {
-  TaskPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::vector<std::atomic<int>> hits(23);
-  pool.run_shards(hits.size(), [&](std::size_t s) { ++hits[s]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(TaskPool, SingleThreadRunsInline) {
-  TaskPool pool(1);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::vector<int> hits(9, 0);  // no data race possible: everything inline
-  pool.run_shards(hits.size(), [&](std::size_t s) { ++hits[s]; });
-  for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(TaskPool, ReusableAcrossJobs) {
-  TaskPool pool(3);
-  std::atomic<std::size_t> sum{0};
-  for (int job = 0; job < 50; ++job) {
-    pool.run_shards(8, [&](std::size_t s) { sum += s; });
-  }
-  EXPECT_EQ(sum.load(), 50u * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
-}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(12345), b(12345);

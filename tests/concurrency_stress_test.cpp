@@ -1,5 +1,5 @@
 // Many-thread hammer for the concurrency surface behind the determinism
-// claim: TaskPool submit/drain, trials reading one shared graph, and
+// claim: SweepEngine's fork-join, trials reading one shared graph, and
 // parallel trace/metrics emission during a threaded SweepEngine run. The
 // assertions here are deliberately simple (conservation counts,
 // byte-identical results) — the real teeth are the TSan tier
@@ -15,7 +15,6 @@
 
 #include "common/rng.h"
 #include "common/sweep.h"
-#include "common/task_pool.h"
 #include "core/mw_protocol.h"
 #include "core/report.h"
 #include "geometry/deployment.h"
@@ -26,70 +25,63 @@
 namespace sinrcolor {
 namespace {
 
-// --- TaskPool: submit/drain hammer -----------------------------------------
+// --- SweepEngine: fork-join hammer ------------------------------------------
+//
+// Every sweep forks its threads and joins them before returning, so these
+// tests start at most 8 live threads at a time (the calling thread counts
+// toward an engine's width).
 
-TEST(TaskPoolStressTest, RepeatedJobsConserveEveryShard) {
-  common::TaskPool pool(8);
-  constexpr std::size_t kJobs = 200;
-  constexpr std::size_t kShards = 64;
+TEST(SweepEngineStressTest, RepeatedSweepsRunEveryTrialExactlyOnce) {
+  const common::SweepEngine engine(8);
+  constexpr std::size_t kSweeps = 200;
+  constexpr std::size_t kTrials = 64;
   std::atomic<std::uint64_t> total{0};
-  for (std::size_t job = 0; job < kJobs; ++job) {
-    std::vector<std::uint64_t> hits(kShards, 0);
-    pool.run_shards(kShards, [&](std::size_t s) {
-      hits[s] += 1;  // disjoint slots — race-free by construction
-      total.fetch_add(s + 1, std::memory_order_relaxed);
+  for (std::size_t sweep = 0; sweep < kSweeps; ++sweep) {
+    std::vector<std::uint64_t> hits(kTrials, 0);
+    engine.run(kTrials, sweep, [&](const common::TrialContext& ctx) {
+      hits[ctx.index] += 1;  // disjoint slots — race-free by construction
+      total.fetch_add(ctx.index + 1, std::memory_order_relaxed);
+      return 0;
     });
-    // The join in run_shards is the happens-before edge that lets the
-    // caller read every shard's slot without further synchronization.
-    for (std::size_t s = 0; s < kShards; ++s) {
-      ASSERT_EQ(hits[s], 1u) << "shard " << s << " ran " << hits[s]
-                             << " times in job " << job;
+    // The join in run is the happens-before edge that lets the caller read
+    // every trial's slot without further synchronization.
+    for (std::size_t i = 0; i < kTrials; ++i) {
+      ASSERT_EQ(hits[i], 1u) << "trial " << i << " ran " << hits[i]
+                             << " times in sweep " << sweep;
     }
   }
-  EXPECT_EQ(total.load(), kJobs * (kShards * (kShards + 1)) / 2);
+  EXPECT_EQ(total.load(), kSweeps * (kTrials * (kTrials + 1)) / 2);
 }
 
-TEST(TaskPoolStressTest, UnevenShardCountsDrainCompletely) {
-  common::TaskPool pool(4);
-  // Shard counts below, equal to, and far above the thread count, including
-  // the inline shards==1 fast path, back to back on one pool.
-  for (std::size_t shards : {1u, 3u, 4u, 5u, 64u, 257u}) {
+TEST(SweepEngineStressTest, UnevenTrialCountsDrainCompletely) {
+  const common::SweepEngine engine(4);
+  // Trial counts below, equal to, and far above the width, including the
+  // inline one-trial path, back to back on one engine.
+  for (std::size_t trials : {1u, 3u, 4u, 5u, 64u, 257u}) {
     std::atomic<std::uint64_t> ran{0};
-    pool.run_shards(shards, [&](std::size_t) {
+    engine.run(trials, 7, [&](const common::TrialContext&) {
       ran.fetch_add(1, std::memory_order_relaxed);
+      return 0;
     });
-    EXPECT_EQ(ran.load(), shards);
+    EXPECT_EQ(ran.load(), trials);
   }
 }
 
-TEST(TaskPoolStressTest, PoolConstructionTeardownChurn) {
-  // Start/stop storms: workers parked in worker_loop must see stop_ and
-  // exit cleanly even when the pool dies immediately or mid-traffic.
-  for (int round = 0; round < 40; ++round) {
-    common::TaskPool pool(8);
-    if (round % 2 == 0) continue;  // destroy without ever submitting
-    std::atomic<std::uint64_t> ran{0};
-    pool.run_shards(16, [&](std::size_t) {
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(ran.load(), 16u);
-  }
-}
-
-TEST(TaskPoolStressTest, ManyPoolsRunConcurrently) {
-  // run_shards is not reentrant per pool, but distinct pools must not
-  // interfere: drive four pools from four independent submitter threads.
+TEST(SweepEngineStressTest, ManyEnginesRunConcurrently) {
+  // Distinct engines must not interfere: four submitter threads each drive
+  // their own 2-wide engine at once.
   constexpr std::size_t kSubmitters = 4;
   std::vector<std::uint64_t> totals(kSubmitters, 0);
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
   for (std::size_t t = 0; t < kSubmitters; ++t) {
     submitters.emplace_back([&totals, t] {
-      common::TaskPool pool(3);
+      const common::SweepEngine engine(2);
       std::atomic<std::uint64_t> sum{0};
-      for (int job = 0; job < 50; ++job) {
-        pool.run_shards(32, [&](std::size_t s) {
-          sum.fetch_add(s, std::memory_order_relaxed);
+      for (int sweep = 0; sweep < 50; ++sweep) {
+        engine.run(32, t, [&](const common::TrialContext& ctx) {
+          sum.fetch_add(ctx.index, std::memory_order_relaxed);
+          return 0;
         });
       }
       totals[t] = sum.load();

@@ -22,6 +22,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_counter.h"
@@ -333,20 +334,70 @@ TEST(FieldEquivalence, FullFadingProtocolReportsMatch) {
 
 // --- simd kernel path (ResolveKind::kSimd) ---
 
+/// Replays expect_identical_deliveries' slots and counts the listener-slots
+/// within R_T of a jammer that no sender covers, and those a sender covers
+/// too, so a jammed equivalence check can show it reached both cases.
+std::pair<std::size_t, std::size_t> jammer_coverage(
+    const graph::UnitDiskGraph& g, std::span<const radio::Jammer> jammers,
+    std::size_t slots, std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<radio::TxRecord> txs;
+  std::vector<bool> listening;
+  std::size_t jammer_only = 0;
+  std::size_t with_sender = 0;
+  for (std::size_t t = 0; t < slots; ++t) {
+    random_slot(g, 0.25, rng, txs, listening);
+    for (graph::NodeId u = 0; u < g.size(); ++u) {
+      if (!listening[u]) continue;
+      const bool jammed = std::any_of(
+          jammers.begin(), jammers.end(), [&](const radio::Jammer& jam) {
+            return geometry::distance_sq(g.position(u), jam.position) <=
+                   g.radius() * g.radius();
+          });
+      if (!jammed) continue;
+      const auto nbrs = g.neighbors(u);
+      const bool sender = std::any_of(
+          nbrs.begin(), nbrs.end(),
+          [&](graph::NodeId v) { return !listening[v]; });
+      ++(sender ? with_sender : jammer_only);
+    }
+  }
+  return {jammer_only, with_sender};
+}
+
 TEST(SimdEquivalence, PlainSinrModelMatchesFieldAndNaiveAcrossSeeds) {
+  // The jammed input spreads jammers over a sparser deployment, so some
+  // listeners within R_T of a jammer have no sending neighbour and others
+  // have one: the engine must still fold every jammer into F(u) while
+  // covering only the senders' neighbourhoods.
+  const std::vector<radio::Jammer> jammers = {
+      {{1.5, 1.5}, 0.5, 0.0}, {{4.5, 1.5}, 0.5, 0.0},
+      {{1.5, 4.5}, 0.5, 0.0}, {{4.5, 4.5}, 0.5, 0.0}};
+  const radio::ChannelDisturbance jammed{1.0, jammers};
   for (std::uint64_t seed : {11u, 12u, 13u}) {
-    const auto g = random_graph(150, 4.0, seed);
-    const auto phys = phys_for_radius(g.radius());
-    const radio::SinrInterferenceModel naive(
-        g, phys, sinr::ResolveKind::kNaive);
-    const radio::SinrInterferenceModel field(
-        g, phys, sinr::ResolveKind::kField);
-    const radio::SinrInterferenceModel simd(
-        g, phys, sinr::ResolveKind::kSimd);
-    EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 100 + seed), 0u)
-        << "seed " << seed;
-    EXPECT_GT(expect_identical_deliveries(naive, simd, g, 24, 100 + seed), 0u)
-        << "seed " << seed;
+    for (const radio::ChannelDisturbance* disturbance :
+         {static_cast<const radio::ChannelDisturbance*>(nullptr), &jammed}) {
+      const double side = disturbance != nullptr ? 6.0 : 4.0;
+      const auto g = random_graph(150, side, seed);
+      const auto phys = phys_for_radius(g.radius());
+      radio::SinrInterferenceModel naive(g, phys, sinr::ResolveKind::kNaive);
+      radio::SinrInterferenceModel field(g, phys, sinr::ResolveKind::kField);
+      radio::SinrInterferenceModel simd(g, phys, sinr::ResolveKind::kSimd);
+      for (radio::SinrInterferenceModel* model : {&naive, &field, &simd}) {
+        model->set_disturbance(disturbance);
+      }
+      const char* input = disturbance != nullptr ? " jammed" : "";
+      EXPECT_GT(expect_identical_deliveries(field, simd, g, 24, 100 + seed), 0u)
+          << "seed " << seed << input;
+      EXPECT_GT(expect_identical_deliveries(naive, simd, g, 24, 100 + seed), 0u)
+          << "seed " << seed << input;
+      if (disturbance != nullptr) {
+        const auto [jammer_only, with_sender] =
+            jammer_coverage(g, jammers, 24, 100 + seed);
+        EXPECT_GT(jammer_only, 0u) << "seed " << seed;
+        EXPECT_GT(with_sender, 0u) << "seed " << seed;
+      }
+    }
   }
 }
 
@@ -420,7 +471,7 @@ TEST(SimdEquivalence, GraphMediumIgnoresResolveKind) {
 
 TEST(SimdEquivalence, FaultedRunWithDropWindowsMatchesField) {
   // Full fault plan — crashes, deafness, a periodic jammer (exercising the
-  // kernel's grid-coverage fallback and jammer weights), a noise window
+  // kernel's jammer weights in F(u)), a noise window
   // and delivery drop windows. Field and simd runs must serialize to the
   // same bytes: every fault answer is keyed on (plan, seed, slot, ids) and
   // every decode set is identical.

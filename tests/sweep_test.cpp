@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_counter.h"
@@ -72,11 +73,25 @@ TEST(SweepEngineTest, ResultsIndexedByTrial) {
 TEST(SweepEngineTest, ThreadCountNeverChangesResults) {
   common::SweepEngine serial(1);
   const auto expect = serial.run(33, 5, digest_trial);
-  for (std::size_t threads : {2u, 4u, 7u}) {
+  // 64 is wider than the sweep: only 33 trials' worth of threads start.
+  for (std::size_t threads : {2u, 4u, 7u, 64u}) {
     common::SweepEngine engine(threads);
     EXPECT_EQ(engine.run(33, 5, digest_trial), expect)
         << "results diverged at " << threads << " threads";
   }
+}
+
+TEST(SweepEngineTest, NarrowSweepsRunOnTheCallingThread) {
+  // Width 1, and a one-trial sweep at any width, fork nothing: every trial
+  // runs inline on the caller's thread.
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto on_caller = [caller](const common::TrialContext&) {
+    return std::this_thread::get_id() == caller ? 1 : 0;
+  };
+  const auto serial = common::SweepEngine(1).run(9, 1, on_caller);
+  EXPECT_EQ(serial, std::vector<int>(9, 1));
+  const auto single = common::SweepEngine(4).run(1, 1, on_caller);
+  EXPECT_EQ(single, std::vector<int>{1});
 }
 
 TEST(SweepEngineTest, TrialCountNeverChangesEarlierTrials) {

@@ -229,8 +229,7 @@ int cmd_params(const common::Cli& cli) {
 // count — wall time goes to stdout only.
 int cmd_color_trials(const common::Cli& cli, const graph::UnitDiskGraph& g,
                      const core::MwRunConfig& base_cfg, std::size_t trials) {
-  const auto threads =
-      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+  const std::size_t threads = common::sweep_threads(cli);
   const std::string json_path = cli.get("json", "");
   const bool quiet = cli.get_bool("quiet", false);
   cli.reject_unknown();
@@ -417,8 +416,7 @@ int cmd_sweep(const common::Cli& cli) {
       "n-list", "64,128,256", std::numeric_limits<graph::NodeId>::max());
   const auto trials =
       static_cast<std::size_t>(cli.get_int_at_least("trials", 4, 1));
-  const auto threads =
-      static_cast<std::size_t>(cli.get_int_at_least("threads", 1, 1));
+  const std::size_t threads = common::sweep_threads(cli);
   const double avg = cli.get_double_at_least("avg-degree", 10.0, 1e-9);
   const auto base_seed = cli.get_seed("seed", 1);
   const bool shared_topology = cli.get_bool("shared-topology", false);
