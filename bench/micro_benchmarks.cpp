@@ -172,6 +172,29 @@ void BM_FadeFactors(benchmark::State& state) {
 }
 BENCHMARK(BM_FadeFactors)->Arg(1)->Arg(4)->Arg(46);
 
+// The certified brackets of BM_FadeFactors' links: the row kernel's
+// log-normal pre-filter draws these instead of the exact fades.
+void BM_FadeBrackets(benchmark::State& state) {
+  const auto spec = bench_log_normal();
+  const auto size = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint32_t> others(size);
+  for (std::size_t k = 0; k < size; ++k) {
+    others[k] = static_cast<std::uint32_t>(3 * k + 1);
+  }
+  std::vector<double> lo(size);
+  std::vector<double> hi(size);
+  std::int64_t slot = 0;
+  for (auto _ : state) {
+    sinr::fade_brackets(spec, ++slot, 70, others, lo.data(), hi.data());
+    benchmark::DoNotOptimize(lo.data());
+    benchmark::DoNotOptimize(hi.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_FadeBrackets)->Arg(1)->Arg(4)->Arg(46);
+
 void BM_DeploymentGeneration(benchmark::State& state) {
   common::Rng rng(47);
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -41,8 +41,7 @@ int main(int argc, char** argv) {
       cli.get_probability("tx-prob", 0.25, /*allow_one=*/true);
   const auto slots =
       static_cast<std::size_t>(cli.get_int_at_least("slots", 40, 1));
-  const auto reps =
-      static_cast<std::size_t>(cli.get_int_at_least("reps", 3, 1));
+  const std::size_t reps = common::sweep_trials(cli, "reps", 3);
   const auto seed = cli.get_seed("seed", 1);
   const std::size_t threads = common::sweep_threads(cli);
   bench::MetricsSidecar sidecar(cli);

@@ -172,8 +172,7 @@ int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   const auto n = static_cast<std::size_t>(cli.get_int_at_least("n", 60, 2));
   const double avg = cli.get_double_at_least("avg-degree", 12.0, 1.0);
-  const auto seeds =
-      static_cast<std::size_t>(cli.get_int_at_least("seeds", 2, 1));
+  const std::size_t seeds = common::sweep_trials(cli, "seeds", 2);
   const auto base_seed = cli.get_seed("seed", 19);
   const std::string csv_path = cli.get("csv", "");
   const std::string chaos_path = cli.get("chaos-out", "");

@@ -49,8 +49,7 @@ int main(int argc, char** argv) {
   const common::Cli cli(argc, argv);
   const bool full = cli.get_bool("full", false);
   const double avg = cli.get_double_at_least("avg-degree", 10.0, 1e-9);
-  const auto seeds =
-      static_cast<std::size_t>(cli.get_int_at_least("seeds", 2, 1));
+  const std::size_t seeds = common::sweep_trials(cli, "seeds", 2);
   const auto base_seed = cli.get_seed("seed", 2);
   const std::string csv_path = cli.get("csv", "");
   const std::string bench_path = cli.get("sweep-bench-out", "");

@@ -51,6 +51,12 @@ std::size_t sweep_threads(const Cli& cli) {
       cli.get_int_in_range("threads", 1, 1, kMaxSweepThreads));
 }
 
+std::size_t sweep_trials(const Cli& cli, const std::string& name,
+                         std::int64_t default_value) {
+  return static_cast<std::size_t>(
+      cli.get_int_in_range(name, default_value, 1, kMaxSweepTrials));
+}
+
 SweepEngine::SweepEngine(std::size_t threads)
     : threads_(std::max<std::size_t>(threads, 1)) {}
 

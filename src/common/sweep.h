@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -51,6 +52,17 @@ inline constexpr std::int64_t kMaxSweepThreads = 256;
 /// `--threads` reader of every front end. Results are byte-identical for
 /// every value; only wall time changes.
 std::size_t sweep_threads(const Cli& cli);
+
+/// The most trials a front end sweeps: SweepEngine::run sizes its result
+/// and timing vectors to the count before the first trial, so an unbounded
+/// count would abort on std::bad_alloc instead of failing as a usage error.
+inline constexpr std::int64_t kMaxSweepTrials = 100'000;
+
+/// Reads a trial count (`--trials`, `--seeds`, `--reps`: `name`), default
+/// `default_value`, and exits with a usage error unless
+/// 1 ≤ N ≤ kMaxSweepTrials. The one reader of every count a sweep sizes.
+std::size_t sweep_trials(const Cli& cli, const std::string& name,
+                         std::int64_t default_value);
 
 /// Independent child seed for trial `trial_index` of a sweep rooted at
 /// `base_seed`. Domain-separated from derive_seed(seed, node) — a trial

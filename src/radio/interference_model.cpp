@@ -18,16 +18,22 @@ using Row = SinrInterferenceModel::Row;
 /// w = `weight`, or `weight`·g[k] with the row's fades g when kFaded. Each
 /// acc[k] gains exactly the term the per-pair loop adds for its listener,
 /// with the same expression (`distance_sq(listener, tx)`, then δ^α through
-/// the profile's pow_alpha_from_sq twin). The body is branch-free, so the
-/// loop vectorizes across the row. Returns the pass's smallest δ²: a zero
-/// is a transmitter sitting on a listener.
-template <sinr::AlphaProfile P, bool kFaded>
+/// the profile's pow_alpha_from_sq twin). kBracketed is the pre-filter's
+/// pass: the gain column holds lower fades, and `acc_hi` also gains the
+/// term for the upper fades (gain_hi), with the same expression and δ^α,
+/// so each exact term lies between the two; an unfaded term (a jammer's)
+/// goes into both. The body is branch-free, so the loop vectorizes across
+/// the row. Returns the pass's smallest δ²: a zero is a transmitter
+/// sitting on a listener.
+template <sinr::AlphaProfile P, bool kFaded, bool kBracketed = false>
 double add_row_pass(const Row& row, std::size_t count,
                     const geometry::Point& tx, double weight,
-                    double half_alpha, double* acc) {
+                    double half_alpha, double* acc,
+                    double* acc_hi = nullptr) {
   const double* x = row.x.data();
   const double* y = row.y.data();
   const double* gain = row.gain.data();
+  const double* gain_hi = row.gain_hi.data();
   double nearest = std::numeric_limits<double>::infinity();
 #pragma omp simd reduction(min : nearest)
   for (std::size_t k = 0; k < count; ++k) {
@@ -35,8 +41,11 @@ double add_row_pass(const Row& row, std::size_t count,
     const double dy = y[k] - tx.y;
     const double d_sq = dx * dx + dy * dy;
     nearest = std::min(nearest, d_sq);
-    const double w = kFaded ? weight * gain[k] : weight;
-    acc[k] += w / sinr::pow_alpha_profiled<P>(d_sq, half_alpha);
+    const double path = sinr::pow_alpha_profiled<P>(d_sq, half_alpha);
+    acc[k] += (kFaded ? weight * gain[k] : weight) / path;
+    if constexpr (kBracketed) {
+      acc_hi[k] += (kFaded ? weight * gain_hi[k] : weight) / path;
+    }
   }
   return nearest;
 }
@@ -52,11 +61,16 @@ double threshold_of(const sinr::SinrParams& phys, double interference) {
 /// returns the new row length. Exact: the remaining terms are non-negative,
 /// a floating-point sum of non-negative terms never decreases, and
 /// fl(β·(N + x)) is monotone in x, so a listener dropped here fails the
-/// final test too.
+/// final test too. kBracketed tests the pre-filter's upper signal against
+/// its lower partial sum instead (a certified fail, since the exact values
+/// lie between the bounds) and keeps the upper columns in step.
+template <bool kBracketed>
 std::size_t keep_decodable(Row& row, std::size_t count,
                            const sinr::SinrParams& phys) {
+  const double* signal =
+      kBracketed ? row.signal_hi.data() : row.signal.data();
   const auto passes = [&](std::size_t k) {
-    return row.signal[k] >= threshold_of(phys, row.interference[k]);
+    return signal[k] >= threshold_of(phys, row.interference[k]);
   };
   // Most passes drop nobody: scan before moving anything.
   std::size_t kept = 0;
@@ -68,6 +82,10 @@ std::size_t keep_decodable(Row& row, std::size_t count,
     row.y[kept] = row.y[k];
     row.signal[kept] = row.signal[k];
     row.interference[kept] = row.interference[k];
+    if constexpr (kBracketed) {
+      row.signal_hi[kept] = row.signal_hi[k];
+      row.interference_hi[kept] = row.interference_hi[k];
+    }
     ++kept;
   }
   return kept;
@@ -80,13 +98,26 @@ std::size_t keep_decodable(Row& row, std::size_t count,
 /// the rest. Every (i, u) pair therefore sums the same terms in the same
 /// order, from 0.0, as the per-pair loop, and the s ≥ β·(N + I) test the
 /// field engine applies decides it. O(T²·Δ) terms per slot; decodes land in
-/// sender-major order. Under fading each real pass draws the row's fades
-/// in one batch, and a listener leaves the row as soon as its signal fails
-/// the test against its partial sum (keep_decodable).
+/// sender-major order, ascending listener within a row. Under fading each
+/// real pass draws the row's fades in one batch, and a listener leaves the
+/// row as soon as its signal fails the test against its partial sum
+/// (keep_decodable).
+///
+/// `bracketed` (log-normal fading, no margin histogram) puts a pre-filter
+/// ahead of those exact passes. It runs the same passes with certified fade
+/// brackets (sinr::fade_brackets), summing lower and upper bounds of every
+/// term; fl(a + b), fl(a·b) and fl(a/b) for b > 0 are monotone in each
+/// argument, so the bounds hold the exact sums between them. A listener
+/// whose upper signal fails against its lower partial sum leaves the row (a
+/// certified fail); after the last pass, one whose lower signal clears β·(N
+/// + upper interference) decodes (a certified decode). Only the rest, 0.25%
+/// of fading_sync's row listeners, run the exact passes, and every
+/// decision is the exact kernel's, bit for bit (docs/KERNELS.md "Bracketed
+/// fades").
 template <sinr::AlphaProfile P>
 void naive_decodes(const graph::UnitDiskGraph& graph,
                    const sinr::SinrParams& phys, double base_power,
-                   const sinr::FadingSpec& fading, Slot slot,
+                   const sinr::FadingSpec& fading, bool bracketed, Slot slot,
                    std::span<const TxRecord> transmissions,
                    std::span<const Jammer> jammers,
                    std::span<const std::uint8_t> listening, Row& row,
@@ -94,6 +125,7 @@ void naive_decodes(const graph::UnitDiskGraph& graph,
   decodes.clear();
   const double half_alpha = phys.alpha / 2.0;
   const bool faded = fading.enabled();
+  const std::size_t passes = transmissions.size() + jammers.size();
   for (std::size_t i = 0; i < transmissions.size(); ++i) {
     std::size_t count = 0;
     for (graph::NodeId u : graph.neighbors(transmissions[i].sender)) {
@@ -104,52 +136,113 @@ void naive_decodes(const graph::UnitDiskGraph& graph,
       ++count;
     }
     if (count == 0) continue;
+    const auto tx = static_cast<std::uint32_t>(i);
+    const std::span<const std::uint32_t> ids(row.id.data(), count);
+    // The row's passes in the per-pair loop's order: transmitter i's signal
+    // pass, then every j ≠ i ascending, jammers last, while any listener
+    // is left. pass(j, signal) runs one of them.
+    const auto run_passes = [&](const auto& pass) {
+      pass(i, true);
+      for (std::size_t j = 0; j < passes && count > 0; ++j) {
+        if (j != i) pass(j, false);
+      }
+    };
+    // A real transmitter's gain is its fade, drawn for the whole row in
+    // one batch, and exactly 1 without fading (P·1 = P). A jammer's gain
+    // is its power over the medium's base power (P·g = jammer power); it
+    // rides unfaded, having no node id to key a draw
+    // (docs/ROBUSTNESS.md). Every pass checks that no transmitter sits on
+    // a listener, as the per-pair loop checks every term. A listener that
+    // left its row early skips that check for its remaining terms. A real
+    // transmitter on a listening node still aborts, since that node is in
+    // its own row, whose first pass is its signal pass, and jammers are
+    // kept off node positions before any run (FaultPlan::validate,
+    // FaultEngine::install).
+    const auto check_nearest = [](double nearest) {
+      SINRCOLOR_CHECK_MSG(nearest > 0.0, "transmitter coincides with listener");
+    };
+    const auto jammer_weight = [&](const Jammer& jam) {
+      return phys.power * (jam.power / base_power);
+    };
+    const std::size_t row_decodes = decodes.size();
+    if (bracketed) {
+      for (auto* column : {&row.signal, &row.interference, &row.signal_hi,
+                           &row.interference_hi}) {
+        std::fill_n(column->data(), count, 0.0);
+      }
+      run_passes([&](std::size_t j, bool signal) {
+        double* lo = signal ? row.signal.data() : row.interference.data();
+        double* hi =
+            signal ? row.signal_hi.data() : row.interference_hi.data();
+        if (j >= transmissions.size()) {
+          const Jammer& jam = jammers[j - transmissions.size()];
+          check_nearest(add_row_pass<P, false, true>(
+              row, count, jam.position, jammer_weight(jam), half_alpha, lo,
+              hi));
+        } else {
+          const graph::NodeId sender = transmissions[j].sender;
+          sinr::fade_brackets(fading, slot, sender, ids.first(count),
+                              row.gain.data(), row.gain_hi.data());
+          check_nearest(add_row_pass<P, true, true>(
+              row, count, graph.position(sender), phys.power, half_alpha, lo,
+              hi));
+        }
+        count = keep_decodable<true>(row, count, phys);
+      });
+      // Certified decodes go out now, in row order; the undecided rest
+      // moves to the front of the row for the exact passes.
+      std::size_t undecided = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        const double threshold = threshold_of(phys, row.interference_hi[k]);
+        if (row.signal[k] >= threshold) {
+          decodes.push_back({row.id[k], tx, row.signal[k] / threshold});
+          continue;
+        }
+        row.id[undecided] = row.id[k];
+        row.x[undecided] = row.x[k];
+        row.y[undecided] = row.y[k];
+        ++undecided;
+      }
+      count = undecided;
+      if (count == 0) continue;
+    }
+    const std::size_t exact_decodes = decodes.size();
     std::fill_n(row.signal.data(), count, 0.0);
     std::fill_n(row.interference.data(), count, 0.0);
-    // One pass of transmitter j (real ones first, then jammers) into `acc`.
-    // A real transmitter's gain is its fade, drawn for the whole row in one
-    // batch, and exactly 1 without fading (P·1 = P). A jammer's gain is its
-    // power over the medium's base power (P·g = jammer power); it rides
-    // unfaded, having no node id to key a draw (docs/ROBUSTNESS.md).
-    // Every pass checks that no transmitter sits on a listener, as the
-    // per-pair loop checks every term. A listener that left its row early
-    // skips that check for its remaining terms. A real transmitter on a
-    // listening node still aborts, since that node is in its own row, and
-    // jammers are kept off node positions before any run
-    // (FaultPlan::validate, FaultEngine::install).
-    const auto pass = [&](std::size_t j, double* acc) {
-      double nearest;
+    run_passes([&](std::size_t j, bool signal) {
+      double* acc = signal ? row.signal.data() : row.interference.data();
       if (j >= transmissions.size()) {
         const Jammer& jam = jammers[j - transmissions.size()];
-        nearest = add_row_pass<P, false>(row, count, jam.position,
-                                         phys.power * (jam.power / base_power),
-                                         half_alpha, acc);
+        check_nearest(add_row_pass<P, false>(row, count, jam.position,
+                                             jammer_weight(jam), half_alpha,
+                                             acc));
       } else if (!faded) {
-        nearest = add_row_pass<P, false>(
+        check_nearest(add_row_pass<P, false>(
             row, count, graph.position(transmissions[j].sender), phys.power,
-            half_alpha, acc);
+            half_alpha, acc));
       } else {
         const graph::NodeId sender = transmissions[j].sender;
-        sinr::fade_factors(fading, slot, sender,
-                           std::span<const std::uint32_t>(row.id.data(), count),
+        sinr::fade_factors(fading, slot, sender, ids.first(count),
                            row.gain.data());
-        nearest = add_row_pass<P, true>(row, count, graph.position(sender),
-                                        phys.power, half_alpha, acc);
+        check_nearest(add_row_pass<P, true>(row, count, graph.position(sender),
+                                            phys.power, half_alpha, acc));
       }
-      SINRCOLOR_CHECK_MSG(nearest > 0.0, "transmitter coincides with listener");
-      if (faded) count = keep_decodable(row, count, phys);
-    };
-    pass(i, row.signal.data());
-    const std::size_t passes = transmissions.size() + jammers.size();
-    for (std::size_t j = 0; j < passes && count > 0; ++j) {
-      if (j != i) pass(j, row.interference.data());
-    }
+      if (faded) count = keep_decodable<false>(row, count, phys);
+    });
     for (std::size_t k = 0; k < count; ++k) {
       const double threshold = threshold_of(phys, row.interference[k]);
       if (row.signal[k] >= threshold) {
-        decodes.push_back({row.id[k], static_cast<std::uint32_t>(i),
-                           row.signal[k] / threshold});
+        decodes.push_back({row.id[k], tx, row.signal[k] / threshold});
       }
+    }
+    // The row's certified and exact decodes are each in ascending listener
+    // order; merge them (the exact ones are few) so the row's decodes are
+    // too, as without the pre-filter.
+    if (exact_decodes > row_decodes && decodes.size() > exact_decodes) {
+      std::sort(decodes.begin() + static_cast<std::ptrdiff_t>(row_decodes),
+                decodes.end(), [](const auto& a, const auto& b) {
+                  return a.listener < b.listener;
+                });
     }
   }
 }
@@ -174,7 +267,8 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
   check_radius_matches_phys(graph_, params_);
   if (kind_ == sinr::ResolveKind::kNaive) {
     // A row holds one transmitter's listening neighbours: at most Δ.
-    row_.resize(graph_.max_degree());
+    row_.resize(graph_.max_degree(),
+                fading_.kind == sinr::FadingKind::kLogNormal);
   } else {
     // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
     // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency).
@@ -185,18 +279,26 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
   decodes_.reserve(graph_.size());
 }
 
-void SinrInterferenceModel::Row::resize(std::size_t capacity) {
+void SinrInterferenceModel::Row::resize(std::size_t capacity,
+                                        bool bracketed) {
   for (auto* column : {&x, &y, &signal, &interference, &gain}) {
     column->resize(capacity);
+  }
+  if (bracketed) {
+    for (auto* column : {&signal_hi, &interference_hi, &gain_hi}) {
+      column->resize(capacity);
+    }
   }
   id.resize(capacity);
 }
 
 std::size_t SinrInterferenceModel::Row::memory_bytes() const {
-  return id.capacity() * sizeof(std::uint32_t) +
-         (x.capacity() + y.capacity() + signal.capacity() +
-          interference.capacity() + gain.capacity()) *
-             sizeof(double);
+  std::size_t doubles = 0;
+  for (const auto* column : {&x, &y, &signal, &interference, &gain,
+                             &signal_hi, &interference_hi, &gain_hi}) {
+    doubles += column->capacity();
+  }
+  return id.capacity() * sizeof(std::uint32_t) + doubles * sizeof(double);
 }
 
 void InterferenceModel::resolve(
@@ -238,6 +340,10 @@ void SinrInterferenceModel::resolve(Slot slot,
   }
   if (kind_ == sinr::ResolveKind::kNaive) {
     SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
+    // Margins of bracket-certified decodes are bounds, so an attached
+    // histogram runs the exact passes alone.
+    const bool bracketed = fading_.kind == sinr::FadingKind::kLogNormal &&
+                           margin_histogram_ == nullptr;
     // One instantiation per α profile, picked once per resolve (the
     // engine's field_kernel_for idiom).
     using sinr::AlphaProfile;
@@ -247,8 +353,8 @@ void SinrInterferenceModel::resolve(Slot slot,
          &naive_decodes<AlphaProfile::kSextic>,
          &naive_decodes<AlphaProfile::kGeneral>};
     kKernels[static_cast<std::size_t>(sinr::classify_alpha(phys.alpha))](
-        graph_, phys, params_.power, fading_, slot, transmissions, jammers,
-        listening, row_, decodes_);
+        graph_, phys, params_.power, fading_, bracketed, slot, transmissions,
+        jammers, listening, row_, decodes_);
   } else {
     txs_.clear();
     for (const auto& t : transmissions) {

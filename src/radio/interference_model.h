@@ -25,7 +25,14 @@
 //            fading a pass draws the row's fades in one sinr::fade_factors
 //            batch and drops the listeners whose signal already fails the
 //            test; that is exact, because the interference sum never
-//            decreases (docs/KERNELS.md "Row kernel").
+//            decreases (docs/KERNELS.md "Row kernel"). Under log-normal
+//            fading, unless a margin histogram is attached, a pre-filter
+//            first runs the same passes on certified fade brackets
+//            (sinr::fade_brackets) and settles almost every listener from
+//            the bounds alone; only the undecided rest runs the exact
+//            passes. Rounding is monotone, so a settled listener gets the
+//            exact decision and the reception list is unchanged
+//            (docs/KERNELS.md "Bracketed fades").
 //   kField, kSimd — the shared interference-field engine
 //            (sinr/field_engine.h): F(u) is summed once per covered
 //            listener and every candidate resolves in O(1) against
@@ -93,7 +100,10 @@ class InterferenceModel {
   /// Attaches a histogram that receives the SINR margin (achieved SINR
   /// divided by β) of every successful decode of the SINR medium, under
   /// every resolve path. Models without a physical layer
-  /// (GraphInterferenceModel) record nothing. Null detaches.
+  /// (GraphInterferenceModel) record nothing. Null detaches. An attached
+  /// histogram turns off the naive kernel's log-normal pre-filter, whose
+  /// decodes know their margin only as a bound, so every recorded margin
+  /// is exact.
   void set_margin_histogram(obs::Histogram* histogram) {
     margin_histogram_ = histogram;
   }
@@ -168,8 +178,11 @@ class SinrInterferenceModel final : public InterferenceModel {
 
   /// The naive kernel's row: one transmitter's listening UDG neighbours in
   /// ascending id order (SoA), each with its signal and running
-  /// interference, plus the fades of the current pass. Sized to Δ at
-  /// construction, since a row never outgrows its transmitter's degree.
+  /// interference, plus the fades of the current pass. Under log-normal
+  /// fading the pre-filter keeps lower bounds in signal, interference and
+  /// gain, and the upper bounds in the three *_hi columns, which other
+  /// media leave empty. Sized to Δ at construction, since a row never
+  /// outgrows its transmitter's degree.
   struct Row {
     std::vector<std::uint32_t> id;
     std::vector<double> x;
@@ -177,8 +190,11 @@ class SinrInterferenceModel final : public InterferenceModel {
     std::vector<double> signal;
     std::vector<double> interference;
     std::vector<double> gain;
+    std::vector<double> signal_hi;
+    std::vector<double> interference_hi;
+    std::vector<double> gain_hi;
 
-    void resize(std::size_t capacity);
+    void resize(std::size_t capacity, bool bracketed);
     std::size_t memory_bytes() const;
   };
 

@@ -67,4 +67,42 @@ void fade_factors(const FadingSpec& spec, std::int64_t slot,
 /// calls; larger than any medium row at the benchmark densities (Δ ≤ 82).
 inline constexpr std::size_t kFadeChunk = 128;
 
+/// Certified brackets of one endpoint's log-normal fades: for every k,
+/// lo[k] ≤ fade_factor(spec, slot, fixed, others[k]) ≤ hi[k]. Each link
+/// draws its two uniforms from the hash chain fade_factors uses, and
+/// takes r = √(−2·log u1) from the exact fade's own expression. Only the
+/// two costly calls are bracketed: cos(2π·u2) by the endpoint values of
+/// u2's cell in a 4096-cell table of cos over one turn, and 10^(σ·r·c/10)
+/// = 2^y by 2^(⌊64·y⌋/64) below and 2^(⌈64·y⌉/64) above, from a table of
+/// 2^(i/64) and an exact power of two. Both bounds are then widened by a
+/// relative 1e-9, which absorbs libm's ≤ 1 ulp errors and the rounding
+/// differences of the two evaluations, each under 1e-11 relative
+/// (docs/KERNELS.md "Bracketed fades"). A link whose |y| exceeds 1000
+/// (σ in the hundreds) gets [0, +∞]. Elsewhere both bounds are finite and
+/// positive, and hi/lo ≤ 2^(1/32 + σ·r·log2(10)/10 · 2π/4096), below 1.05
+/// for σ ≤ 12 unless u1 < 1.3·10^-9. The tables (about 33 KB) are built
+/// once per process, on the first call. `lo` and `hi` must hold
+/// others.size() elements. `spec` must be log-normal and pass violation().
+void fade_brackets(const FadingSpec& spec, std::int64_t slot,
+                   std::uint32_t fixed, std::span<const std::uint32_t> others,
+                   double* lo, double* hi);
+
+namespace detail {
+
+/// A certified interval around one fade.
+struct FadeBracket {
+  double lo;
+  double hi;
+};
+
+/// The log-normal gain of a link from its two uniforms in (0, 1]: the
+/// expression fade_factor evaluates. Exposed with the bracket below so
+/// tests can feed edge uniforms the hash chain seldom draws.
+double log_normal_gain(double sigma_db, double u1, double u2);
+
+/// The bracket fade_brackets computes for a link with these uniforms.
+FadeBracket log_normal_bracket(double sigma_db, double u1, double u2);
+
+}  // namespace detail
+
 }  // namespace sinrcolor::sinr

@@ -254,7 +254,11 @@ class FieldEngine {
   struct Decode {
     std::uint32_t listener;
     std::uint32_t tx;    ///< index into the transmitter span
-    double margin;       ///< achieved SINR over β
+    /// Achieved SINR over β, exact whenever a margin histogram reads it
+    /// (radio::InterferenceModel::set_margin_histogram). Without one, a
+    /// decode the naive kernel certified from fade brackets carries a
+    /// lower bound on it, still ≥ 1.
+    double margin;
   };
 
   /// Pre-sizes every scratch buffer to its structural bound (`nodes`

@@ -2,6 +2,7 @@
 // medium, the TDMA audit, and the coloring protocol.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -115,10 +116,12 @@ TEST(FadingDeathTest, MediumRejectsAnInfiniteSigmaOnce) {
                "sigma_db must be finite");
 }
 
-/// The batch against the scalar reference, bit for bit, for one spec: every
-/// batch size 0–9, one Δ-sized batch and one that spans several log-normal
-/// chunks, with endpoint ids below, equal to and above the fixed endpoint.
-void expect_batch_matches_scalar(const sinr::FadingSpec& spec) {
+/// Calls check(slot, fixed, others) on FadeBatch's inputs for one spec:
+/// every batch size 0–9, one Δ-sized batch and one that spans several
+/// log-normal chunks, with endpoint ids below, equal to and above the fixed
+/// endpoint.
+template <typename Check>
+void for_each_batch(const sinr::FadingSpec& spec, const Check& check) {
   common::Rng rng(spec.seed ^ static_cast<std::uint64_t>(spec.kind));
   const std::uint32_t fixed = 500;
   std::vector<std::size_t> sizes = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 46,
@@ -134,18 +137,27 @@ void expect_batch_matches_scalar(const sinr::FadingSpec& spec) {
         others[0] = fixed - 1;
         others[1] = fixed + 1;
       }
-      std::vector<double> batch(size + 1, -1.0);
-      sinr::fade_factors(spec, slot, fixed, others, batch.data());
-      for (std::size_t k = 0; k < size; ++k) {
-        const double scalar = sinr::fade_factor(spec, slot, fixed, others[k]);
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k]),
-                  std::bit_cast<std::uint64_t>(scalar))
-            << "size " << size << " slot " << slot << " k " << k << ": "
-            << batch[k] << " vs " << scalar;
-      }
-      EXPECT_EQ(batch[size], -1.0) << "wrote past the batch, size " << size;
+      check(slot, fixed, others);
     }
   }
+}
+
+/// The batch against the scalar reference, bit for bit, for one spec.
+void expect_batch_matches_scalar(const sinr::FadingSpec& spec) {
+  for_each_batch(spec, [&](std::int64_t slot, std::uint32_t fixed,
+                           const std::vector<std::uint32_t>& others) {
+    const std::size_t size = others.size();
+    std::vector<double> batch(size + 1, -1.0);
+    sinr::fade_factors(spec, slot, fixed, others, batch.data());
+    for (std::size_t k = 0; k < size; ++k) {
+      const double scalar = sinr::fade_factor(spec, slot, fixed, others[k]);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch[k]),
+                std::bit_cast<std::uint64_t>(scalar))
+          << "size " << size << " slot " << slot << " k " << k << ": "
+          << batch[k] << " vs " << scalar;
+    }
+    EXPECT_EQ(batch[size], -1.0) << "wrote past the batch, size " << size;
+  });
 }
 
 TEST(FadeBatch, MatchesTheScalarReferenceBitForBit) {
@@ -161,6 +173,101 @@ TEST(FadeBatch, MatchesTheScalarReferenceBitForBit) {
       spec.sigma_db = sigma;
       expect_batch_matches_scalar(spec);
     }
+  }
+}
+
+/// Brackets one batch and checks lo ≤ fade_factor ≤ hi, both finite, for
+/// every link; returns the largest hi/lo.
+double expect_brackets_contain(const sinr::FadingSpec& spec,
+                               std::int64_t slot, std::uint32_t fixed,
+                               const std::vector<std::uint32_t>& others) {
+  const std::size_t size = others.size();
+  std::vector<double> lo(size + 1, -1.0);
+  std::vector<double> hi(size + 1, -1.0);
+  sinr::fade_brackets(spec, slot, fixed, others, lo.data(), hi.data());
+  double widest = 1.0;
+  for (std::size_t k = 0; k < size; ++k) {
+    const double exact = sinr::fade_factor(spec, slot, fixed, others[k]);
+    EXPECT_TRUE(std::isfinite(lo[k]) && std::isfinite(hi[k]) &&
+                lo[k] <= exact && exact <= hi[k])
+        << "sigma " << spec.sigma_db << " slot " << slot << " link (" << fixed
+        << ", " << others[k] << "): " << exact << " not in [" << lo[k]
+        << ", " << hi[k] << "]";
+    widest = std::max(widest, hi[k] / lo[k]);
+  }
+  EXPECT_EQ(lo[size], -1.0) << "wrote past the batch, size " << size;
+  EXPECT_EQ(hi[size], -1.0) << "wrote past the batch, size " << size;
+  return widest;
+}
+
+TEST(FadeBatch, BracketsContainTheExactFade) {
+  sinr::FadingSpec spec;
+  spec.kind = sinr::FadingKind::kLogNormal;
+  // FadeBatch's own inputs.
+  for (const bool frozen : {false, true}) {
+    spec.static_per_link = frozen;
+    for (const double sigma : {0.0, 6.0, 12.0}) {
+      spec.sigma_db = sigma;
+      for_each_batch(spec, [&](std::int64_t slot, std::uint32_t fixed,
+                               const std::vector<std::uint32_t>& others) {
+        expect_brackets_contain(spec, slot, fixed, others);
+      });
+    }
+  }
+  // 10^6 random links per σ, in Δ-sized batches. Up to σ = 12 a bracket
+  // stays within 5% (docs/KERNELS.md "Bracketed fades").
+  spec.static_per_link = false;
+  common::Rng rng(2024);
+  for (const double sigma : {0.5, 6.0, 12.0, 30.0}) {
+    spec.sigma_db = sigma;
+    double widest = 1.0;
+    std::vector<std::uint32_t> others(50);
+    for (int batch = 0; batch < 20000; ++batch) {
+      const auto slot = static_cast<std::int64_t>(rng.uniform_int(0, 1 << 30));
+      const auto fixed =
+          static_cast<std::uint32_t>(rng.uniform_int(0, 1'000'000));
+      for (std::uint32_t& id : others) {
+        id = static_cast<std::uint32_t>(rng.uniform_int(0, 1'000'000));
+      }
+      widest =
+          std::max(widest, expect_brackets_contain(spec, slot, fixed, others));
+    }
+    if (sigma <= 12.0) {
+      EXPECT_LT(widest, 1.05) << "sigma " << sigma;
+    }
+  }
+  // Edge uniforms, fed to the per-link helpers: u = 2^-54 is the hash
+  // chain's smallest draw and 1.0 its largest (the top draws round up). u2
+  // also takes the turning points of cos and both neighbours of cell edges.
+  std::vector<double> u2s = {0x1.0p-54, 0.25, 0.5, 0.75, 1.0};
+  for (const double cell : {1.0, 1023.0, 1024.0, 1025.0, 2047.0, 2048.0,
+                            3072.0, 4095.0}) {
+    const double edge = cell / 4096.0;
+    u2s.push_back(std::nextafter(edge, 0.0));
+    u2s.push_back(edge);
+    u2s.push_back(std::nextafter(edge, 2.0));
+  }
+  for (const double sigma : {0.0, 0.5, 6.0, 12.0, 30.0, 300.0}) {
+    for (const double u1 : {0x1.0p-54, 1e-9, 0.5, 1.0}) {
+      for (const double u2 : u2s) {
+        const double exact = sinr::detail::log_normal_gain(sigma, u1, u2);
+        const auto [lo, hi] = sinr::detail::log_normal_bracket(sigma, u1, u2);
+        EXPECT_TRUE(std::isfinite(lo) && std::isfinite(hi) && lo > 0.0 &&
+                    lo <= exact && exact <= hi)
+            << "sigma " << sigma << " u1 " << u1 << " u2 " << u2 << ": "
+            << exact << " not in [" << lo << ", " << hi << "]";
+      }
+    }
+  }
+  // An exponent beyond the tables' range brackets the fade by [0, +inf]:
+  // at σ = 400 the deepest draw gives 10^(±346), or 0 and +inf exactly.
+  const double deepest = 0x1.0p-54;
+  for (const double u2 : {0x1.0p-54, 0.5}) {
+    const double exact = sinr::detail::log_normal_gain(400.0, deepest, u2);
+    const auto [lo, hi] = sinr::detail::log_normal_bracket(400.0, deepest, u2);
+    EXPECT_EQ(lo, 0.0) << u2;
+    EXPECT_EQ(hi, std::numeric_limits<double>::infinity()) << u2;
+    EXPECT_TRUE(lo <= exact && exact <= hi) << exact;
   }
 }
 

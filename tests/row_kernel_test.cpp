@@ -7,7 +7,10 @@
 // transmitter, batches the row's fades and drops a listener early under
 // fading, so the suite compares the full reception list (listener, tx), in
 // order, and the radio.sinr_margin histogram's counts and sum, whose bits
-// depend on every margin and on the order they were recorded in.
+// depend on every margin and on the order they were recorded in. Every
+// channel runs twice: observed (histogram attached, exact passes only) and
+// unobserved, where a log-normal channel settles most listeners from
+// certified fade brackets first.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -102,21 +105,26 @@ struct Channel {
 };
 
 /// Resolves `slots` random slots (each node transmits w.p. `tx_prob`, the
-/// rest listen) through the kNaive medium and the oracle. The reception
-/// lists must agree entry by entry, and the margin histograms in every
-/// bucket and in the bits of their sums. Returns the number of receptions.
+/// rest listen) through two kNaive media and the oracle: one observed by a
+/// margin histogram, one not, which under log-normal fading runs the
+/// bracket pre-filter. Both reception lists must agree with the oracle
+/// entry by entry, and the observed margin histogram in every bucket and in
+/// the bits of its sum. Returns the number of receptions.
 std::size_t expect_matches_oracle(const graph::UnitDiskGraph& g,
                                   const Channel& channel, double tx_prob,
                                   std::size_t slots, std::uint64_t seed) {
   sinr::SinrParams base;
   base.alpha = channel.alpha;
   const sinr::SinrParams phys = base.with_r_t(g.radius());
-  radio::SinrInterferenceModel medium(g, phys, channel.fading,
-                                      sinr::ResolveKind::kNaive);
-  medium.set_disturbance(channel.disturbance);
+  radio::SinrInterferenceModel observed(g, phys, channel.fading,
+                                        sinr::ResolveKind::kNaive);
+  radio::SinrInterferenceModel unobserved(g, phys, channel.fading,
+                                          sinr::ResolveKind::kNaive);
+  observed.set_disturbance(channel.disturbance);
+  unobserved.set_disturbance(channel.disturbance);
   obs::Histogram medium_margins(kMarginEdges);
   obs::Histogram oracle_margins(kMarginEdges);
-  medium.set_margin_histogram(&medium_margins);
+  observed.set_margin_histogram(&medium_margins);
 
   common::Rng rng(seed);
   std::vector<radio::TxRecord> txs;
@@ -134,18 +142,22 @@ std::size_t expect_matches_oracle(const graph::UnitDiskGraph& g,
       txs.push_back({v, m});
       listening[v] = 0;
     }
-    medium.resolve(slot, txs, listening, receptions);
     const auto oracle = per_pair_oracle(g, phys, channel.fading, slot, txs,
                                         listening, channel.disturbance);
-    EXPECT_EQ(receptions.size(), oracle.size()) << "slot " << t;
-    for (std::size_t k = 0; k < receptions.size() && k < oracle.size(); ++k) {
-      EXPECT_EQ(receptions[k].listener, oracle[k].listener)
-          << "slot " << t << " entry " << k;
-      EXPECT_EQ(receptions[k].tx, oracle[k].tx)
-          << "slot " << t << " entry " << k;
+    for (radio::SinrInterferenceModel* medium : {&observed, &unobserved}) {
+      medium->resolve(slot, txs, listening, receptions);
+      const char* run = medium == &observed ? "observed" : "unobserved";
+      EXPECT_EQ(receptions.size(), oracle.size()) << run << " slot " << t;
+      for (std::size_t k = 0; k < receptions.size() && k < oracle.size();
+           ++k) {
+        EXPECT_EQ(receptions[k].listener, oracle[k].listener)
+            << run << " slot " << t << " entry " << k;
+        EXPECT_EQ(receptions[k].tx, oracle[k].tx)
+            << run << " slot " << t << " entry " << k;
+      }
     }
     for (const OracleDecode& d : oracle) oracle_margins.record(d.margin);
-    received += receptions.size();
+    received += oracle.size();
   }
   EXPECT_EQ(medium_margins.total(), oracle_margins.total());
   for (std::size_t b = 0; b < oracle_margins.bucket_count(); ++b) {
@@ -262,13 +274,21 @@ TEST(RowKernel, DenseSlotsMatchThePerPairLoop) {
   // Half the nodes transmit: long interference tails, rows cut short.
   const auto g = random_graph(150, 3.0, 11);
   for (const sinr::FadingSpec& fading :
-       {sinr::FadingSpec{}, log_normal(12.0), rayleigh()}) {
+       {sinr::FadingSpec{}, log_normal(6.0), log_normal(12.0), rayleigh()}) {
     Channel channel;
     channel.fading = fading;
     expect_matches_oracle(g, channel, 0.5, 6, 70);
   }
-  // A quarter transmits: dense, yet with decodes left to compare.
-  EXPECT_GT(expect_matches_oracle(g, {}, 0.25, 6, 71), 0u);
+  // A quarter transmits: dense, yet with decodes left to compare. Dense
+  // slots are where fade brackets straddle β most often, so the log-normal
+  // runs reach the pre-filter's exact passes.
+  for (const sinr::FadingSpec& fading :
+       {sinr::FadingSpec{}, log_normal(6.0), log_normal(12.0)}) {
+    Channel channel;
+    channel.fading = fading;
+    EXPECT_GT(expect_matches_oracle(g, channel, 0.25, 6, 71), 0u)
+        << "fading " << static_cast<int>(fading.kind);
+  }
 }
 
 }  // namespace

@@ -329,14 +329,14 @@ int cmd_color(const common::Cli& cli) {
     cfg.wakeup_window = cli.get_int_at_least("wakeup-window", 2000, 0);
   }
   cfg.resolve = core::resolve_kind_flag(cli);
-  const auto trials = cli.get_int_at_least("trials", 1, 1);
+  const std::size_t trials = common::sweep_trials(cli, "trials", 1);
   const auto plan = load_fault_plan(cli, g);
   if (trials > 1) {
     if (plan.has_value()) {
       std::fprintf(stderr, "--faults is incompatible with --trials > 1\n");
       std::exit(2);
     }
-    return cmd_color_trials(cli, g, cfg, static_cast<std::size_t>(trials));
+    return cmd_color_trials(cli, g, cfg, trials);
   }
   const std::string json_path = cli.get("json", "");
   const bool quiet = cli.get_bool("quiet", false);
@@ -414,8 +414,7 @@ int cmd_color(const common::Cli& cli) {
 int cmd_sweep(const common::Cli& cli) {
   const auto sizes = cli.get_count_list(
       "n-list", "64,128,256", std::numeric_limits<graph::NodeId>::max());
-  const auto trials =
-      static_cast<std::size_t>(cli.get_int_at_least("trials", 4, 1));
+  const std::size_t trials = common::sweep_trials(cli, "trials", 4);
   const std::size_t threads = common::sweep_threads(cli);
   const double avg = cli.get_double_at_least("avg-degree", 10.0, 1e-9);
   const auto base_seed = cli.get_seed("seed", 1);
