@@ -1,5 +1,7 @@
 #include "common/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -40,9 +42,14 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t default_value) c
   const std::string raw = get(name, "");
   if (raw.empty()) return default_value;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(raw.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
     usage_error("flag --" + name + " expects an integer, got '" + raw + "'");
+  }
+  if (errno == ERANGE) {
+    usage_error("flag --" + name +
+                " is outside the 64-bit integer range, got '" + raw + "'");
   }
   return v;
 }
@@ -52,8 +59,9 @@ double Cli::get_double(const std::string& name, double default_value) const {
   if (raw.empty()) return default_value;
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    usage_error("flag --" + name + " expects a number, got '" + raw + "'");
+  if (end == nullptr || *end != '\0' || !std::isfinite(v)) {
+    usage_error("flag --" + name + " expects a finite number, got '" + raw +
+                "'");
   }
   return v;
 }
@@ -151,9 +159,13 @@ std::uint64_t Cli::get_seed(const std::string& name, std::uint64_t default_value
   const std::string raw = get(name, "");
   if (raw.empty()) return default_value;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(raw.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
-    usage_error("flag --" + name + " expects a seed, got '" + raw + "'");
+  // strtoull negates a '-' value into a huge seed; refuse it, and overflow.
+  if (end == nullptr || *end != '\0' || errno == ERANGE ||
+      raw.find('-') != std::string::npos) {
+    usage_error("flag --" + name + " expects a seed in [0, 2^64 - 1], got '" +
+                raw + "'");
   }
   return v;
 }

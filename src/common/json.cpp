@@ -140,14 +140,6 @@ double JsonValue::as_double() const {
   return number_;
 }
 
-std::int64_t JsonValue::as_int() const {
-  const double v = as_double();
-  const auto i = static_cast<std::int64_t>(v);
-  SINRCOLOR_CHECK_MSG(static_cast<double>(i) == v,
-                      "JsonValue: number is not integral");
-  return i;
-}
-
 const std::string& JsonValue::as_string() const {
   SINRCOLOR_CHECK_MSG(kind_ == Kind::kString, "JsonValue: not a string");
   return string_;

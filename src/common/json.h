@@ -90,7 +90,6 @@ class JsonValue {
   /// callers validate kinds first (FaultPlan::from_json does).
   bool as_bool() const;
   double as_double() const;
-  std::int64_t as_int() const;  ///< as_double, CHECKed integral
   const std::string& as_string() const;
   const Array& as_array() const;
   const Object& as_object() const;

@@ -63,13 +63,22 @@ bool read_int(const JsonValue& object, const char* key, std::int64_t& out,
   if (!v->is_number()) {
     return fail(error, where + ": \"" + key + "\" must be a number");
   }
+  // Checked before the cast, which is undefined beyond the int64 range.
   const double d = v->as_double();
-  const auto i = static_cast<std::int64_t>(d);
-  if (static_cast<double>(i) != d) {
-    return fail(error, where + ": \"" + key + "\" must be an integer");
+  if (!(std::abs(d) <= static_cast<double>(FaultPlan::kMaxExactInt)) ||
+      d != std::trunc(d)) {
+    return fail(error, where + ": \"" + key +
+                           "\" must be an integer of magnitude at most "
+                           "2^53 - 1");
   }
-  out = i;
+  out = static_cast<std::int64_t>(d);
   return true;
+}
+
+/// A node id narrows to graph::NodeId without wrapping, and is not the
+/// kInvalidNode sentinel.
+bool node_id_in_range(std::int64_t node) {
+  return node >= 0 && node < std::int64_t{graph::kInvalidNode};
 }
 
 /// Fetches section `key` as an array of objects; absent ⇒ empty (ok).
@@ -103,6 +112,7 @@ std::string FaultPlan::validate(
   const auto window_ok = [](radio::Slot from, radio::Slot to) {
     return from >= 0 && (to == -1 || to >= from);
   };
+  if (seed_salt > kMaxExactInt) return "seed_salt: must be at most 2^53 - 1";
   for (std::size_t i = 0; i < crashes.size(); ++i) {
     const CrashEvent& c = crashes[i];
     if (!node_ok(c.node))
@@ -170,6 +180,7 @@ bool FaultPlan::from_json(const JsonValue& doc, FaultPlan& out,
   if (!read_int(doc, "seed_salt", salt, false, "fault plan", error)) {
     return false;
   }
+  if (salt < 0) return fail(error, "fault plan: \"seed_salt\" must be >= 0");
   plan.seed_salt = static_cast<std::uint64_t>(salt);
 
   const JsonValue* section = nullptr;
@@ -188,7 +199,9 @@ bool FaultPlan::from_json(const JsonValue& doc, FaultPlan& out,
           !read_int(entry, "restart", restart, false, where, error)) {
         return false;
       }
-      if (node < 0) return fail(error, where + ": negative node");
+      if (!node_id_in_range(node)) {
+        return fail(error, where + ": node outside the node id range");
+      }
       c.node = static_cast<graph::NodeId>(node);
       c.slot = slot;
       c.restart = restart;
@@ -211,7 +224,9 @@ bool FaultPlan::from_json(const JsonValue& doc, FaultPlan& out,
           !read_int(entry, "to", to, false, where, error)) {
         return false;
       }
-      if (node < 0) return fail(error, where + ": negative node");
+      if (!node_id_in_range(node)) {
+        return fail(error, where + ": node outside the node id range");
+      }
       d.node = static_cast<graph::NodeId>(node);
       d.from = from;
       d.to = to;

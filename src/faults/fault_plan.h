@@ -87,8 +87,14 @@ struct DropWindow {
 };
 
 struct FaultPlan {
+  /// The largest integer a plan holds: JSON numbers parse as doubles, and
+  /// every integer up to 2^53 − 1 is exact in one (2^53 + 1 already reads
+  /// as 2^53). Larger values are rejected, not rounded.
+  static constexpr std::uint64_t kMaxExactInt = (std::uint64_t{1} << 53) - 1;
+
   /// Extra domain separation folded into the drop-hash seed, so two plans
-  /// that differ only in salt produce independent drop patterns.
+  /// that differ only in salt produce independent drop patterns. At most
+  /// kMaxExactInt, so every valid plan round-trips through to_json.
   std::uint64_t seed_salt = 0;
 
   std::vector<CrashEvent> crashes;
@@ -102,13 +108,13 @@ struct FaultPlan {
            noise.empty() && drops.empty();
   }
 
-  /// Semantic validation against an instance of n nodes: node ids in range,
-  /// windows ordered, probabilities in [0,1], factors/powers positive,
-  /// duty ≤ period. Given the deployment's node `positions` (n of them), a
-  /// jammer on a node's position is rejected too ("jammers[i]: coincides
-  /// with node v"): the SINR field would divide by a zero distance, and
-  /// FaultEngine::install CHECKs it. Returns "" when valid, else a
-  /// human-readable reason.
+  /// Semantic validation against an instance of n nodes: seed_salt at most
+  /// kMaxExactInt, node ids in range, windows ordered, probabilities in
+  /// [0,1], factors/powers positive, duty ≤ period. Given the deployment's
+  /// node `positions` (n of them), a jammer on a node's position is
+  /// rejected too ("jammers[i]: coincides with node v"): the SINR field
+  /// would divide by a zero distance, and FaultEngine::install CHECKs it.
+  /// Returns "" when valid, else a human-readable reason.
   std::string validate(std::size_t n,
                        std::span<const geometry::Point> positions = {}) const;
 

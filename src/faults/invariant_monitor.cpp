@@ -46,60 +46,56 @@ void InvariantMonitor::attach(radio::Simulator& sim) {
   SINRCOLOR_CHECK(&sim.graph() == &graph_);
   sim_ = &sim;
   sim.add_end_observer([this](radio::Slot slot) { scan_end_of_slot(slot); });
-  if (options_.check_tx_independence) {
-    sim.add_observer(
-        [this](radio::Slot slot, std::span<const radio::TxRecord> txs) {
-          scan_transmissions(slot, txs);
-        });
-  }
+  sim.add_observer(
+      [this](radio::Slot slot, std::span<const radio::TxRecord> txs) {
+        scan_transmissions(slot, txs);
+      });
 }
 
 void InvariantMonitor::scan_end_of_slot(radio::Slot slot) {
   last_slot_ = slot;
   obs::RunObservation* observation = sim_->observation();
 
-  if (options_.check_legality) {
-    // Pass 1 — open an episode for every conflicting live edge not already
-    // tracked. The scan is O(m) per slot; the monitor is an opt-in
-    // diagnostic, not part of the protocol's hot path.
-    for (graph::NodeId v = 0; v < graph_.size(); ++v) {
-      if (sim_->node_dead(v)) continue;
-      const graph::Color mine = color_(v);
-      if (mine == graph::kUncolored) continue;
-      for (graph::NodeId u : graph_.neighbors(v)) {
-        if (u <= v || sim_->node_dead(u) || color_(u) != mine) continue;
-        const auto [it, fresh] = open_.emplace(pack_edge(v, u), slot);
-        if (fresh) {
-          ++legality_violations_;
-          note_violation(0, slot);
-          if (observation != nullptr) {
-            observation->trace.record(slot,
-                                      obs::EventKind::kInvariantViolation, v,
-                                      u, 0, static_cast<std::int64_t>(mine));
-          }
+  // Pass 1 — open an episode for every conflicting live edge not already
+  // tracked. The scan is O(m) per slot; the monitor is an opt-in
+  // diagnostic, not part of the protocol's hot path.
+  for (graph::NodeId v = 0; v < graph_.size(); ++v) {
+    if (sim_->node_dead(v)) continue;
+    const graph::Color mine = color_(v);
+    if (mine == graph::kUncolored) continue;
+    for (graph::NodeId u : graph_.neighbors(v)) {
+      if (u <= v || sim_->node_dead(u) || color_(u) != mine) continue;
+      const auto [it, fresh] = open_.emplace(pack_edge(v, u), slot);
+      if (fresh) {
+        ++legality_violations_;
+        note_violation(0, slot);
+        if (observation != nullptr) {
+          observation->trace.record(slot,
+                                    obs::EventKind::kInvariantViolation, v,
+                                    u, 0, static_cast<std::int64_t>(mine));
         }
       }
     }
-    // Pass 2 — close episodes whose edge no longer conflicts (one side was
-    // repaired to a different color, reverted to undecided, or died).
-    for (auto it = open_.begin(); it != open_.end();) {
-      const auto u = static_cast<graph::NodeId>(it->first >> 32);
-      const auto v = static_cast<graph::NodeId>(it->first & 0xffffffffULL);
-      const bool conflicting = !sim_->node_dead(u) && !sim_->node_dead(v) &&
-                               color_(u) != graph::kUncolored &&
-                               color_(u) == color_(v);
-      if (conflicting) {
-        ++it;
-        continue;
-      }
-      const radio::Slot duration = slot - it->second;
-      durations_.push_back(duration);
-      if (observation != nullptr) {
-        observation->trace.record(slot, obs::EventKind::kConflictRepaired, u,
-                                  v, 0, static_cast<std::int64_t>(duration));
-      }
-      it = open_.erase(it);
+  }
+  // Pass 2 — close episodes whose edge no longer conflicts (one side was
+  // repaired to a different color, reverted to undecided, or died).
+  for (auto it = open_.begin(); it != open_.end();) {
+    const auto u = static_cast<graph::NodeId>(it->first >> 32);
+    const auto v = static_cast<graph::NodeId>(it->first & 0xffffffffULL);
+    const bool conflicting = !sim_->node_dead(u) && !sim_->node_dead(v) &&
+                             color_(u) != graph::kUncolored &&
+                             color_(u) == color_(v);
+    if (conflicting) {
+      ++it;
+      continue;
     }
+    const radio::Slot duration = slot - it->second;
+    durations_.push_back(duration);
+    if (observation != nullptr) {
+      observation->trace.record(slot, obs::EventKind::kConflictRepaired, u,
+                                v, 0, static_cast<std::int64_t>(duration));
+    }
+    it = open_.erase(it);
   }
 
   if (options_.max_color >= 0) {

@@ -44,9 +44,8 @@ class InvariantMonitor {
   /// Current final color of node v (graph::kUncolored while undecided).
   using ColorFn = std::function<graph::Color(graph::NodeId)>;
 
+  /// Legality and tx independence are always checked.
   struct Options {
-    bool check_legality = true;
-    bool check_tx_independence = true;
     /// Feasibility bound: colors must lie in [0, max_color]. -1 skips the
     /// check (the bound depends on protocol parameters the monitor does not
     /// derive itself).
@@ -55,7 +54,7 @@ class InvariantMonitor {
 
   InvariantMonitor(const graph::UnitDiskGraph& graph, ColorFn color,
                    Options options);
-  /// Default options (all checks on, feasibility skipped).
+  /// Default options (feasibility skipped).
   InvariantMonitor(const graph::UnitDiskGraph& graph, ColorFn color);
 
   /// Hooks the monitor into the simulator (end-of-slot legality scan +

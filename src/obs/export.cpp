@@ -1,7 +1,8 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -103,22 +104,47 @@ bool parse_flat_object(const std::string& line,
   }
 }
 
-bool get_int(const std::map<std::string, std::string>& kv,
-             const std::string& key, std::int64_t& out) {
+/// Reads `key` as a decimal integer of type T, exactly: digits with a
+/// leading '-' only for a signed T, no overflow, nothing after them.
+template <typename T>
+bool get_integer(const std::map<std::string, std::string>& kv,
+                 const std::string& key, T& out) {
   const auto it = kv.find(key);
   if (it == kv.end()) return false;
-  char* end = nullptr;
-  out = std::strtoll(it->second.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !it->second.empty();
+  const char* end = it->second.data() + it->second.size();
+  const auto [ptr, ec] = std::from_chars(it->second.data(), end, out);
+  return ec == std::errc() && ptr == end;
 }
 
-bool get_uint(const std::map<std::string, std::string>& kv,
-              const std::string& key, std::uint64_t& out) {
-  const auto it = kv.find(key);
-  if (it == kv.end()) return false;
-  char* end = nullptr;
-  out = std::strtoull(it->second.c_str(), &end, 10);
-  return end != nullptr && *end == '\0' && !it->second.empty();
+/// The first sinrcolor.trace.v1 rule `e` breaks (tools/lint/
+/// trace_schema_check.py states the same ones), or "" if it keeps them all.
+/// `a` is checked in its wire width before it is narrowed into the event.
+std::string event_violation(const TraceEvent& e, std::int64_t a,
+                            std::uint64_t node_count, Slot previous_slot) {
+  if (e.slot < 0) return "negative slot " + std::to_string(e.slot);
+  if (e.slot < previous_slot) {
+    return "slot " + std::to_string(e.slot) + " < previous slot " +
+           std::to_string(previous_slot);
+  }
+  const std::string range = " out of range [0, " +
+                            std::to_string(node_count) + ")";
+  if (e.node >= node_count) return "node " + std::to_string(e.node) + range;
+  if (e.peer != kNoNode && e.peer >= node_count) {
+    return "peer " + std::to_string(e.peer) + range + " and not kNoNode";
+  }
+  if (a < INT32_MIN || a > INT32_MAX) {
+    return "a " + std::to_string(a) + " exceeds 32 bits";
+  }
+  const std::int64_t states = e.kind == EventKind::kMwTransition ? kMwStateCount
+                              : e.kind == EventKind::kJoinTransition
+                                  ? kJoinPhaseCount
+                                  : 0;
+  if (states > 0 && (a < 0 || a >= states || e.b < 0 || e.b >= states)) {
+    return std::string(to_string(e.kind)) + " payload (" + std::to_string(a) +
+           ", " + std::to_string(e.b) + ") outside 0.." +
+           std::to_string(states - 1);
+  }
+  return "";
 }
 
 }  // namespace
@@ -173,33 +199,37 @@ bool read_jsonl(std::istream& in, TraceMeta& meta,
         return fail(lineno, "unknown schema '" + meta.schema + "'");
       }
       meta.scenario = kv.count("scenario") != 0 ? kv["scenario"] : "";
-      if (!get_uint(kv, "n", meta.node_count) ||
-          !get_uint(kv, "seed", meta.seed) ||
-          !get_uint(kv, "recorded", meta.recorded) ||
-          !get_uint(kv, "dropped", meta.dropped)) {
-        return fail(lineno, "meta header missing n/seed/recorded/dropped");
+      if (!get_integer(kv, "n", meta.node_count) ||
+          !get_integer(kv, "seed", meta.seed) ||
+          !get_integer(kv, "recorded", meta.recorded) ||
+          !get_integer(kv, "dropped", meta.dropped)) {
+        return fail(lineno,
+                    "meta header needs integers n/seed/recorded/dropped >= 0");
+      }
+      if (meta.node_count > kNoNode) {
+        return fail(lineno, "n " + std::to_string(meta.node_count) +
+                                " exceeds the node id range");
       }
       have_meta = true;
       continue;
     }
     TraceEvent e;
-    std::int64_t slot = 0, a = 0, b = 0;
-    std::uint64_t node = 0, peer = 0;
+    std::int64_t a = 0;
     const auto kind_it = kv.find("kind");
     if (kind_it == kv.end() ||
         !event_kind_from_string(kind_it->second, e.kind)) {
       return fail(lineno, "missing or unknown event kind");
     }
-    if (!get_int(kv, "slot", slot) || !get_uint(kv, "node", node) ||
-        !get_uint(kv, "peer", peer) || !get_int(kv, "a", a) ||
-        !get_int(kv, "b", b)) {
-      return fail(lineno, "event missing slot/node/peer/a/b");
+    if (!get_integer(kv, "slot", e.slot) || !get_integer(kv, "node", e.node) ||
+        !get_integer(kv, "peer", e.peer) || !get_integer(kv, "a", a) ||
+        !get_integer(kv, "b", e.b)) {
+      return fail(lineno, "event needs integers slot/node/peer/a/b, "
+                          "node and peer in 0..2^32 - 1");
     }
-    e.slot = slot;
-    e.node = static_cast<NodeId>(node);
-    e.peer = static_cast<NodeId>(peer);
+    const std::string violation = event_violation(
+        e, a, meta.node_count, events.empty() ? 0 : events.back().slot);
+    if (!violation.empty()) return fail(lineno, violation);
     e.a = static_cast<std::int32_t>(a);
-    e.b = b;
     events.push_back(e);
   }
   if (!have_meta) return fail(lineno, "empty trace (no meta header)");

@@ -61,7 +61,7 @@ enum class Phase : std::uint8_t {
   kFaultInject,   ///< FaultEngine work: disturbance query + delivery drops
   kTxDecide,      ///< failures/joins/wakes + every protocol begin_slot
   kResolve,       ///< InterferenceModel::resolve (any kind)
-  kFieldAccum,    ///< one FieldEngine resolve: F(u) sums + candidate pass
+  kFieldAccum,    ///< one field resolve: F(u) sums + candidate pass
   kNaiveResolve,  ///< the naive per-(sender, listener) oracle loops
   kDeliver,       ///< listener-ordered delivery: one on_receive per decode
   kProtocolStep,  ///< one MwNode::begin_slot (inside kTxDecide)

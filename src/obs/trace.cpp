@@ -17,11 +17,11 @@ constexpr const char* kEventKindNames[kEventKindCount] = {
     "conflict_repaired",
 };
 
-constexpr const char* kMwStateNames[] = {"asleep",     "listening", "competing",
-                                         "requesting", "leader",    "colored"};
+constexpr const char* kMwStateNames[kMwStateCount] = {
+    "asleep", "listening", "competing", "requesting", "leader", "colored"};
 
-constexpr const char* kJoinPhaseNames[] = {"inactive", "listening", "confirming",
-                                           "confirmed"};
+constexpr const char* kJoinPhaseNames[kJoinPhaseCount] = {
+    "inactive", "listening", "confirming", "confirmed"};
 
 }  // namespace
 
@@ -41,11 +41,11 @@ bool event_kind_from_string(const std::string& name, EventKind& out) {
 }
 
 const char* mw_state_name(std::int64_t state) {
-  return state >= 0 && state < 6 ? kMwStateNames[state] : "?";
+  return state >= 0 && state < kMwStateCount ? kMwStateNames[state] : "?";
 }
 
 const char* join_phase_name(std::int64_t phase) {
-  return phase >= 0 && phase < 4 ? kJoinPhaseNames[phase] : "?";
+  return phase >= 0 && phase < kJoinPhaseCount ? kJoinPhaseNames[phase] : "?";
 }
 
 Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {

@@ -67,6 +67,10 @@ bool event_kind_from_string(const std::string& name, EventKind& out);
 /// without inverting the layering.
 const char* mw_state_name(std::int64_t state);
 const char* join_phase_name(std::int64_t phase);
+/// How many values each automaton has (names above, payload range of its
+/// transition events: 0 .. count − 1).
+inline constexpr std::int64_t kMwStateCount = 6;
+inline constexpr std::int64_t kJoinPhaseCount = 4;
 
 struct TraceEvent {
   Slot slot = 0;

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/check.h"
-#include "sinr/medium_field.h"
 
 namespace sinrcolor::radio {
 
@@ -25,11 +24,10 @@ using Row = SinrInterferenceModel::Row;
 /// goes into both. The body is branch-free, so the loop vectorizes across
 /// the row. Returns the pass's smallest δ²: a zero is a transmitter
 /// sitting on a listener.
-template <sinr::AlphaProfile P, bool kFaded, bool kBracketed = false>
+template <sinr::AlphaProfile P, bool kFaded, bool kBracketed>
 double add_row_pass(const Row& row, std::size_t count,
                     const geometry::Point& tx, double weight,
-                    double half_alpha, double* acc,
-                    double* acc_hi = nullptr) {
+                    double half_alpha, double* acc, double* acc_hi) {
   const double* x = row.x.data();
   const double* y = row.y.data();
   const double* gain = row.gain.data();
@@ -91,162 +89,6 @@ std::size_t keep_decodable(Row& row, std::size_t count,
   return kept;
 }
 
-/// The naive kernel, one row per real transmitter i: its listening UDG
-/// neighbours u (only they can pass the δ ≤ R_T gate) gather in ascending
-/// id order, a signal pass adds transmitter i's power, then one
-/// interference pass per transmitter j ≠ i, ascending, jammers last, adds
-/// the rest. Every (i, u) pair therefore sums the same terms in the same
-/// order, from 0.0, as the per-pair loop, and the s ≥ β·(N + I) test the
-/// field engine applies decides it. O(T²·Δ) terms per slot; decodes land in
-/// sender-major order, ascending listener within a row. Under fading each
-/// real pass draws the row's fades in one batch, and a listener leaves the
-/// row as soon as its signal fails the test against its partial sum
-/// (keep_decodable).
-///
-/// `bracketed` (log-normal fading, no margin histogram) puts a pre-filter
-/// ahead of those exact passes. It runs the same passes with certified fade
-/// brackets (sinr::fade_brackets), summing lower and upper bounds of every
-/// term; fl(a + b), fl(a·b) and fl(a/b) for b > 0 are monotone in each
-/// argument, so the bounds hold the exact sums between them. A listener
-/// whose upper signal fails against its lower partial sum leaves the row (a
-/// certified fail); after the last pass, one whose lower signal clears β·(N
-/// + upper interference) decodes (a certified decode). Only the rest, 0.25%
-/// of fading_sync's row listeners, run the exact passes, and every
-/// decision is the exact kernel's, bit for bit (docs/KERNELS.md "Bracketed
-/// fades").
-template <sinr::AlphaProfile P>
-void naive_decodes(const graph::UnitDiskGraph& graph,
-                   const sinr::SinrParams& phys, double base_power,
-                   const sinr::FadingSpec& fading, bool bracketed, Slot slot,
-                   std::span<const TxRecord> transmissions,
-                   std::span<const Jammer> jammers,
-                   std::span<const std::uint8_t> listening, Row& row,
-                   std::vector<sinr::FieldEngine::Decode>& decodes) {
-  decodes.clear();
-  const double half_alpha = phys.alpha / 2.0;
-  const bool faded = fading.enabled();
-  const std::size_t passes = transmissions.size() + jammers.size();
-  for (std::size_t i = 0; i < transmissions.size(); ++i) {
-    std::size_t count = 0;
-    for (graph::NodeId u : graph.neighbors(transmissions[i].sender)) {
-      if (!listening[u]) continue;
-      row.id[count] = u;
-      row.x[count] = graph.position(u).x;
-      row.y[count] = graph.position(u).y;
-      ++count;
-    }
-    if (count == 0) continue;
-    const auto tx = static_cast<std::uint32_t>(i);
-    const std::span<const std::uint32_t> ids(row.id.data(), count);
-    // The row's passes in the per-pair loop's order: transmitter i's signal
-    // pass, then every j ≠ i ascending, jammers last, while any listener
-    // is left. pass(j, signal) runs one of them.
-    const auto run_passes = [&](const auto& pass) {
-      pass(i, true);
-      for (std::size_t j = 0; j < passes && count > 0; ++j) {
-        if (j != i) pass(j, false);
-      }
-    };
-    // A real transmitter's gain is its fade, drawn for the whole row in
-    // one batch, and exactly 1 without fading (P·1 = P). A jammer's gain
-    // is its power over the medium's base power (P·g = jammer power); it
-    // rides unfaded, having no node id to key a draw
-    // (docs/ROBUSTNESS.md). Every pass checks that no transmitter sits on
-    // a listener, as the per-pair loop checks every term. A listener that
-    // left its row early skips that check for its remaining terms. A real
-    // transmitter on a listening node still aborts, since that node is in
-    // its own row, whose first pass is its signal pass, and jammers are
-    // kept off node positions before any run (FaultPlan::validate,
-    // FaultEngine::install).
-    const auto check_nearest = [](double nearest) {
-      SINRCOLOR_CHECK_MSG(nearest > 0.0, "transmitter coincides with listener");
-    };
-    const auto jammer_weight = [&](const Jammer& jam) {
-      return phys.power * (jam.power / base_power);
-    };
-    const std::size_t row_decodes = decodes.size();
-    if (bracketed) {
-      for (auto* column : {&row.signal, &row.interference, &row.signal_hi,
-                           &row.interference_hi}) {
-        std::fill_n(column->data(), count, 0.0);
-      }
-      run_passes([&](std::size_t j, bool signal) {
-        double* lo = signal ? row.signal.data() : row.interference.data();
-        double* hi =
-            signal ? row.signal_hi.data() : row.interference_hi.data();
-        if (j >= transmissions.size()) {
-          const Jammer& jam = jammers[j - transmissions.size()];
-          check_nearest(add_row_pass<P, false, true>(
-              row, count, jam.position, jammer_weight(jam), half_alpha, lo,
-              hi));
-        } else {
-          const graph::NodeId sender = transmissions[j].sender;
-          sinr::fade_brackets(fading, slot, sender, ids.first(count),
-                              row.gain.data(), row.gain_hi.data());
-          check_nearest(add_row_pass<P, true, true>(
-              row, count, graph.position(sender), phys.power, half_alpha, lo,
-              hi));
-        }
-        count = keep_decodable<true>(row, count, phys);
-      });
-      // Certified decodes go out now, in row order; the undecided rest
-      // moves to the front of the row for the exact passes.
-      std::size_t undecided = 0;
-      for (std::size_t k = 0; k < count; ++k) {
-        const double threshold = threshold_of(phys, row.interference_hi[k]);
-        if (row.signal[k] >= threshold) {
-          decodes.push_back({row.id[k], tx, row.signal[k] / threshold});
-          continue;
-        }
-        row.id[undecided] = row.id[k];
-        row.x[undecided] = row.x[k];
-        row.y[undecided] = row.y[k];
-        ++undecided;
-      }
-      count = undecided;
-      if (count == 0) continue;
-    }
-    const std::size_t exact_decodes = decodes.size();
-    std::fill_n(row.signal.data(), count, 0.0);
-    std::fill_n(row.interference.data(), count, 0.0);
-    run_passes([&](std::size_t j, bool signal) {
-      double* acc = signal ? row.signal.data() : row.interference.data();
-      if (j >= transmissions.size()) {
-        const Jammer& jam = jammers[j - transmissions.size()];
-        check_nearest(add_row_pass<P, false>(row, count, jam.position,
-                                             jammer_weight(jam), half_alpha,
-                                             acc));
-      } else if (!faded) {
-        check_nearest(add_row_pass<P, false>(
-            row, count, graph.position(transmissions[j].sender), phys.power,
-            half_alpha, acc));
-      } else {
-        const graph::NodeId sender = transmissions[j].sender;
-        sinr::fade_factors(fading, slot, sender, ids.first(count),
-                           row.gain.data());
-        check_nearest(add_row_pass<P, true>(row, count, graph.position(sender),
-                                            phys.power, half_alpha, acc));
-      }
-      if (faded) count = keep_decodable<false>(row, count, phys);
-    });
-    for (std::size_t k = 0; k < count; ++k) {
-      const double threshold = threshold_of(phys, row.interference[k]);
-      if (row.signal[k] >= threshold) {
-        decodes.push_back({row.id[k], tx, row.signal[k] / threshold});
-      }
-    }
-    // The row's certified and exact decodes are each in ascending listener
-    // order; merge them (the exact ones are few) so the row's decodes are
-    // too, as without the pre-filter.
-    if (exact_decodes > row_decodes && decodes.size() > exact_decodes) {
-      std::sort(decodes.begin() + static_cast<std::ptrdiff_t>(row_decodes),
-                decodes.end(), [](const auto& a, const auto& b) {
-                  return a.listener < b.listener;
-                });
-    }
-  }
-}
-
 }  // namespace
 
 void check_radius_matches_phys(const graph::UnitDiskGraph& graph,
@@ -265,18 +107,37 @@ SinrInterferenceModel::SinrInterferenceModel(const graph::UnitDiskGraph& graph,
   const std::string fading_problem = fading_.violation();
   SINRCOLOR_CHECK_MSG(fading_problem.empty(), fading_problem.c_str());
   check_radius_matches_phys(graph_, params_);
+  const std::size_t n = graph_.size();
   if (kind_ == sinr::ResolveKind::kNaive) {
     // A row holds one transmitter's listening neighbours: at most Δ.
     row_.resize(graph_.max_degree(),
                 fading_.kind == sinr::FadingKind::kLogNormal);
-  } else {
-    // n·(Δ+1) bounds the engine's candidate-pair arena: each transmitter
-    // covers at most its UDG neighborhood (δ ≤ R_T ⇔ adjacency).
-    engine_.reserve(graph_.size(), graph_.size() * (graph_.max_degree() + 1));
-    txs_.reserve(graph_.size());
-    if (fading_.enabled()) tx_ids_.reserve(graph_.size());
+    return;
   }
-  decodes_.reserve(graph_.size());
+  touched_.resize(n, 0);
+  covered_.reserve(n);
+  // n·(Δ+1) bounds the coverage pairs: each transmitter covers at most its
+  // UDG neighborhood (δ ≤ R_T ⇔ adjacency).
+  pairs_.reserve(n * (graph_.max_degree() + 1));
+  cand_begin_.resize(n, 0);
+  cand_count_.resize(n, 0);
+  cand_idx_.reserve(pairs_.capacity());
+  soa_x_.reserve(n);
+  soa_y_.reserve(n);
+  weights_.reserve(n);
+  if (fading_.enabled()) tx_ids_.reserve(n);
+}
+
+std::size_t SinrInterferenceModel::memory_bytes() const {
+  return sizeof(*this) + row_.memory_bytes() +
+         touched_.capacity() * sizeof(std::uint64_t) +
+         pairs_.capacity() * sizeof(CandidatePair) +
+         (soa_x_.capacity() + soa_y_.capacity() + weights_.capacity()) *
+             sizeof(double) +
+         (covered_.capacity() + cand_begin_.capacity() +
+          cand_count_.capacity() + cand_idx_.capacity() +
+          tx_ids_.capacity()) *
+             sizeof(std::uint32_t);
 }
 
 void SinrInterferenceModel::Row::resize(std::size_t capacity,
@@ -332,77 +193,294 @@ void SinrInterferenceModel::resolve(Slot slot,
 
   // A disturbance scales the noise floor and adds its jammers after the
   // real transmitters.
-  sinr::SinrParams phys = params_;
-  std::span<const Jammer> jammers;
+  SlotInputs in{slot, transmissions, {}, listening, params_};
   if (disturbance_ != nullptr) {
-    phys.noise *= disturbance_->noise_factor;
-    jammers = disturbance_->jammers;
+    in.phys.noise *= disturbance_->noise_factor;
+    in.jammers = disturbance_->jammers;
   }
-  if (kind_ == sinr::ResolveKind::kNaive) {
-    SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
-    // Margins of bracket-certified decodes are bounds, so an attached
-    // histogram runs the exact passes alone.
-    const bool bracketed = fading_.kind == sinr::FadingKind::kLogNormal &&
-                           margin_histogram_ == nullptr;
-    // One instantiation per α profile, picked once per resolve (the
-    // engine's field_kernel_for idiom).
-    using sinr::AlphaProfile;
-    static constexpr decltype(&naive_decodes<AlphaProfile::kCube>) kKernels[] =
-        {&naive_decodes<AlphaProfile::kCube>,
-         &naive_decodes<AlphaProfile::kQuartic>,
-         &naive_decodes<AlphaProfile::kSextic>,
-         &naive_decodes<AlphaProfile::kGeneral>};
-    kKernels[static_cast<std::size_t>(sinr::classify_alpha(phys.alpha))](
-        graph_, phys, params_.power, fading_, bracketed, slot, transmissions,
-        jammers, listening, row_, decodes_);
-  } else {
-    txs_.clear();
-    for (const auto& t : transmissions) {
-      txs_.push_back({graph_.position(t.sender)});
+  sinr::with_alpha_profile(sinr::classify_alpha(params_.alpha), [&](auto p) {
+    constexpr sinr::AlphaProfile P = decltype(p)::value;
+    if (kind_ == sinr::ResolveKind::kNaive) {
+      SINRCOLOR_PROFILE(profiler_, obs::Phase::kNaiveResolve);
+      naive_resolve<P>(in, receptions);
+    } else {
+      field_resolve<P>(in, receptions);
     }
-    for (const Jammer& jam : jammers) txs_.push_back({jam.position});
-    if (fading_.enabled()) {
-      tx_ids_.clear();
-      for (const auto& t : transmissions) tx_ids_.push_back(t.sender);
+  });
+}
+
+void SinrInterferenceModel::push_decode(std::vector<Reception>& receptions,
+                                        graph::NodeId listener,
+                                        std::uint32_t tx,
+                                        double margin) const {
+  receptions.push_back({listener, tx});
+  if (margin_histogram_ != nullptr) margin_histogram_->record(margin);
+}
+
+/// The naive kernel, one row per real transmitter i: its listening UDG
+/// neighbours u (only they can pass the δ ≤ R_T gate) gather in ascending
+/// id order, and row_passes sums their signal and interference. Every
+/// (i, u) pair therefore sums the same terms in the same order, from 0.0,
+/// as the per-pair loop, and the s ≥ β·(N + I) test the field resolve
+/// applies decides it. O(T²·Δ) terms per slot; receptions land in
+/// sender-major order, ascending listener within a row.
+///
+/// Under log-normal fading with no margin histogram a pre-filter runs the
+/// passes first with certified fade brackets (sinr::fade_brackets),
+/// summing lower and upper bounds of every term; fl(a + b), fl(a·b) and
+/// fl(a/b) for b > 0 are monotone in each argument, so the bounds hold the
+/// exact sums between them. A listener whose upper signal fails against its
+/// lower partial sum leaves the row (a certified fail); after the last pass,
+/// one whose lower signal clears β·(N + upper interference) decodes (a
+/// certified decode). Only the rest, 0.25% of fading_sync's row listeners,
+/// run the exact passes, and every decision is the exact kernel's, bit for
+/// bit (docs/KERNELS.md "Bracketed fades"). Margins of certified decodes
+/// are bounds, so an attached histogram runs the exact passes alone.
+template <sinr::AlphaProfile P>
+void SinrInterferenceModel::naive_resolve(
+    const SlotInputs& in, std::vector<Reception>& receptions) const {
+  const bool bracketed = fading_.kind == sinr::FadingKind::kLogNormal &&
+                         margin_histogram_ == nullptr;
+  Row& row = row_;
+  for (std::size_t i = 0; i < in.transmissions.size(); ++i) {
+    std::size_t count = 0;
+    for (graph::NodeId u : graph_.neighbors(in.transmissions[i].sender)) {
+      if (!in.listening[u]) continue;
+      row.id[count] = u;
+      row.x[count] = graph_.position(u).x;
+      row.y[count] = graph_.position(u).y;
+      ++count;
     }
-    // Engine coverage: a sender's δ ≤ R_T listeners are exactly its UDG
-    // neighbors (check_radius_matches_phys pins radius == R_T). Jammers are
-    // never decode candidates; they reach F(u) through txs_ alone.
-    const auto coverage_for = [&](std::size_t j) {
-      return graph_.neighbors(transmissions[j].sender);
-    };
-    // Listener u's weights P·g(u, j): a real transmitter's gain is its
-    // fade, drawn in one batch, and exactly 1 without fading; a jammer's is
-    // its power over the medium's base power (P·g = jammer power), unfaded
-    // as in the row kernel.
-    const auto fill_weights = [&](graph::NodeId listener, double* w) {
-      if (fading_.enabled()) {
-        sinr::fade_factors(fading_, slot, listener, tx_ids_, w);
-        for (std::size_t j = 0; j < transmissions.size(); ++j) {
-          w[j] = phys.power * w[j];
+    if (count == 0) continue;
+    const auto tx = static_cast<std::uint32_t>(i);
+    const std::size_t row_begin = receptions.size();
+    if (bracketed) {
+      count = row_passes<P, true>(in, i, count);
+      // Certified decodes go out now, in row order; the undecided rest
+      // moves to the front of the row for the exact passes.
+      std::size_t undecided = 0;
+      for (std::size_t k = 0; k < count; ++k) {
+        const double threshold = threshold_of(in.phys, row.interference_hi[k]);
+        if (row.signal[k] >= threshold) {
+          push_decode(receptions, row.id[k], tx, row.signal[k] / threshold);
+          continue;
         }
-      } else {
-        std::fill_n(w, transmissions.size(), phys.power);
+        row.id[undecided] = row.id[k];
+        row.x[undecided] = row.x[k];
+        row.y[undecided] = row.y[k];
+        ++undecided;
       }
-      for (std::size_t m = 0; m < jammers.size(); ++m) {
-        w[transmissions.size() + m] =
-            phys.power * (jammers[m].power / params_.power);
-      }
-    };
-    // Fades differ per listener; jammer gains alone do not.
-    engine_.resolve_slot(phys, txs_, transmissions.size(),
-                         graph_.deployment().points, listening, fill_weights,
-                         /*weights_listener_invariant=*/!fading_.enabled(),
-                         coverage_for, kind_, decodes_);
-  }
-  for (const auto& d : decodes_) {
-    // Both kernels decode real senders only: the naive rows and the
-    // engine's coverage come from the senders' UDG neighborhoods.
-    SINRCOLOR_DCHECK(d.tx < transmissions.size());
-    receptions.push_back({d.listener, d.tx});
-    if (margin_histogram_ != nullptr) {
-      margin_histogram_->record(d.margin);
+      count = undecided;
+      if (count == 0) continue;
     }
+    const std::size_t exact_begin = receptions.size();
+    count = row_passes<P, false>(in, i, count);
+    for (std::size_t k = 0; k < count; ++k) {
+      const double threshold = threshold_of(in.phys, row.interference[k]);
+      if (row.signal[k] >= threshold) {
+        push_decode(receptions, row.id[k], tx, row.signal[k] / threshold);
+      }
+    }
+    // The row's certified and exact decodes are each in ascending listener
+    // order; merge them (the exact ones are few) so the row's receptions
+    // are too, as without the pre-filter.
+    if (exact_begin > row_begin && receptions.size() > exact_begin) {
+      std::sort(receptions.begin() + static_cast<std::ptrdiff_t>(row_begin),
+                receptions.end(), [](const Reception& a, const Reception& b) {
+                  return a.listener < b.listener;
+                });
+    }
+  }
+}
+
+/// Row i's passes over its first `count` listeners, in the per-pair loop's
+/// order: transmitter i's signal pass, then every j ≠ i ascending, jammers
+/// last, while any listener is left; returns the row's new length. A real
+/// transmitter's gain is its fade, drawn for the whole row in one batch
+/// (kBracketed: its certified bracket), and exactly 1 without fading
+/// (P·1 = P). A jammer's gain is its power over the medium's base power
+/// (P·g = jammer power); it rides unfaded, having no node id to key a draw
+/// (docs/ROBUSTNESS.md). Under fading a listener leaves the row as soon as
+/// its signal fails the test against its partial sum (keep_decodable).
+/// Every pass checks that no transmitter sits on a listener, as the
+/// per-pair loop checks every term. A listener that left its row early
+/// skips that check for its remaining terms. A real transmitter on a
+/// listening node still aborts, since that node is in its own row, whose
+/// first pass is its signal pass, and jammers are kept off node positions
+/// before any run (FaultPlan::validate, FaultEngine::install).
+template <sinr::AlphaProfile P, bool kBracketed>
+std::size_t SinrInterferenceModel::row_passes(const SlotInputs& in,
+                                              std::size_t i,
+                                              std::size_t count) const {
+  Row& row = row_;
+  std::fill_n(row.signal.data(), count, 0.0);
+  std::fill_n(row.interference.data(), count, 0.0);
+  if constexpr (kBracketed) {
+    std::fill_n(row.signal_hi.data(), count, 0.0);
+    std::fill_n(row.interference_hi.data(), count, 0.0);
+  }
+  const std::size_t senders = in.transmissions.size();
+  const double half_alpha = in.phys.alpha / 2.0;
+  const bool faded = fading_.enabled();
+  const auto pass = [&](std::size_t j, bool signal) {
+    double* acc = signal ? row.signal.data() : row.interference.data();
+    double* acc_hi = nullptr;
+    if constexpr (kBracketed) {
+      acc_hi = signal ? row.signal_hi.data() : row.interference_hi.data();
+    }
+    double nearest = 0.0;
+    if (j >= senders) {
+      const Jammer& jam = in.jammers[j - senders];
+      nearest = add_row_pass<P, false, kBracketed>(
+          row, count, jam.position, in.phys.power * (jam.power / params_.power),
+          half_alpha, acc, acc_hi);
+    } else if (!faded) {
+      nearest = add_row_pass<P, false, kBracketed>(
+          row, count, graph_.position(in.transmissions[j].sender),
+          in.phys.power, half_alpha, acc, acc_hi);
+    } else {
+      const graph::NodeId sender = in.transmissions[j].sender;
+      const std::span<const std::uint32_t> ids(row.id.data(), count);
+      if constexpr (kBracketed) {
+        sinr::fade_brackets(fading_, in.slot, sender, ids, row.gain.data(),
+                            row.gain_hi.data());
+      } else {
+        sinr::fade_factors(fading_, in.slot, sender, ids, row.gain.data());
+      }
+      nearest = add_row_pass<P, true, kBracketed>(
+          row, count, graph_.position(sender), in.phys.power, half_alpha, acc,
+          acc_hi);
+    }
+    SINRCOLOR_CHECK_MSG(nearest > 0.0, "transmitter coincides with listener");
+    if (faded) count = keep_decodable<kBracketed>(row, count, in.phys);
+  };
+  pass(i, true);
+  for (std::size_t j = 0; j < senders + in.jammers.size() && count > 0; ++j) {
+    if (j != i) pass(j, false);
+  }
+  return count;
+}
+
+/// The field resolve. Coverage comes from the real senders' UDG neighbour
+/// spans (δ ≤ R_T is exactly adjacency, check_radius_matches_phys), sorted
+/// into the covered-listener list and scattered into a per-listener
+/// candidate CSR; the whole transmitter batch, jammers included, is staged
+/// as contiguous x/y/weight arrays; each covered listener sums F(u) over
+/// them, then tests its candidates, in ascending transmitter order, against
+/// F − signal. A jammer adds to F(u) but is never a candidate: with β ≥ 1 a
+/// listener that could "decode" a jammer decodes no real sender, and a
+/// listener only a jammer reaches hears nothing, so neither needs covering.
+/// Receptions come out in ascending listener order.
+template <sinr::AlphaProfile P>
+void SinrInterferenceModel::field_resolve(
+    const SlotInputs& in, std::vector<Reception>& receptions) const {
+  const std::size_t senders = in.transmissions.size();
+  ++epoch_;
+  covered_.clear();
+  pairs_.clear();
+  // Sender-outer, so each listener's pairs are tx-ascending.
+  for (std::uint32_t i = 0; i < senders; ++i) {
+    for (const graph::NodeId u : graph_.neighbors(in.transmissions[i].sender)) {
+      if (!in.listening[u]) continue;
+      pairs_.push_back({u, i});
+      if (touched_[u] == epoch_) continue;
+      touched_[u] = epoch_;
+      covered_.push_back(u);
+    }
+  }
+  std::sort(covered_.begin(), covered_.end());
+  // Counting-sort scatter of the pairs into per-listener candidate lists;
+  // it is stable, so each list stays in ascending transmitter order.
+  for (const std::uint32_t u : covered_) cand_count_[u] = 0;
+  for (const CandidatePair& pair : pairs_) ++cand_count_[pair.listener];
+  std::uint32_t offset = 0;
+  for (const std::uint32_t u : covered_) {
+    cand_begin_[u] = offset;
+    offset += cand_count_[u];
+    cand_count_[u] = 0;
+  }
+  if (cand_idx_.size() < offset) cand_idx_.resize(offset);
+  for (const CandidatePair& pair : pairs_) {
+    cand_idx_[cand_begin_[pair.listener] + cand_count_[pair.listener]++] =
+        pair.tx;
+  }
+  // SoA snapshot of the batch, with weights P·g folded so the accumulator
+  // body is a single divide. Jammer weights (P·g = jammer power, unfaded as
+  // in the row kernel) are the same for every listener, and so is every
+  // weight without fading (P·1 = P); under fading each listener refills
+  // its senders' weights from one fade batch.
+  soa_x_.clear();
+  soa_y_.clear();
+  tx_ids_.clear();
+  for (const TxRecord& t : in.transmissions) {
+    soa_x_.push_back(graph_.position(t.sender).x);
+    soa_y_.push_back(graph_.position(t.sender).y);
+    if (fading_.enabled()) tx_ids_.push_back(t.sender);
+  }
+  for (const Jammer& jam : in.jammers) {
+    soa_x_.push_back(jam.position.x);
+    soa_y_.push_back(jam.position.y);
+  }
+  const std::size_t count = soa_x_.size();
+  weights_.resize(count);
+  std::fill_n(weights_.data(), senders, in.phys.power);
+  for (std::size_t m = 0; m < in.jammers.size(); ++m) {
+    weights_[senders + m] =
+        in.phys.power * (in.jammers[m].power / params_.power);
+  }
+  const bool lanes = kind_ == sinr::ResolveKind::kSimd;
+  const double half_alpha = in.phys.alpha / 2.0;
+  const auto decode_covered = [&] {
+    const double* x = soa_x_.data();
+    const double* y = soa_y_.data();
+    double* w = weights_.data();
+    for (const std::uint32_t u : covered_) {
+      if (fading_.enabled()) {
+        sinr::fade_factors(fading_, in.slot, u, tx_ids_, w);
+        for (std::size_t j = 0; j < senders; ++j) w[j] = in.phys.power * w[j];
+      }
+      const double ux = graph_.position(u).x;
+      const double uy = graph_.position(u).y;
+      const double field =
+          lanes ? sinr::field_accumulate_lanes<P>(x, y, w, count, ux, uy,
+                                                  half_alpha)
+                : sinr::field_accumulate_serial<P>(x, y, w, count, ux, uy,
+                                                   half_alpha);
+      // Both accumulators are branch-free; a coincident transmitter shows
+      // up here as δ² = 0 ⇒ p = ∞ ⇒ F = ∞/NaN.
+      SINRCOLOR_CHECK_MSG(std::isfinite(field),
+                          "transmitter coincides with listener");
+      // Each candidate's signal is recomputed through contribution_at, the
+      // same bits the accumulator folded into F. The unique candidate (if
+      // any) with signal ≥ β·(N + F − signal) decodes; with β ≥ 1 at most
+      // one candidate can carry more than half the received power.
+      double margin = 0.0;
+      std::optional<std::uint32_t> winner;
+      const std::uint32_t cb = cand_begin_[u];
+      for (std::uint32_t c = 0; c < cand_count_[u]; ++c) {
+        const std::uint32_t j = cand_idx_[cb + c];
+        const double signal =
+            sinr::contribution_at<P>(x, y, w, j, ux, uy, half_alpha);
+        const double threshold = threshold_of(in.phys, field - signal);
+        if (signal >= threshold) {
+          SINRCOLOR_CHECK_MSG(!winner.has_value(),
+                              "beta >= 1 forbids two decodable senders");
+          winner = j;
+          margin = signal / threshold;
+        }
+      }
+      if (winner.has_value()) push_decode(receptions, u, *winner, margin);
+    }
+  };
+  // One kFieldAccum scope per resolve when profiling. The scope lives out
+  // here, not inside decode_covered, so the unprofiled path runs the hot
+  // loop with no scope object bracketing it (a live non-trivial destructor
+  // around the loop measurably pessimizes its codegen).
+  if (profiler_ == nullptr) {
+    decode_covered();
+  } else {
+    SINRCOLOR_PROFILE(profiler_, obs::Phase::kFieldAccum);
+    decode_covered();
   }
 }
 

@@ -33,13 +33,14 @@
 //            passes. Rounding is monotone, so a settled listener gets the
 //            exact decision and the reception list is unchanged
 //            (docs/KERNELS.md "Bracketed fades").
-//   kField, kSimd — the shared interference-field engine
-//            (sinr/field_engine.h): F(u) is summed once per covered
-//            listener and every candidate resolves in O(1) against
-//            F − signal. The two kinds share coverage, candidates and the
-//            decode pass and differ only in how F(u) is summed: one Kahan
-//            chain (kField) or the 8-lane SoA kernel (kSimd,
-//            docs/KERNELS.md). They win on dense slots.
+//   kField, kSimd — the field resolve (numerics in sinr/field_engine.h):
+//            F(u) is summed once per covered listener and every candidate
+//            resolves in O(1) against F − signal. The two kinds share
+//            coverage, candidates and the decode pass and differ only in
+//            how F(u) is summed: one Kahan chain (kField) or the 8-lane SoA
+//            kernel (kSimd, docs/KERNELS.md). They win on dense slots.
+// Both kernels push their receptions straight into the caller's list, each
+// recording its margin into an attached histogram as it goes.
 #pragma once
 
 #include <cstdint>
@@ -119,9 +120,9 @@ class InterferenceModel {
   }
 
   /// Attaches the slot-phase profiler (null detaches — the default). The
-  /// simulator latches this at run() start; the SINR medium forwards it to
-  /// its field engine so its kFieldAccum scopes land in the same sink.
-  virtual void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
+  /// simulator latches this at run() start; the SINR medium's field resolve
+  /// records one kFieldAccum scope per call into it.
+  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
 
   /// Bytes of model-owned scratch (engine buffers, per-slot arrays), measured
   /// from container capacities. Feeds the simulator's bytes/node accounting;
@@ -164,17 +165,7 @@ class SinrInterferenceModel final : public InterferenceModel {
   const sinr::SinrParams& params() const { return params_; }
   const sinr::FadingSpec& fading() const { return fading_; }
 
-  void set_profiler(obs::Profiler* profiler) override {
-    InterferenceModel::set_profiler(profiler);
-    engine_.set_profiler(profiler);
-  }
-
-  std::size_t memory_bytes() const override {
-    return sizeof(*this) + engine_.memory_bytes() +
-           decodes_.capacity() * sizeof(sinr::FieldEngine::Decode) +
-           txs_.capacity() * sizeof(sinr::Transmitter) +
-           tx_ids_.capacity() * sizeof(std::uint32_t) + row_.memory_bytes();
-  }
+  std::size_t memory_bytes() const override;
 
   /// The naive kernel's row: one transmitter's listening UDG neighbours in
   /// ascending id order (SoA), each with its signal and running
@@ -199,20 +190,54 @@ class SinrInterferenceModel final : public InterferenceModel {
   };
 
  private:
+  /// One resolve's inputs: real transmitters, then the disturbance's
+  /// jammers, and the params with the disturbance's noise floor.
+  struct SlotInputs {
+    Slot slot;
+    std::span<const TxRecord> transmissions;
+    std::span<const Jammer> jammers;
+    std::span<const std::uint8_t> listening;
+    sinr::SinrParams phys;
+  };
+
+  template <sinr::AlphaProfile P>
+  void naive_resolve(const SlotInputs& in,
+                     std::vector<Reception>& receptions) const;
+  template <sinr::AlphaProfile P, bool kBracketed>
+  std::size_t row_passes(const SlotInputs& in, std::size_t i,
+                         std::size_t count) const;
+  template <sinr::AlphaProfile P>
+  void field_resolve(const SlotInputs& in,
+                     std::vector<Reception>& receptions) const;
+  void push_decode(std::vector<Reception>& receptions, graph::NodeId listener,
+                   std::uint32_t tx, double margin) const;
+
   const graph::UnitDiskGraph& graph_;
   sinr::SinrParams params_;
   sinr::FadingSpec fading_;
   sinr::ResolveKind kind_;
-  mutable sinr::FieldEngine engine_;
-  /// Slot scratch: the decodes of whichever resolve path ran, the positions
-  /// of this slot's transmitters (real ones, then jammers; engine kinds),
-  /// their sender ids (the engine's fade batch) and the naive kernel's row.
-  /// Each is sized at construction for the kind that reads it, so resolve
-  /// is allocation-free in steady state.
-  mutable std::vector<sinr::FieldEngine::Decode> decodes_;
-  mutable std::vector<sinr::Transmitter> txs_;
-  mutable std::vector<std::uint32_t> tx_ids_;
+  /// Slot scratch, each sized at construction for the kind that reads it,
+  /// so resolve is allocation-free in steady state. The naive kernel's row:
   mutable Row row_;
+  struct CandidatePair {
+    std::uint32_t listener;
+    std::uint32_t tx;
+  };
+  /// The field resolve's: covered listeners (`touched_` marks them by
+  /// epoch), the (listener, sender) coverage pairs and their CSR by
+  /// listener, the transmitters' SoA positions and weights P·g, and the
+  /// senders' ids for the fade batch.
+  mutable std::uint64_t epoch_ = 0;
+  mutable std::vector<std::uint64_t> touched_;
+  mutable std::vector<std::uint32_t> covered_;
+  mutable std::vector<CandidatePair> pairs_;
+  mutable std::vector<std::uint32_t> cand_begin_;
+  mutable std::vector<std::uint32_t> cand_count_;
+  mutable std::vector<std::uint32_t> cand_idx_;
+  mutable std::vector<double> soa_x_;
+  mutable std::vector<double> soa_y_;
+  mutable std::vector<double> weights_;
+  mutable std::vector<std::uint32_t> tx_ids_;
 };
 
 class GraphInterferenceModel final : public InterferenceModel {

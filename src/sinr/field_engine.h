@@ -1,5 +1,5 @@
-// The shared interference-field engine — the fast path behind the SINR
-// medium's resolve (radio/interference_model.h).
+// The numerics of the SINR medium's field resolve (radio/interference_model.h)
+// that its kernels and their tests share.
 //
 // Naive resolution asks, per (sender, listener) pair, for the full
 // interference sum at the listener: O(T²·Δ) per slot for T transmitters.
@@ -16,15 +16,7 @@
 // structure Lemma 3 exploits analytically: far transmitters contribute a
 // globally bounded total to F(u) and never need to be enumerated per sender.
 //
-// One per-listener path serves both engine kinds. Coverage comes from the
-// real senders' UDG neighbour spans and is scattered into a per-listener
-// candidate CSR; the whole transmitter batch, jammers included, is staged
-// as contiguous x/y/weight arrays; each covered listener sums F(u) over
-// them, then tests its candidates, in ascending transmitter order, against
-// F − signal. A jammer adds to F(u) but is never a candidate: with β ≥ 1 a
-// listener that could "decode" a jammer decodes no real sender, and a
-// listener only a jammer reaches hears nothing, so neither needs covering.
-// The only kind-dependent choice is the F accumulator:
+// The medium's two field kinds differ only in the F accumulator:
 //   kField — field_accumulate_serial: one Kahan chain in ascending
 //            transmitter order;
 //   kSimd  — field_accumulate_lanes: a fused, branch-free loop the compiler
@@ -36,37 +28,24 @@
 // set is measure zero, so deliveries (and full run JSON) match across the
 // kinds and the naive oracle in practice; the equivalence suite
 // (tests/field_equivalence_test.cpp) and the x18 three-way harness enforce
-// exactly that.
-//
-// Determinism: F(u) is a pure function of (params, listener, transmitter
-// sequence) under either accumulator — independent of attached observation
-// sinks and the target ISA (the lane count is fixed). A resolve walks the
-// sorted covered-listener list on the caller's thread, so decodes come out
-// listener-ascending (tests/determinism_test.cpp).
+// exactly that. F(u) is a pure function of (params, listener, transmitter
+// sequence) under either accumulator, independent of the target ISA (the
+// lane count is fixed).
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <vector>
-
-#include "common/check.h"
-#include "geometry/point.h"
-#include "obs/profiler.h"
-#include "sinr/medium_field.h"
-#include "sinr/params.h"
+#include <type_traits>
 
 namespace sinrcolor::sinr {
 
 /// Which reception-resolution path a medium runs.
 enum class ResolveKind : std::uint8_t {
   kNaive,  ///< per-(sender, listener) interference sums — the reference oracle
-  kField,  ///< the field engine, F(u) summed in one Kahan chain
-  kSimd,   ///< the field engine, F(u) summed in the 8-lane batched kernel
+  kField,  ///< the field resolve, F(u) summed in one Kahan chain
+  kSimd,   ///< the field resolve, F(u) summed in the 8-lane batched kernel
 };
 
 const char* to_string(ResolveKind kind);
@@ -93,8 +72,8 @@ class KahanSum {
 };
 
 /// Path-loss profile of the exponent α, mirroring the scalar fast paths in
-/// pow_alpha_from_sq. Both accumulators are instantiated once per profile so
-/// the δ^α computation in the fused loop is branch-free multiplies (plus one
+/// pow_alpha_from_sq. Every kernel is instantiated once per profile so the
+/// δ^α computation in its loop is branch-free multiplies (plus one
 /// vectorizable sqrt for α=3); kGeneral falls back to the same scalar
 /// std::pow(d², α/2) call pow_alpha_from_sq makes, keeping per-term bits
 /// equal.
@@ -110,6 +89,26 @@ constexpr AlphaProfile classify_alpha(double alpha) {
   if (alpha == 4.0) return AlphaProfile::kQuartic;
   if (alpha == 6.0) return AlphaProfile::kSextic;
   return AlphaProfile::kGeneral;
+}
+
+/// Calls `f(std::integral_constant<AlphaProfile, P>{})` for `profile`'s P,
+/// so a kernel templated on the profile is picked once per call, never
+/// inside its loop. A new α fast path = an AlphaProfile entry, its
+/// pow_alpha_profiled branch and pow_alpha_from_sq twin, and a case here.
+template <typename F>
+decltype(auto) with_alpha_profile(AlphaProfile profile, F&& f) {
+  using enum AlphaProfile;
+  switch (profile) {
+    case kCube:
+      return f(std::integral_constant<AlphaProfile, kCube>{});
+    case kQuartic:
+      return f(std::integral_constant<AlphaProfile, kQuartic>{});
+    case kSextic:
+      return f(std::integral_constant<AlphaProfile, kSextic>{});
+    case kGeneral:
+      break;
+  }
+  return f(std::integral_constant<AlphaProfile, kGeneral>{});
 }
 
 /// δ^α from δ² for one profile; `half_alpha` = α/2 is only read by kGeneral.
@@ -206,273 +205,5 @@ double field_accumulate_serial(const double* x, const double* y,
   }
   return total.total();
 }
-
-using FieldKernelFn = double (*)(const double*, const double*, const double*,
-                                 std::size_t, double, double, double);
-using FieldContribFn = double (*)(const double*, const double*, const double*,
-                                  std::size_t, double, double, double);
-
-/// The accumulator table: one pre-instantiated F(u) sum per (engine kind,
-/// α profile), selected once per slot (never inside the hot loop). kSimd
-/// takes the 8-lane kernel, kField the serial chain; kNaive never reaches
-/// the engine. Extending the kernel to a new α fast path = add an
-/// AlphaProfile entry, a pow_alpha_profiled branch, its pow_alpha_from_sq
-/// twin, and a row in each table here.
-inline FieldKernelFn field_kernel_for(ResolveKind kind, AlphaProfile profile) {
-  static constexpr FieldKernelFn kLanes[] = {
-      &field_accumulate_lanes<AlphaProfile::kCube>,
-      &field_accumulate_lanes<AlphaProfile::kQuartic>,
-      &field_accumulate_lanes<AlphaProfile::kSextic>,
-      &field_accumulate_lanes<AlphaProfile::kGeneral>,
-  };
-  static constexpr FieldKernelFn kSerial[] = {
-      &field_accumulate_serial<AlphaProfile::kCube>,
-      &field_accumulate_serial<AlphaProfile::kQuartic>,
-      &field_accumulate_serial<AlphaProfile::kSextic>,
-      &field_accumulate_serial<AlphaProfile::kGeneral>,
-  };
-  const auto i = static_cast<std::size_t>(profile);
-  return kind == ResolveKind::kSimd ? kLanes[i] : kSerial[i];
-}
-
-/// Companion table for the scalar per-candidate recompute.
-inline FieldContribFn field_contrib_for(AlphaProfile profile) {
-  static constexpr FieldContribFn kTable[] = {
-      &contribution_at<AlphaProfile::kCube>,
-      &contribution_at<AlphaProfile::kQuartic>,
-      &contribution_at<AlphaProfile::kSextic>,
-      &contribution_at<AlphaProfile::kGeneral>,
-  };
-  return kTable[static_cast<std::size_t>(profile)];
-}
-
-/// Batch per-slot resolver with reusable scratch. Enumerates the listeners
-/// covered by any transmitter, evaluates F(u) once per covered listener, and
-/// reports every successful decode sorted by listener id.
-class FieldEngine {
- public:
-  struct Decode {
-    std::uint32_t listener;
-    std::uint32_t tx;    ///< index into the transmitter span
-    /// Achieved SINR over β, exact whenever a margin histogram reads it
-    /// (radio::InterferenceModel::set_margin_histogram). Without one, a
-    /// decode the naive kernel certified from fade brackets carries a
-    /// lower bound on it, still ≥ 1.
-    double margin;
-  };
-
-  /// Pre-sizes every scratch buffer to its structural bound (`nodes`
-  /// listeners / transmitters) so resolve_slot never allocates afterwards —
-  /// amortized growth would otherwise spike on whichever late slot happens
-  /// to set a coverage record, breaking the zero-allocation steady-state
-  /// contract. About 52 bytes per node and 12 per candidate pair.
-  /// `candidate_pairs` bounds the (listener, tx) pair arena: every pair has
-  /// δ ≤ R_T, so Σ_tx |coverage(tx)| ≤ n·(Δ+1) when every node transmits —
-  /// callers pass n·(max_degree+1).
-  void reserve(std::size_t nodes, std::size_t candidate_pairs = 0) {
-    if (touched_.size() < nodes) touched_.resize(nodes, 0);
-    covered_.reserve(nodes);
-    soa_x_.reserve(nodes);
-    soa_y_.reserve(nodes);
-    soa_w_.reserve(nodes);
-    if (cand_begin_.size() < nodes) {
-      cand_begin_.resize(nodes, 0);
-      cand_count_.resize(nodes, 0);
-    }
-    pairs_.reserve(candidate_pairs);
-    cand_idx_.reserve(candidate_pairs);
-    weights_.reserve(nodes);
-  }
-
-  /// `txs` holds the slot's `senders` real transmitters, the only decode
-  /// candidates, followed by any jammers, which only add to F(u).
-  /// `positions[u]` is listener u's location; `listening[u]` gates
-  /// eligibility (transmitting or asleep nodes are skipped).
-  /// `fill_weights(u, w)` writes listener u's weight w[j] = P·g(u, j) for
-  /// every transmitter j (P itself on the paper's channel, where P·1 is
-  /// bitwise P); `weights_listener_invariant` declares that every listener
-  /// gets the same weights (true without fading, jammers included), letting
-  /// the weight array be filled once per slot instead of once per listener.
-  /// `coverage_for(j)` returns sender j's candidate-listener span, its UDG
-  /// neighborhood (δ ≤ R_T is exactly adjacency when the graph radius
-  /// equals R_T, the same structural fact the naive path iterates). `kind`
-  /// selects the F(u) accumulator (kField or kSimd; kNaive is handled by
-  /// the medium, not here). Results land in `decodes`, cleared first, in
-  /// ascending listener order, each with tx < `senders`.
-  template <typename FillWeights, typename CoverageFor>
-  void resolve_slot(const SinrParams& params, std::span<const Transmitter> txs,
-                    std::size_t senders,
-                    std::span<const geometry::Point> positions,
-                    std::span<const std::uint8_t> listening,
-                    FillWeights&& fill_weights,
-                    bool weights_listener_invariant,
-                    CoverageFor&& coverage_for, ResolveKind kind,
-                    std::vector<Decode>& decodes) {
-    decodes.clear();
-    SINRCOLOR_DCHECK(senders <= txs.size());
-    if (senders == 0) return;
-    collect_covered(senders, listening, coverage_for);
-
-    if (!covered_.empty()) {
-      build_candidate_csr();
-      // SoA snapshot of the transmitter batch. Weights fold power·gain so the
-      // accumulator body is a single divide; with listener-invariant gains
-      // they are computed once here, otherwise per listener into weights_.
-      soa_x_.clear();
-      soa_y_.clear();
-      for (const Transmitter& t : txs) {
-        soa_x_.push_back(t.position.x);
-        soa_y_.push_back(t.position.y);
-      }
-      if (weights_listener_invariant) {
-        soa_w_.resize(txs.size());
-        fill_weights(covered_.front(), soa_w_.data());
-      }
-    }
-    const AlphaProfile profile = classify_alpha(params.alpha);
-    const FieldKernelFn accumulate = field_kernel_for(kind, profile);
-    const FieldContribFn contrib = field_contrib_for(profile);
-    const double half_alpha = params.alpha / 2.0;
-    const auto decode_covered = [&] {
-      const double* x = soa_x_.data();
-      const double* y = soa_y_.data();
-      for (const std::uint32_t u : covered_) {
-        const double* w = soa_w_.data();
-        if (!weights_listener_invariant) {
-          if (weights_.size() < txs.size()) weights_.resize(txs.size());
-          fill_weights(u, weights_.data());
-          w = weights_.data();
-        }
-        const double ux = positions[u].x;
-        const double uy = positions[u].y;
-        const double field =
-            accumulate(x, y, w, txs.size(), ux, uy, half_alpha);
-        // Both accumulators are branch-free; a coincident transmitter shows
-        // up here as δ² = 0 ⇒ p = ∞ ⇒ F = ∞/NaN.
-        SINRCOLOR_CHECK_MSG(std::isfinite(field),
-                            "transmitter coincides with listener");
-        // Candidate pass over the coverage CSR (ascending tx order); each
-        // candidate's signal is recomputed through contribution_at — the
-        // same bits the accumulator folded into F. The unique candidate (if
-        // any) with signal ≥ β·(N + F − signal) decodes; with β ≥ 1 at most
-        // one candidate can carry more than half the received power.
-        double margin = 0.0;
-        std::optional<std::uint32_t> winner;
-        const std::uint32_t cb = cand_begin_[u];
-        for (std::uint32_t i = 0; i < cand_count_[u]; ++i) {
-          const std::uint32_t j = cand_idx_[cb + i];
-          const double signal = contrib(x, y, w, j, ux, uy, half_alpha);
-          const double threshold =
-              params.beta * (params.noise + (field - signal));
-          if (signal >= threshold) {
-            SINRCOLOR_CHECK_MSG(!winner.has_value(),
-                                "beta >= 1 forbids two decodable senders");
-            winner = j;
-            margin = signal / threshold;
-          }
-        }
-        if (winner.has_value()) decodes.push_back({u, *winner, margin});
-      }
-    };
-    // One kFieldAccum scope per resolve when profiling. The scope lives out
-    // here — NOT inside decode_covered — so the unprofiled path runs the hot
-    // loop with no scope object bracketing it (a live non-trivial destructor
-    // around the loop measurably pessimizes its codegen).
-    if (profiler_ == nullptr) {
-      decode_covered();
-    } else {
-      SINRCOLOR_PROFILE(profiler_, obs::Phase::kFieldAccum);
-      decode_covered();
-    }
-  }
-
-  /// Attaches the slot-phase profiler (null = off); one kFieldAccum scope is
-  /// recorded per resolve. Timing only — decodes are unaffected.
-  void set_profiler(obs::Profiler* profiler) { profiler_ = profiler; }
-
-  /// Heap footprint of the engine's scratch (capacities, all buffers),
-  /// feeding the simulator's bytes/node accounting.
-  std::size_t memory_bytes() const {
-    return touched_.capacity() * sizeof(std::uint64_t) +
-           covered_.capacity() * sizeof(std::uint32_t) +
-           (soa_x_.capacity() + soa_y_.capacity() + soa_w_.capacity() +
-            weights_.capacity()) *
-               sizeof(double) +
-           pairs_.capacity() * sizeof(CandidatePair) +
-           (cand_begin_.capacity() + cand_count_.capacity() +
-            cand_idx_.capacity()) *
-               sizeof(std::uint32_t);
-  }
-
- private:
-  /// Gathers the slot's covered listeners (ascending) and every
-  /// (listener, sender) candidate pair, sender-outer. A sender's candidate
-  /// listeners are exactly its UDG neighbors (same δ ≤ R_T gate, same d²
-  /// bits at graph-build time), already materialized as a sorted CSR span —
-  /// no cell scan, no distance recomputation.
-  template <typename CoverageFor>
-  void collect_covered(std::size_t senders,
-                       std::span<const std::uint8_t> listening,
-                       CoverageFor&& coverage_for) {
-    if (touched_.size() < listening.size()) touched_.resize(listening.size(), 0);
-    ++epoch_;
-    covered_.clear();
-    pairs_.clear();
-    for (std::uint32_t tx_id = 0; tx_id < senders; ++tx_id) {
-      for (const std::uint32_t u : coverage_for(std::size_t{tx_id})) {
-        if (!listening[u]) continue;
-        pairs_.push_back({u, tx_id});
-        if (touched_[u] == epoch_) continue;
-        touched_[u] = epoch_;
-        covered_.push_back(u);
-      }
-    }
-    std::sort(covered_.begin(), covered_.end());
-  }
-
-  /// Scatters the coverage pairs into per-listener candidate lists (CSR over
-  /// cand_idx_). pairs_ is tx-ascending per listener (outer loop order) and
-  /// the counting-sort scatter is stable, so each listener's candidates come
-  /// out in ascending transmitter order.
-  void build_candidate_csr() {
-    const std::size_t nodes = touched_.size();
-    if (cand_begin_.size() < nodes) {
-      cand_begin_.resize(nodes, 0);
-      cand_count_.resize(nodes, 0);
-    }
-    for (const std::uint32_t u : covered_) cand_count_[u] = 0;
-    for (const CandidatePair& pair : pairs_) ++cand_count_[pair.listener];
-    std::uint32_t offset = 0;
-    for (const std::uint32_t u : covered_) {
-      cand_begin_[u] = offset;
-      offset += cand_count_[u];
-      cand_count_[u] = 0;
-    }
-    if (cand_idx_.size() < offset) cand_idx_.resize(offset);
-    for (const CandidatePair& pair : pairs_) {
-      cand_idx_[cand_begin_[pair.listener] + cand_count_[pair.listener]++] =
-          pair.tx;
-    }
-  }
-
-  struct CandidatePair {
-    std::uint32_t listener;
-    std::uint32_t tx;
-  };
-
-  std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> touched_;
-  std::vector<std::uint32_t> covered_;
-  // SoA transmitter snapshot plus the coverage-pair CSR.
-  std::vector<double> soa_x_;
-  std::vector<double> soa_y_;
-  std::vector<double> soa_w_;
-  std::vector<CandidatePair> pairs_;
-  std::vector<std::uint32_t> cand_begin_;
-  std::vector<std::uint32_t> cand_count_;
-  std::vector<std::uint32_t> cand_idx_;
-  std::vector<double> weights_;  ///< per-listener P·g(j) (fading only)
-  obs::Profiler* profiler_ = nullptr;
-};
 
 }  // namespace sinrcolor::sinr

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -164,6 +165,73 @@ TEST(FaultPlan, RejectsNonIntegerSlots) {
           "crashes": [{"node": 0, "slot": 1.5}]})",
       plan, &error));
   EXPECT_NE(error.find("integer"), std::string::npos);
+}
+
+// JSON numbers parse as doubles: an integer is taken only where the double
+// holds it exactly (|v| <= 2^53 - 1), checked before any cast.
+TEST(FaultPlan, RejectsASaltBeyondTheInt64Range) {
+  faults::FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1", "seed_salt": 1e19})", plan, &error));
+  EXPECT_NE(error.find("at most 2^53 - 1"), std::string::npos) << error;
+}
+
+TEST(FaultPlan, RejectsASaltTheDoubleCannotHold) {
+  faults::FaultPlan plan;
+  std::string error;
+  // Reads as 2^53, one below what was written.
+  EXPECT_FALSE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1", "seed_salt": 9007199254740993})",
+      plan, &error));
+  EXPECT_NE(error.find("at most 2^53 - 1"), std::string::npos) << error;
+  ASSERT_TRUE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1", "seed_salt": 9007199254740991})",
+      plan, &error))
+      << error;
+  EXPECT_EQ(plan.seed_salt, faults::FaultPlan::kMaxExactInt);
+}
+
+TEST(FaultPlan, RejectsANegativeSalt) {
+  faults::FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1", "seed_salt": -1})", plan, &error));
+  EXPECT_NE(error.find("\"seed_salt\" must be >= 0"), std::string::npos)
+      << error;
+}
+
+TEST(FaultPlan, RejectsANodeIdThatWouldWrap) {
+  // 2^32 must not narrow to node 0.
+  faults::FaultPlan plan;
+  std::string error;
+  EXPECT_FALSE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1",
+          "crashes": [{"node": 4294967296, "slot": 5}]})",
+      plan, &error));
+  EXPECT_NE(error.find("crashes[0]: node outside the node id range"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(faults::FaultPlan::from_string(
+      R"({"schema": "sinrcolor.faults.v1",
+          "deafness": [{"node": -1, "from": 0}]})",
+      plan, &error));
+  EXPECT_NE(error.find("deafness[0]: node outside the node id range"),
+            std::string::npos)
+      << error;
+}
+
+TEST(FaultPlan, EveryValidSaltRoundTrips) {
+  faults::FaultPlan plan;
+  plan.seed_salt = ~std::uint64_t{0};  // to_json would write it unreadably
+  EXPECT_NE(plan.validate(4).find("seed_salt"), std::string::npos);
+  plan.seed_salt = faults::FaultPlan::kMaxExactInt;
+  ASSERT_TRUE(plan.validate(4).empty());
+  faults::FaultPlan reparsed;
+  std::string error;
+  ASSERT_TRUE(faults::FaultPlan::from_string(plan.to_json(), reparsed, &error))
+      << error;
+  EXPECT_EQ(reparsed.seed_salt, plan.seed_salt);
 }
 
 TEST(FaultPlan, ValidateCatchesSemanticErrors) {

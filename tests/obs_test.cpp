@@ -104,6 +104,11 @@ TEST(JsonlExport, RoundTripIsLossless) {
     e.peer = i % 2 == 0 ? static_cast<obs::NodeId>((i + 1) % 7) : obs::kNoNode;
     e.a = static_cast<std::int32_t>(i) - 3;       // negatives survive
     e.b = -static_cast<std::int64_t>(i) * 1000000000000LL;  // wide payload
+    if (e.kind == obs::EventKind::kMwTransition ||
+        e.kind == obs::EventKind::kJoinTransition) {
+      e.a = 1;  // automaton edges carry state values (the schema's range)
+      e.b = 3;
+    }
     events.push_back(e);
   }
 
@@ -135,6 +140,57 @@ TEST(JsonlExport, RejectsMalformedInput) {
   garbage_event.seekg(0);
   EXPECT_FALSE(obs::read_jsonl(garbage_event, meta, events, &error));
   EXPECT_NE(error.find("line"), std::string::npos) << error;
+
+  // One case per sinrcolor.trace.v1 rule (tools/lint/trace_schema_check.py
+  // states the same ones), each refused with a "line N: ..." diagnostic.
+  const auto rejects = [&](const std::string& n, const std::string& lines,
+                           const std::string& want) {
+    std::stringstream trace(
+        "{\"schema\":\"sinrcolor.trace.v1\",\"n\":" + n +
+        ",\"seed\":0,\"scenario\":\"\",\"recorded\":2,\"dropped\":0}\n" +
+        lines);
+    error.clear();
+    EXPECT_FALSE(obs::read_jsonl(trace, meta, events, &error)) << lines;
+    EXPECT_NE(error.find(want), std::string::npos) << error;
+  };
+  const auto event = [](const std::string& slot, const std::string& kind,
+                        const std::string& node, const std::string& peer,
+                        const std::string& a, const std::string& b) {
+    return "{\"slot\":" + slot + ",\"kind\":\"" + kind + "\",\"node\":" +
+           node + ",\"peer\":" + peer + ",\"a\":" + a + ",\"b\":" + b +
+           "}\n";
+  };
+  const std::string no_node = "4294967295";
+  rejects("-1", "", "line 1: meta header needs integers");
+  rejects("4294967296", "", "line 1: n 4294967296 exceeds the node id range");
+  rejects("3", event("-1", "tx", "0", no_node, "0", "0"),
+          "line 2: negative slot -1");
+  rejects("3",
+          event("5", "tx", "0", no_node, "0", "0") +
+              event("4", "tx", "0", no_node, "0", "0"),
+          "line 3: slot 4 < previous slot 5");
+  rejects("3", event("0", "tx", "3", no_node, "0", "0"),
+          "line 2: node 3 out of range [0, 3)");
+  rejects("3", event("0", "tx", "-5", no_node, "0", "0"),
+          "line 2: event needs integers");
+  rejects("3", event("0", "tx", "4294967296", no_node, "0", "0"),
+          "line 2: event needs integers");
+  rejects("3", event("0", "delivery", "0", "3", "0", "0"),
+          "line 2: peer 3 out of range [0, 3) and not kNoNode");
+  rejects("3", event("0", "tx", "0", no_node, "4294967297", "0"),
+          "line 2: a 4294967297 exceeds 32 bits");
+  rejects("3", event("0", "mw_transition", "0", no_node, "0", "200"),
+          "line 2: mw_transition payload (0, 200) outside 0..5");
+  rejects("3", event("0", "join_transition", "0", no_node, "4", "0"),
+          "line 2: join_transition payload (4, 0) outside 0..3");
+  // The same shapes inside their ranges parse.
+  std::stringstream valid(
+      "{\"schema\":\"sinrcolor.trace.v1\",\"n\":3,\"seed\":0,"
+      "\"scenario\":\"\",\"recorded\":2,\"dropped\":0}\n" +
+      event("0", "mw_transition", "2", no_node, "0", "5") +
+      event("0", "join_transition", "0", "2", "3", "0"));
+  EXPECT_TRUE(obs::read_jsonl(valid, meta, events, &error)) << error;
+  EXPECT_EQ(events.size(), 2u);
 }
 
 TEST(Histogram, BucketEdgesAreUpperInclusive) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
 #include "common/rng.h"
@@ -118,17 +120,20 @@ TEST(SinrModel, FarInterferenceAccumulates) {
   for (graph::NodeId v = 2; v < dep.points.size(); ++v) {
     txs.push_back({v, compete_msg(v)});
   }
-  std::vector<bool> listening(dep.points.size(), true);
-  listening[1] = false;
-  for (std::size_t i = 2; i < dep.points.size(); ++i) listening[i] = false;
+  // Listener bytes, as the simulator passes them: only the receiver listens.
+  std::vector<std::uint8_t> listening(dep.points.size(), 0);
+  listening[0] = 1;
 
-  std::vector<std::optional<Message>> deliveries(dep.points.size());
-  graph_model.resolve(0, txs, listening, deliveries);
-  ASSERT_TRUE(deliveries[0].has_value());  // graph model: only 1 neighbor txs
+  const auto receiver_decodes = [](const std::vector<Reception>& receptions) {
+    return std::any_of(receptions.begin(), receptions.end(),
+                       [](const Reception& r) { return r.listener == 0; });
+  };
+  std::vector<Reception> receptions;
+  graph_model.resolve(0, txs, listening, receptions);
+  ASSERT_TRUE(receiver_decodes(receptions));  // graph model: 1 neighbor txs
 
-  std::fill(deliveries.begin(), deliveries.end(), std::nullopt);
-  sinr_model.resolve(0, txs, listening, deliveries);
-  EXPECT_FALSE(deliveries[0].has_value());  // SINR: cumulative ring kills it
+  sinr_model.resolve(0, txs, listening, receptions);
+  EXPECT_FALSE(receiver_decodes(receptions));  // SINR: cumulative ring kills it
 }
 
 // A protocol that transmits a fixed message in a fixed slot, else listens.

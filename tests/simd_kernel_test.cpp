@@ -1,5 +1,5 @@
 // Unit tests for the SoA accumulators' numerical spec
-// (sinr/field_engine.h, docs/KERNELS.md): the α-specialization table must be
+// (sinr/field_engine.h, docs/KERNELS.md): the α specializations must be
 // a bitwise twin of the scalar pow_alpha_from_sq fast paths, the blocked
 // 8-lane batched-Kahan kernel (kSimd) must reproduce — bit for bit — a plain
 // scalar replay of its definition ("lane l takes elements j ≡ l mod 8, lanes
@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -97,9 +98,12 @@ TEST(SimdKernel, KernelMatchesScalarReplayAcrossTailSizes) {
   std::vector<double> x, y, w;
   for (const double alpha : {3.0, 4.0, 6.0, 3.5}) {
     const AlphaProfile profile = classify_alpha(alpha);
-    const FieldKernelFn kernel = field_kernel_for(ResolveKind::kSimd, profile);
-    const FieldKernelFn serial = field_kernel_for(ResolveKind::kField, profile);
-    const FieldContribFn contrib = field_contrib_for(profile);
+    const auto [kernel, serial, contrib] =
+        with_alpha_profile(profile, [](auto p) {
+          constexpr AlphaProfile P = decltype(p)::value;
+          return std::tuple{&field_accumulate_lanes<P>,
+                            &field_accumulate_serial<P>, &contribution_at<P>};
+        });
     for (const std::size_t count : counts) {
       fill_soa(count, rng, x, y, w);
       const double ux = rng.uniform(0.0, 6.0);
@@ -131,7 +135,9 @@ TEST(SimdKernel, ContribTableMatchesScalarTerm) {
   const double ux = rng.uniform(0.0, 6.0);
   const double uy = rng.uniform(0.0, 6.0);
   for (const double alpha : {3.0, 4.0, 6.0, 3.5}) {
-    const FieldContribFn contrib = field_contrib_for(classify_alpha(alpha));
+    const auto contrib = with_alpha_profile(
+        classify_alpha(alpha),
+        [](auto p) { return &contribution_at<decltype(p)::value>; });
     for (std::size_t j = 0; j < x.size(); ++j) {
       const double dx = ux - x[j];
       const double dy = uy - y[j];
@@ -144,8 +150,9 @@ TEST(SimdKernel, ContribTableMatchesScalarTerm) {
 }
 
 TEST(SimdKernel, EmptyInputYieldsZeroField) {
-  const FieldKernelFn kernel =
-      field_kernel_for(ResolveKind::kSimd, AlphaProfile::kQuartic);
+  const auto kernel = with_alpha_profile(AlphaProfile::kQuartic, [](auto p) {
+    return &field_accumulate_lanes<decltype(p)::value>;
+  });
   EXPECT_EQ(kernel(nullptr, nullptr, nullptr, 0, 1.0, 2.0, 2.0), 0.0);
 }
 
