@@ -60,6 +60,24 @@ class Rng {
     return result;
   }
 
+  /// Undoes one operator() call: the state update is a bijection, so the
+  /// stream can be walked back without a stored copy. Run in reverse:
+  /// rotl(·, 19) undoes rotl(·, 45); s1 ^ s2 leaves y = s1 ^ (s1 << 17),
+  /// and y ^= y << 17, y ^= y << 34 multiply it by (I + L + L² + L³), the
+  /// inverse of (I + L) over GF(2) because L⁴ (a shift by 68) is zero.
+  void step_back() {
+    const std::uint64_t s3 = rotl(state_[3], 19);  // s3 ^ s1 before rotl
+    const std::uint64_t s0 = state_[0] ^ s3;
+    std::uint64_t s1 = state_[1] ^ state_[2];
+    s1 ^= s1 << 17;
+    s1 ^= s1 << 34;
+    const std::uint64_t s2 = state_[1] ^ s1;  // s2 ^ s0 before s1 ^= s2
+    state_[0] = s0;
+    state_[1] = s1;
+    state_[2] = s2 ^ s0;
+    state_[3] = s3 ^ s1;
+  }
+
   /// Uniform double in [0, 1).
   double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
 
@@ -101,6 +119,9 @@ class Rng {
   Rng fork(std::uint64_t stream_id) {
     return Rng{derive_seed((*this)(), stream_id)};
   }
+
+  /// Same state, so the same stream from here on.
+  bool operator==(const Rng&) const = default;
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {

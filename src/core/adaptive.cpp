@@ -55,7 +55,8 @@ void AdaptiveMwNode::rebuild(radio::Slot slot, std::size_t new_delta) {
   inner_->on_wake(slot);
 }
 
-void AdaptiveMwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
+// The node keeps the default plan, so every delivery re-plans it.
+bool AdaptiveMwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
   SINRCOLOR_CHECK_MSG(inner_->state() != MwStateKind::kAsleep,
                       "delivery to a sleeping adaptive node");
   heard_.insert(msg.sender);
@@ -65,6 +66,7 @@ void AdaptiveMwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
     rebuild(slot, 2 * heard_.size());
   }
   inner_->on_receive(slot, msg);
+  return true;
 }
 
 std::string AdaptiveRunResult::summary() const {

@@ -33,7 +33,7 @@ class AdaptiveMwNode final : public radio::Protocol {
   void on_wake(radio::Slot slot) override;
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
-  void on_receive(radio::Slot slot, const radio::Message& message) override;
+  bool on_receive(radio::Slot slot, const radio::Message& message) override;
   bool decided() const override { return inner_->decided(); }
 
   graph::Color final_color() const { return inner_->final_color(); }

@@ -109,6 +109,9 @@ void MwNode::catch_up(radio::Slot slot) {
     listen_remaining_ -= skipped;  // Fig. 1 line 3, once per skipped slot
   } else if (state_ == MwStateKind::kCompeting) {
     counter_ += skipped;  // Fig. 1 line 9, once per skipped slot
+  } else if (state_ == MwStateKind::kLeader && serving_) {
+    SINRCOLOR_DCHECK(skipped < serve_remaining_);
+    serve_remaining_ -= skipped;  // Fig. 2 line 13, once per skipped slot
   }
 }
 
@@ -130,8 +133,16 @@ radio::QuietPlan MwNode::quiet_plan(radio::Slot slot) const {
       return {radio::kNeverSlot, params_.q_small};
     case MwStateKind::kColored:
       return {radio::kNeverSlot, params_.q_small};
-    case MwStateKind::kAsleep:
     case MwStateKind::kLeader:
+      // Serving: the q_ℓ coin each slot until the one that ends the serve
+      // window and pops the queue. Idle: the beacon coin until a request
+      // arrives. A queued request starts its window in the next slot.
+      if (serving_) return {slot + serve_remaining_, params_.q_leader};
+      if (request_head_ == request_queue_.size()) {
+        return {radio::kNeverSlot, params_.q_leader};
+      }
+      break;
+    case MwStateKind::kAsleep:
       break;
   }
   return Protocol::quiet_plan(slot);
@@ -278,13 +289,18 @@ std::optional<radio::Message> MwNode::leader_slot(common::Rng& rng) {
   return std::nullopt;
 }
 
-void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
+// Returns true exactly where the delivery can move the quiet plan: a state
+// change, a counter reset, or a request that wakes an idle leader. Every
+// other delivery leaves the plan's absolute end and probability as they
+// were, because the countdown, the counter and the serve window all run on
+// the slot number. decided() changes only with the state.
+bool MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
   catch_up(slot);
   last_slot_ = slot;
   switch (state_) {
     case MwStateKind::kAsleep:
       SINRCOLOR_CHECK_MSG(false, "delivery to a sleeping node");
-      return;
+      return true;
 
     case MwStateKind::kListening:
     case MwStateKind::kCompeting: {
@@ -303,7 +319,7 @@ void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
         } else {
           enter_class(color_class_ + 1);  // state := A_{i+1}
         }
-        return;
+        return true;
       }
       if (msg.kind == radio::MessageKind::kCompete &&
           msg.color_class == color_class_) {
@@ -319,10 +335,11 @@ void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
           if (std::llabs(counter_ - msg.counter) <= window) {
             counter_ = chi(slot);
             ++resets_;
+            return true;
           }
         }
       }
-      return;
+      return false;
     }
 
     case MwStateKind::kRequesting: {
@@ -332,8 +349,9 @@ void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
         const std::int32_t base =
             msg.tc * (params_.phi_2rt + 1);  // A_{tc(φ(2R_T)+1)}
         enter_class(base);
+        return true;
       }
-      return;
+      return false;
     }
 
     case MwStateKind::kLeader: {
@@ -345,14 +363,19 @@ void MwNode::on_receive(radio::Slot slot, const radio::Message& msg) {
             std::find(request_queue_.begin() +
                           static_cast<std::ptrdiff_t>(request_head_),
                       request_queue_.end(), msg.sender) != request_queue_.end();
-        if (!queued) request_queue_.push_back(msg.sender);
+        if (!queued) {
+          request_queue_.push_back(msg.sender);
+          // A serving leader reaches the new entry when its window ends.
+          return !serving_;
+        }
       }
-      return;
+      return false;
     }
 
     case MwStateKind::kColored:
-      return;  // final; ignores all traffic
+      return false;  // final; ignores all traffic
   }
+  return true;
 }
 
 void MwNode::restart_election() {

@@ -13,11 +13,15 @@
 // competes for its final color in classes tc·(φ(2R_T)+1) + k, k = 0..φ(2R_T).
 //
 // Quiet plans (radio/protocol.h): between deliveries, a listening node only
-// counts down, and a competing, requesting or colored node only draws its
-// q_s coin — the competing node's counter climbing one per slot until the
-// slot it reaches the threshold. Those four states return plans, so the
-// simulator skips their silent slots; the node catches up its countdown and
-// counter from the slot number when it is next called.
+// counts down, a competing, requesting or colored node only draws its q_s
+// coin — the competing node's counter climbing one per slot until the slot
+// it reaches the threshold — and a leader only draws its q_ℓ coin, idle or
+// inside a serve window, whose countdown runs one per slot. Those five
+// states return plans, so the simulator skips their silent slots; the node
+// catches up its countdown, counter and serve window from the slot number
+// when it is next called. on_receive returns true only for the deliveries
+// that move a plan: a same-class leader signal, a same-class M_A that resets
+// the counter, the own leader's grant, and a new request to an idle leader.
 #pragma once
 
 #include <cstdint>
@@ -96,7 +100,7 @@ class MwNode final : public radio::Protocol {
   void on_wake(radio::Slot slot) override;
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
-  void on_receive(radio::Slot slot, const radio::Message& message) override;
+  bool on_receive(radio::Slot slot, const radio::Message& message) override;
   radio::QuietPlan quiet_plan(radio::Slot slot) const override;
   bool decided() const override {
     return state_ == MwStateKind::kLeader || state_ == MwStateKind::kColored;
@@ -172,7 +176,8 @@ class MwNode final : public radio::Protocol {
   /// Enter A_j: Fig. 1 line 1 initialisation + listening phase.
   void enter_class(std::int32_t j);
   /// Applies the quiet slots since the last call, through `slot`: the
-  /// listening countdown and the competing counter each move one per slot.
+  /// listening countdown, the competing counter and a serving leader's
+  /// window each move one per slot.
   void catch_up(radio::Slot slot);
   bool retransmit_enabled() const {
     return retransmit_ != nullptr && retransmit_->enabled();

@@ -95,8 +95,16 @@ StateTimeline timeline_from_trace(std::span<const obs::TraceEvent> events,
 
   // Replay: per-node MwStateKind value, updated event by event; a sample row
   // is flushed whenever the replay crosses a slot boundary that is a
-  // multiple of `interval`.
-  std::vector<std::uint8_t> state(node_count, 0);  // kAsleep
+  // multiple of `interval`. The table ends one past the largest node id an
+  // event names (a header may declare up to 2^32 − 1 nodes); the nodes past
+  // it never leave kAsleep, and count[0] holds them all the same.
+  std::size_t named = 0;
+  for (const obs::TraceEvent& e : events) {
+    SINRCOLOR_CHECK_MSG(e.node < node_count,
+                        "trace event for a node beyond node_count");
+    named = std::max<std::size_t>(named, std::size_t{e.node} + 1);
+  }
+  std::vector<std::uint8_t> state(named, 0);  // kAsleep
   std::array<std::uint32_t, StateTimeline::kStates> count{};
   count[0] = static_cast<std::uint32_t>(node_count);
   const radio::Slot last_slot = events.back().slot;
@@ -117,8 +125,6 @@ StateTimeline timeline_from_trace(std::span<const obs::TraceEvent> events,
   };
 
   for (const obs::TraceEvent& e : events) {
-    SINRCOLOR_CHECK_MSG(e.node < node_count,
-                        "trace event for a node beyond node_count");
     flush_until(e.slot - 1);
     switch (e.kind) {
       case obs::EventKind::kMwTransition:

@@ -452,13 +452,19 @@ void write_chrome_trace(const TraceMeta& meta,
 
 std::vector<NodeDigest> build_digest(std::span<const TraceEvent> events,
                                      std::size_t node_count) {
-  std::vector<NodeDigest> digest(node_count);
-  for (std::size_t v = 0; v < node_count; ++v) {
-    digest[v].node = static_cast<NodeId>(v);
-  }
+  // Sized by the events, not the header: a header may declare up to 2^32 − 1
+  // nodes, and the nodes past the last one any event names have no row.
+  std::size_t rows = 0;
   for (const TraceEvent& e : events) {
     SINRCOLOR_CHECK_MSG(e.node < node_count,
                         "trace event for a node beyond node_count");
+    rows = std::max<std::size_t>(rows, std::size_t{e.node} + 1);
+  }
+  std::vector<NodeDigest> digest(rows);
+  for (std::size_t v = 0; v < rows; ++v) {
+    digest[v].node = static_cast<NodeId>(v);
+  }
+  for (const TraceEvent& e : events) {
     NodeDigest& d = digest[e.node];
     switch (e.kind) {
       case EventKind::kWake:

@@ -73,6 +73,10 @@ struct NodeDigest {
   std::int64_t last_join_phase = -1;   ///< JoinPhase value, -1 if none seen
 };
 
+/// One row per node 0..m, where m is the largest node id any event names
+/// (a lower node without events keeps an empty row); every event must name
+/// a node < node_count. Nodes m + 1..node_count − 1 have no events and no
+/// rows, so a caller that prints the table counts them.
 std::vector<NodeDigest> build_digest(std::span<const TraceEvent> events,
                                      std::size_t node_count);
 

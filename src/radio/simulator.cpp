@@ -22,6 +22,30 @@ namespace {
 constexpr std::uint32_t kFaultDropped =
     std::numeric_limits<std::uint32_t>::max();
 
+/// The stream values one quiet slot consumes: Rng::bernoulli draws only for
+/// p strictly between 0 and 1.
+Slot draws_per_slot(double p) { return p > 0.0 && p < 1.0 ? 1 : 0; }
+
+/// Draws the quiet coins of slots from..until − 1 (from <= until) on `rng`
+/// with Rng::bernoulli(p), one per slot. Returns the first slot whose coin
+/// hits, with the stream stepped back before that draw, or `until`, with
+/// the stream after every draw.
+Slot draw_ahead(common::Rng& rng, double p, Slot from, Slot until) {
+  if (p <= 0.0) return until;
+  if (p >= 1.0) return from;  // a hit that draws nothing
+  for (Slot s = from; s < until; ++s) {
+    if (rng.bernoulli(p)) {
+      rng.step_back();
+      return s;
+    }
+  }
+  return until;
+}
+
+void step_back(common::Rng& rng, Slot count) {
+  for (; count > 0; --count) rng.step_back();
+}
+
 }  // namespace
 
 Simulator::Simulator(const graph::UnitDiskGraph& graph,
@@ -46,8 +70,9 @@ Simulator::Simulator(const graph::UnitDiskGraph& graph,
   scratch_.dead.assign(n, 0);
   scratch_.schedule_suppressed.assign(n, 0);
   scratch_.listening.assign(n, 0);
-  // Plans ending at 0: every node takes the tx loop's full path in slot 0.
   scratch_.plans.assign(n, QuietPlan{0});
+  // Due in slot 0: every node takes the tx loop's full path there.
+  scratch_.due.assign(n, 0);
   scratch_.active.reserve(n);
   scratch_.transmissions.reserve(n);
   // A listener receives at most once per slot, so n bounds the list.
@@ -101,15 +126,6 @@ void Simulator::set_observation(obs::RunObservation* observation) {
                 {1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0}));
 }
 
-bool Simulator::quiet_draw_hits(graph::NodeId v) {
-  const double p = scratch_.plans[v].tx_probability;
-  if (p <= 0.0) return false;
-  common::Rng draw = rngs_[v];
-  if (draw.bernoulli(p)) return true;
-  rngs_[v] = draw;
-  return false;
-}
-
 void Simulator::listen(graph::NodeId v, Slot slot, RunMetrics& metrics) {
   // Transient deafness: the receiver is off, but the node still ran its
   // slot (protocol state and the interference field are unaffected —
@@ -133,10 +149,41 @@ Slot Simulator::next_event(graph::NodeId v, Slot slot) const {
   return next;
 }
 
-void Simulator::replan(graph::NodeId v, Slot slot) {
+QuietPlan Simulator::plan_of(graph::NodeId v, Slot slot) const {
   QuietPlan plan = protocols_[v]->quiet_plan(slot);
   SINRCOLOR_DCHECK(plan.until > slot);
-  plan.until = std::min(plan.until, next_event(v, slot));
+  plan.until = std::min({plan.until, next_event(v, slot), horizon_});
+  return plan;
+}
+
+void Simulator::replan(graph::NodeId v, Slot slot) {
+  const QuietPlan plan = plan_of(v, slot);
+  scratch_.plans[v] = plan;
+  scratch_.due[v] =
+      draw_ahead(rngs_[v], plan.tx_probability, slot + 1, plan.until);
+}
+
+// The coins of slots up to `slot` are spent: the node was quiet in them, or
+// ran begin_slot. Those of slots slot + 1 .. due − 1 were drawn ahead under
+// the old plan and failed; a hit in `due` was stepped back.
+void Simulator::replan_after_delivery(graph::NodeId v, Slot slot) {
+  const QuietPlan old = scratch_.plans[v];
+  const QuietPlan plan = plan_of(v, slot);
+  common::Rng& rng = rngs_[v];
+  Slot& due = scratch_.due[v];
+  SINRCOLOR_DCHECK(due > slot);
+  if (plan.tx_probability != old.tx_probability) {
+    // The drawn-ahead failures may hit at the new p: draw them again.
+    step_back(rng, (due - 1 - slot) * draws_per_slot(old.tx_probability));
+    due = draw_ahead(rng, plan.tx_probability, slot + 1, plan.until);
+  } else if (plan.until < due) {
+    // The plan now ends first: give back the draws from its end on.
+    step_back(rng, (due - plan.until) * draws_per_slot(plan.tx_probability));
+    due = plan.until;
+  } else if (due == old.until) {
+    // No hit before the old end: the longer plan draws on from there.
+    due = draw_ahead(rng, plan.tx_probability, due, plan.until);
+  }
   scratch_.plans[v] = plan;
 }
 
@@ -152,14 +199,14 @@ void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
   auto& dead = scratch_.dead;
   auto& listening = scratch_.listening;
   auto& schedule_suppressed = scratch_.schedule_suppressed;
-  auto& plans = scratch_.plans;
+  auto& due = scratch_.due;
   auto& transmissions = scratch_.transmissions;
   transmissions.clear();
   scratch_.active.clear();
   const std::size_t n = graph_.size();
   const bool faults = fault_injector_ != nullptr;
   for (graph::NodeId v = 0; v < n; ++v) {
-    if (slot < plans[v].until && !quiet_draw_hits(v)) {
+    if (slot < due[v]) {
       // Asleep, dead, or awake and silent inside its quiet plan. Deafness
       // is still queried for every awake listener.
       if (faults && awake[v] && !dead[v]) {
@@ -211,7 +258,7 @@ void Simulator::tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
     }
     if (dead[v] || !awake[v]) {
       listening[v] = 0;
-      plans[v] = {next_event(v, slot)};
+      due[v] = std::min(next_event(v, slot), horizon_);
       continue;
     }
     scratch_.active.push_back(v);
@@ -261,6 +308,7 @@ RunMetrics Simulator::run(Slot max_slots) {
     SINRCOLOR_CHECK_MSG(protocols_[v] != nullptr, "node missing a protocol");
   }
 
+  horizon_ = max_slots;
   RunMetrics metrics;
   metrics.wake_slot = wakeups_;
   metrics.decision_slot.assign(n, -1);
@@ -309,6 +357,13 @@ RunMetrics Simulator::run(Slot max_slots) {
     schedule_suppressed[v] =
         (failure_slot_[v] < 0 || failure_slot_[v] >= join_slot_[v]) ? 1 : 0;
   }
+
+  const auto track = [&](graph::NodeId v, Slot slot) {
+    if (metrics.decision_slot[v] < 0 && protocols_[v]->decided()) {
+      metrics.decision_slot[v] = slot;
+      --undecided;
+    }
+  };
 
   Slot settle_left = settle_slots_;
   for (Slot slot = 0; slot < max_slots &&
@@ -374,9 +429,13 @@ RunMetrics Simulator::run(Slot max_slots) {
           SINRCOLOR_TRACE(tracer, slot, obs::EventKind::kDelivery, r.listener,
                           m.sender, static_cast<std::int32_t>(m.kind),
                           m.color_class);
-          protocols_[r.listener]->on_receive(slot, m);
-          replan(r.listener, slot);
           ++metrics.total_deliveries;
+          // Only a delivery that may have changed the plan or the decision
+          // costs a re-plan and a decision check.
+          if (protocols_[r.listener]->on_receive(slot, m)) {
+            replan_after_delivery(r.listener, slot);
+            track(r.listener, slot);
+          }
         }
       }
       // Collision attribution: a listener covered by >= 1 transmitter that
@@ -412,22 +471,11 @@ RunMetrics Simulator::run(Slot max_slots) {
     for (const TxRecord& t : transmissions) listening[t.sender] = 1;
 
     // 3. End of slot: decision tracking, then the end-of-slot observers.
-    // Only a node that ran begin_slot or received a message can have
-    // changed, so only those are asked.
+    // Only a node that ran begin_slot or took a delivery that returned true
+    // can have changed; the receivers were asked on delivery.
     {
       SINRCOLOR_PROFILE(profiler, obs::Phase::kEndSlot);
-      const auto track = [&](graph::NodeId v) {
-        if (metrics.decision_slot[v] < 0 && protocols_[v]->decided()) {
-          metrics.decision_slot[v] = slot;
-          --undecided;
-        }
-      };
-      for (const graph::NodeId v : scratch_.active) track(v);
-      if (!transmissions.empty()) {
-        for (const Reception& r : receptions) {
-          if (r.tx != kFaultDropped) track(r.listener);
-        }
-      }
+      for (const graph::NodeId v : scratch_.active) track(v, slot);
       // This slot's state (colors, decisions) is now final: run the
       // end-of-slot observers (runtime invariant monitor).
       for (const auto& observer : end_observers_) observer(slot);
@@ -505,7 +553,7 @@ std::size_t Simulator::memory_bytes() const {
          vec(join_slot_) + vec(protocols_) + vec(owned_) + vec(rngs_) +
          vec(observers_) + vec(end_observers_) + vec(scratch_.awake) +
          vec(scratch_.dead) + vec(scratch_.schedule_suppressed) +
-         vec(scratch_.listening) + vec(scratch_.plans) +
+         vec(scratch_.listening) + vec(scratch_.plans) + vec(scratch_.due) +
          vec(scratch_.active) + vec(scratch_.transmissions) +
          vec(scratch_.receptions) + vec(scratch_.received) +
          vec(scratch_.received_tx) + vec(scratch_.cover_count) +

@@ -8,13 +8,16 @@
 //
 // The tx phase walks v = 0..n-1 in one sequential loop, so the transmissions
 // reach the medium sender-ascending — the order its Kahan sums are defined
-// over. A node inside its protocol's quiet plan (radio/protocol.h), asleep or
-// dead costs that loop no virtual call: a quiet node's one Bernoulli draw is
-// made on a copy of its stream, and only a success runs its begin_slot.
-// After the tx phase a slot costs O(transmitters + receptions + active
-// nodes), not O(n): the medium's sparse reception list is delivered in
-// listener order (SlotScratch below), and decisions are tracked for the
-// slot's active nodes and receivers only.
+// over. Each node carries the next slot it is due in: the end of its
+// protocol's quiet plan (radio/protocol.h), the first hit among the plan's
+// coins, which the simulator draws ahead on the node's own stream whenever
+// it re-plans, or its next wake, failure or join while it sleeps or is
+// dead. Every other node costs that loop one comparison: no draw and no
+// virtual call. After the tx phase a slot costs O(transmitters + receptions
+// + active nodes), not O(n): the medium's sparse reception list is delivered
+// in listener order (SlotScratch below), and only a receiver whose
+// on_receive reports a possible change is re-planned and asked whether it
+// decided.
 #pragma once
 
 #include <cstdint>
@@ -170,11 +173,13 @@ class Simulator {
   /// slot) and are rewritten only for active nodes and, under a fault
   /// injector, for every awake non-transmitting node's deafness.
   ///
-  /// `plans[v]` is node v's stored quiet plan: `until` is the first slot
-  /// the node needs the tx loop's full path again — its protocol's `until`,
-  /// capped at its next wake, failure or join slot (for a sleeping or dead
-  /// node, just that event, with no draw). `active` lists the slot's
-  /// begin_slot calls.
+  /// `plans[v]` is the quiet plan node v returned at its last re-plan, with
+  /// `until` capped at the node's next wake, failure or join slot and at the
+  /// run's max_slots. `due[v]` is the first slot the node needs the tx
+  /// loop's full path again: the plan's first hit, with v's stream standing
+  /// just before that draw, or the plan's `until`, with every quiet coin
+  /// before it drawn; for a sleeping or dead node, its next event. `active`
+  /// lists the slot's begin_slot calls.
   ///
   /// Reception side, O(receptions) per slot: the medium fills `receptions`
   /// in its own order; each entry sets its listener's bit in `received`
@@ -189,6 +194,7 @@ class Simulator {
     std::vector<std::uint8_t> schedule_suppressed;
     std::vector<std::uint8_t> listening;
     std::vector<QuietPlan> plans;
+    std::vector<Slot> due;
     std::vector<graph::NodeId> active;
     std::vector<TxRecord> transmissions;
     std::vector<Reception> receptions;
@@ -204,19 +210,21 @@ class Simulator {
   /// pushed straight into scratch_.transmissions (sender-ascending).
   void tx_decide(Slot slot, RunMetrics& metrics, obs::Tracer* tracer,
                  std::size_t& undecided, std::size_t& joins_pending);
-  /// One quiet slot of node v: draws its plan's Bernoulli value on a copy of
-  /// its stream. A failed draw is kept (it is all begin_slot would have
-  /// done); a success leaves the stream for begin_slot to redraw. Returns
-  /// whether v must run begin_slot this slot.
-  bool quiet_draw_hits(graph::NodeId v);
   /// Sets v's listening byte for a slot it does not transmit in: 1, or 0 if
   /// the fault injector deafens it.
   void listen(graph::NodeId v, Slot slot, RunMetrics& metrics);
   /// The first of v's failure, join and (while it sleeps) wake slots after
   /// `slot`; kNeverSlot if none is left.
   Slot next_event(graph::NodeId v, Slot slot) const;
-  /// Stores v's quiet plan after a protocol call in `slot`.
+  /// v's quiet plan as of `slot`, capped at its next event and the horizon.
+  QuietPlan plan_of(graph::NodeId v, Slot slot) const;
+  /// Stores v's quiet plan after its begin_slot in `slot` and draws the
+  /// plan's coins ahead to set due[v].
   void replan(graph::NodeId v, Slot slot);
+  /// Stores v's plan after a delivery in `slot` that returned true. Coins
+  /// drawn ahead under the old plan are kept while they still hold; the
+  /// stream is stepped back over the rest, which are drawn again.
+  void replan_after_delivery(graph::NodeId v, Slot slot);
   /// Marks every reception in scratch_.received and rewrites
   /// scratch_.receptions in listener-ascending order (bitmap walk, no
   /// comparison sort).
@@ -236,6 +244,7 @@ class Simulator {
   obs::RunObservation* observation_ = nullptr;
   FaultInjector* fault_injector_ = nullptr;
   Slot settle_slots_ = 0;
+  Slot horizon_ = kNeverSlot;  ///< run()'s max_slots: no coin is drawn past it
   bool ran_ = false;
 };
 

@@ -178,13 +178,14 @@ std::optional<radio::Message> SelfHealingNode::begin_slot(radio::Slot slot,
   return inner_->begin_slot(slot, rng);
 }
 
-void SelfHealingNode::on_receive(radio::Slot slot, const radio::Message& msg) {
+// The node keeps the default plan, so every delivery re-plans it.
+bool SelfHealingNode::on_receive(radio::Slot slot, const radio::Message& msg) {
   SINRCOLOR_CHECK_MSG(join_phase_ != JoinPhase::kInactive || inner_ != nullptr,
                       "delivery to a sleeping self-healing node");
   last_slot_ = slot;
   if (join_phase_ != JoinPhase::kInactive) {
     join_receive(msg);
-    return;
+    return true;
   }
   if (msg.sender == inner_->leader()) last_leader_heard_ = slot;
   if (options_.enabled || options_.degrade_to_provisional) {
@@ -217,9 +218,10 @@ void SelfHealingNode::on_receive(radio::Slot slot, const radio::Message& msg) {
       msg.kind == radio::MessageKind::kColorBeacon &&
       msg.color_class == inner_->final_color() && msg.sender < id_) {
     repair_collision(slot);
-    return;
+    return true;
   }
   inner_->on_receive(slot, msg);
+  return true;
 }
 
 bool SelfHealingNode::decided() const {

@@ -51,7 +51,7 @@ class SelfHealingNode final : public radio::Protocol {
   void on_wake(radio::Slot slot) override;
   std::optional<radio::Message> begin_slot(radio::Slot slot,
                                            common::Rng& rng) override;
-  void on_receive(radio::Slot slot, const radio::Message& message) override;
+  bool on_receive(radio::Slot slot, const radio::Message& message) override;
   bool decided() const override;
 
   // --- introspection (recovery driver, tests) ---

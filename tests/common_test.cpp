@@ -97,6 +97,35 @@ TEST(Rng, DerivedSeedsAreIndependentStreams) {
   EXPECT_LE(equal, 1);
 }
 
+TEST(Rng, StepBackUndoesDraws) {
+  // k draws then k steps back restore the state, and the k outputs repeat.
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const Rng start(derive_seed(seed, 7));
+    for (const int k : {1, 2, 3, 17, 64, 1000}) {
+      Rng rng = start;
+      std::vector<std::uint64_t> drawn(static_cast<std::size_t>(k));
+      for (auto& x : drawn) x = rng();
+      for (int i = 0; i < k; ++i) rng.step_back();
+      ASSERT_TRUE(rng == start) << "seed " << seed << ", k " << k;
+      for (const std::uint64_t x : drawn) ASSERT_EQ(rng(), x);
+    }
+  }
+}
+
+TEST(Rng, StepBackWalksBeforeTheSeedState) {
+  // Stepping back is the inverse of the update, so it may start anywhere,
+  // the seed state included, and forward draws retrace it.
+  Rng rng(31);
+  const Rng seeded = rng;
+  for (int i = 0; i < 50; ++i) rng.step_back();
+  std::uint64_t last = 0;
+  for (int i = 0; i < 50; ++i) last = rng();
+  EXPECT_TRUE(rng == seeded);
+  Rng again = seeded;
+  again.step_back();
+  EXPECT_EQ(again(), last);
+}
+
 TEST(Rng, ShuffleIsPermutation) {
   Rng rng(23);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7, 8};

@@ -30,7 +30,10 @@ class ChattyProtocol final : public radio::Protocol {
     m.sender = id_;
     return m;
   }
-  void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    heard_ = true;
+    return true;
+  }
   bool decided() const override { return heard_; }
 
  private:
@@ -45,7 +48,10 @@ class ListenerProtocol final : public radio::Protocol {
   std::optional<radio::Message> begin_slot(radio::Slot, common::Rng&) override {
     return std::nullopt;
   }
-  void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    heard_ = true;
+    return true;
+  }
   bool decided() const override { return heard_; }
 
  private:

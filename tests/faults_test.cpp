@@ -47,7 +47,10 @@ class ChattyProtocol final : public radio::Protocol {
     m.sender = id_;
     return m;
   }
-  void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    heard_ = true;
+    return true;
+  }
   bool decided() const override { return heard_; }
 
  private:
@@ -62,7 +65,10 @@ class ListenerProtocol final : public radio::Protocol {
   std::optional<radio::Message> begin_slot(radio::Slot, common::Rng&) override {
     return std::nullopt;
   }
-  void on_receive(radio::Slot, const radio::Message&) override { heard_ = true; }
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    heard_ = true;
+    return true;
+  }
   bool decided() const override { return heard_; }
 
  private:
@@ -82,7 +88,9 @@ class BeaconProtocol final : public radio::Protocol {
     m.color_class = color_;
     return m;
   }
-  void on_receive(radio::Slot, const radio::Message&) override {}
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    return true;
+  }
   bool decided() const override { return false; }
 
  private:
@@ -574,7 +582,9 @@ class InstantProtocol final : public radio::Protocol {
     decided_ = true;
     return std::nullopt;
   }
-  void on_receive(radio::Slot, const radio::Message&) override {}
+  bool on_receive(radio::Slot, const radio::Message&) override {
+    return true;
+  }
   bool decided() const override { return decided_; }
 
  private:

@@ -347,6 +347,25 @@ TEST(Digest, MatchesRunMetricsExactly) {
             std::count(table.begin(), table.end(), '\n'));
 }
 
+TEST(Digest, SizedByTheEventsNotTheHeader) {
+  // A header may declare 2^32 − 1 nodes; the two events name nodes 0 and 5,
+  // so the table holds rows 0..5 and node 3, without events, stays empty.
+  std::vector<obs::TraceEvent> events(2);
+  events[0].slot = 0;
+  events[0].node = 0;
+  events[0].kind = obs::EventKind::kWake;
+  events[1].slot = 3;
+  events[1].node = 5;
+  events[1].kind = obs::EventKind::kWake;
+  const auto digest = obs::build_digest(events, std::size_t{0xffffffffu});
+  ASSERT_EQ(digest.size(), 6u);
+  EXPECT_EQ(digest[0].first_wake, 0);
+  EXPECT_EQ(digest[5].first_wake, 3);
+  EXPECT_EQ(digest[3].node, 3u);
+  EXPECT_EQ(digest[3].first_wake, -1);
+  EXPECT_TRUE(obs::build_digest({}, std::size_t{0xffffffffu}).empty());
+}
+
 TEST(Digest, FailoverAndDeathAreVisibleInTheTrace) {
   // The X14 orphaned-requester scenario (see recovery_test.cpp): probe when
   // the member commits, kill its leader right after, and expect the trace to

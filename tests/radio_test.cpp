@@ -148,7 +148,10 @@ class ScriptedProtocol final : public Protocol {
     if (slot == tx_slot_) return compete_msg(id_, 42);
     return std::nullopt;
   }
-  void on_receive(Slot, const Message& m) override { received_.push_back(m); }
+  bool on_receive(Slot, const Message& m) override {
+    received_.push_back(m);
+    return true;
+  }
   bool decided() const override { return !received_.empty(); }
 
   bool awake_ = false;

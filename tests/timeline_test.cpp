@@ -142,6 +142,30 @@ TEST(TimelineFromTrace, SingleEventProducesSingleSample) {
   EXPECT_NE(timeline.render_ascii().find("listening"), std::string::npos);
 }
 
+TEST(TimelineFromTrace, HeaderCountBeyondTheEventsStaysAsleep) {
+  // A header may declare 2^32 − 1 nodes: the replay's table ends at the
+  // last node an event names, and every other node counts as asleep.
+  constexpr std::size_t kNodes = 0xffffffffu;
+  std::vector<obs::TraceEvent> events;
+  obs::TraceEvent e;
+  e.slot = 3;
+  e.node = 5;
+  e.kind = obs::EventKind::kMwTransition;
+  e.a = static_cast<std::int32_t>(core::MwStateKind::kAsleep);
+  e.b = static_cast<std::int64_t>(core::MwStateKind::kListening);
+  events.push_back(e);
+
+  const auto timeline = core::timeline_from_trace(events, kNodes, 2);
+  ASSERT_FALSE(timeline.samples().empty());
+  const auto& last = timeline.samples().back();
+  EXPECT_EQ(last.slot, 3);
+  EXPECT_EQ(last.count[static_cast<std::size_t>(core::MwStateKind::kAsleep)],
+            kNodes - 1);
+  EXPECT_EQ(
+      last.count[static_cast<std::size_t>(core::MwStateKind::kListening)], 1u);
+  EXPECT_EQ(timeline.node_count(), kNodes);
+}
+
 TEST(CliqueLowerBound, ExactOnHandInstances) {
   // Triangle + isolated node: clique number 3.
   geometry::Deployment dep;

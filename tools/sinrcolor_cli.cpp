@@ -786,6 +786,15 @@ int trace_digest(const common::Cli& cli) {
   const auto digest =
       obs::build_digest(events, static_cast<std::size_t>(meta.node_count));
   std::fputs(obs::render_digest(digest, node).c_str(), stdout);
+  // The table ends at the last node any event names.
+  const std::uint64_t rows = digest.size();
+  if (rows < meta.node_count &&
+      (node < 0 || static_cast<std::uint64_t>(node) >= rows)) {
+    std::printf("nodes %llu..%llu (%llu): no events\n",
+                static_cast<unsigned long long>(rows),
+                static_cast<unsigned long long>(meta.node_count - 1),
+                static_cast<unsigned long long>(meta.node_count - rows));
+  }
   return 0;
 }
 
